@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text files with a typed schema per
 command; unknown keys are rejected.  Reports embed the resolved config and
 the artifact version and are byte-identical for a fixed (config, seed).
 
-Exit codes: 0 success, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
+error (including a value the library rejects), 3 I/O error.
 
 Commands
 --------
@@ -128,7 +129,8 @@ def parse_config(path: Path) -> dict:
 
 
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
 
 
 def _echo(config: dict) -> dict:
@@ -311,9 +313,6 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="report directory")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are identical for any "
-                             "value (seed splits are worker independent)")
     args = parser.parse_args(argv)
     try:
         config = parse_config(Path(args.config))
@@ -328,6 +327,9 @@ def main(argv=None) -> int:
         if not out.is_dir():
             raise OSError("not a directory")
         return _RUNNERS[config["command"]](config, out, args.format)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,8 @@
-"""Dense Hermitian eigenvalue solver.
+"""Dense Hermitian eigenvalues.
 
-Implemented in-repo: complex Householder tridiagonalization followed by the
-implicit-shift QL iteration (TQLI from Numerical Recipes), with a cyclic
-Jacobi sweep as fallback if QL fails to converge.  Intended for the small
-dense matrices of this package (n <= 64); accuracy target 1e-10.
+LAPACK through ``np.linalg.eigvalsh``, for one matrix or a stack of them,
+with a cyclic Jacobi sweep as fallback if LAPACK fails to converge.
+Intended for the small dense matrices of this package (n <= 64).
 """
 
 from __future__ import annotations
@@ -11,103 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_EPS = np.finfo(float).eps
-
-
-def hermitian_tridiagonalize(a: np.ndarray):
-    """Reduce a Hermitian matrix to real symmetric tridiagonal form.
-
-    Returns ``(d, e)`` where ``d`` is the diagonal and ``e`` the
-    off-diagonal (length ``n-1``, real nonnegative).  The reduction uses
-    unitary Householder similarity transformations; a final diagonal phase
-    similarity makes the off-diagonal real.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > 0 and np.linalg.norm(a - a.conj().T) > 1e-8 * max(1.0, np.linalg.norm(a)):
-        raise ValueError("matrix is not Hermitian")
-    for k in range(n - 1, 1, -1):
-        v = a[:k, k].copy()
-        head = v[:-1]
-        if np.linalg.norm(head) == 0.0:
-            continue
-        sigma = np.linalg.norm(v)
-        alpha = v[-1]
-        phase = alpha / abs(alpha) if abs(alpha) > 0 else 1.0
-        w = v.copy()
-        w[-1] += phase * sigma
-        wn2 = np.vdot(w, w).real
-        if wn2 <= 0.0:
-            continue
-        u = np.zeros(n, dtype=complex)
-        u[:k] = w
-        tau = 2.0 / wn2
-        # a <- P a P with P = I - tau * u u^H (Hermitian unitary)
-        q = a @ u
-        a -= tau * np.outer(q, u.conj())
-        a -= tau * np.outer(u, (a.conj().T @ u).conj())
-    d = np.real(np.diag(a)).copy()
-    e_complex = np.diag(a, 1).copy() if n > 1 else np.zeros(0, dtype=complex)
-    e = np.abs(e_complex)
-    return d, e
-
-
-def tql_implicit(d: np.ndarray, e: np.ndarray, max_iters: int = 50) -> np.ndarray:
-    """Eigenvalues of a real symmetric tridiagonal matrix via implicit QL.
-
-    ``d`` is the diagonal (length n), ``e`` the off-diagonal (length n-1).
-    Returns the eigenvalues in ascending order.
-    """
-    n = d.size
-    d = np.array(d, dtype=float)
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iters >= max_iters:
-                raise RuntimeError("implicit QL failed to converge")
-            iters += 1
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = math.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m] = 0.0
-    return np.sort(d)
 
 
 def jacobi_eigvalsh(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
@@ -145,19 +47,18 @@ def jacobi_eigvalsh(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    Householder + implicit QL, with a Jacobi fallback on the rare QL
-    convergence failure.
-    """
+    """All eigenvalues of a Hermitian matrix, or of each matrix in a stack
+    of shape ``(..., n, n)``, ascending along the last axis."""
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return np.array([a[0, 0].real])
-    d, e = hermitian_tridiagonalize(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("matrix must be square")
+    skew = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(skew > 1e-8 * scale):
+        raise ValueError("matrix is not Hermitian")
     try:
-        return tql_implicit(d, e)
-    except RuntimeError:
-        return jacobi_eigvalsh(a)
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        flat = a.reshape((-1,) + a.shape[-2:])
+        vals = [jacobi_eigvalsh(m) for m in flat]
+        return np.reshape(vals, a.shape[:-1])

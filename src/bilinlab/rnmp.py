@@ -2,9 +2,11 @@
 
 For unit-norm s-sparse x and f-sparse y the convolution norm satisfies
 ``alpha(s,f) <= ||x * y|| <= beta(s,f)`` with ``beta^2 = min(s,f)``.  This
-module computes the certified lower bound for alpha through the
+module computes a search estimate of the lower bound for alpha through the
 autocorrelation Toeplitz / restricted determinant chain, and an empirical
-upper estimate by alternating minimization over support pairs.
+upper estimate by alternating minimization over support pairs.  For
+min(s, f) >= 3 the determinant comes from a heuristic search that gives an
+upper estimate of D_{n,k}, so the lower value is not a proven bound.
 
 The quadratic form identity driving everything: for fixed unit y,
 ``||x * y||^2 = <x, B_y x>`` where ``B_y`` is the Hermitian Toeplitz
@@ -30,6 +32,10 @@ EXHAUSTIVE_SUPPORT_LIMIT = 10 ** 5
 ALT_MIN_MAX_ITERS = 200
 ALT_MIN_STALL = 1e-10
 DEFAULT_RESTARTS = 32
+
+# Principal submatrices per stacked eigenvalue call in the exhaustive
+# restricted-eigenvalue search, which bounds its memory.
+EIG_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,21 @@ class HermitianToeplitz:
         return out.astype(complex)
 
 
+def _autocorr_toeplitz(v: np.ndarray, rows) -> np.ndarray:
+    """Autocorrelation Toeplitz matrix of ``v`` restricted to ``rows``.
+
+    Entry (i, j) is ``b_{j-i}`` with ``b_k = sum_m conj(v_m) v_{m+k}`` on Z,
+    so ``<x, B x> = ||x * v||^2`` for x supported on ``rows``.
+    """
+    lags = np.subtract.outer(rows, rows)
+    span = int(np.abs(lags).max()) + 1
+    if span > v.size:
+        v = np.concatenate([v, np.zeros(span - v.size, dtype=v.dtype)])
+    # np.correlate conjugates its second argument: entry size-1+k is b_k,
+    # and entry size-1-k is conj(b_k).
+    return np.correlate(v, v, "full")[v.size - 1 - lags]
+
+
 def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     """Toeplitz matrix of the autocorrelation ``b_k = sum_j conj(t_j) t_{j+k}``.
 
@@ -64,13 +85,7 @@ def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     """
     if t.sparsity() == 0 or t.norm() == 0:
         raise ValueError("autocorrelation of the zero vector is undefined")
-    td = t.dense() / t.norm()
-    # np.correlate conjugates its second argument; entry len-1+k is
-    # sum_j td_{j+k} conj(td_j).
-    full = np.correlate(td, td, "full")
-    b = np.zeros(n, dtype=complex)
-    kmax = min(n, td.size)
-    b[:kmax] = full[td.size - 1: td.size - 1 + kmax]
+    b = _autocorr_toeplitz(t.dense() / t.norm(), np.arange(n))[0]
     b[0] = b[0].real
     return HermitianToeplitz(n, tuple(b.tolist()))
 
@@ -85,8 +100,14 @@ def symbol_eval(t: HermitianToeplitz, omega):
     return out if out.ndim else float(out)
 
 
+def _principal_submatrices(mat: np.ndarray, supports) -> np.ndarray:
+    """Stack of ``mat[np.ix_(idx, idx)]`` for each index tuple in supports."""
+    idx = np.asarray(supports)
+    return mat[idx[:, :, None], idx[:, None, :]]
+
+
 def min_eigenvalue(t: HermitianToeplitz) -> float:
-    """Smallest eigenvalue, computed by the in-repo Hermitian solver."""
+    """Smallest eigenvalue."""
     return float(eigh.eigvalsh(t.to_matrix())[0])
 
 
@@ -100,33 +121,27 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
     if not 1 <= s <= t.n:
         raise ValueError("need 1 <= s <= n")
     mat = t.to_matrix()
+    best = math.inf
     if math.comb(t.n, s) <= EXHAUSTIVE_SUPPORT_LIMIT:
-        best = math.inf
-        for idx in itertools.combinations(range(t.n), s):
-            sub = mat[np.ix_(idx, idx)]
-            best = min(best, float(eigh.eigvalsh(sub)[0]))
+        supports = itertools.combinations(range(t.n), s)
+        while chunk := list(itertools.islice(supports, EIG_CHUNK)):
+            vals = eigh.eigvalsh(_principal_submatrices(mat, chunk))
+            best = min(best, float(vals[:, 0].min()))
         return best
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best = math.inf
     for _ in range(restarts):
-        idx = set(rng.choice(t.n, size=s, replace=False).tolist())
-        val = float(eigh.eigvalsh(mat[np.ix_(sorted(idx), sorted(idx))])[0])
-        improved = True
-        while improved:
-            improved = False
-            for out in sorted(idx):
-                for inc in range(t.n):
-                    if inc in idx:
-                        continue
-                    cand = sorted(idx - {out} | {inc})
-                    v = float(eigh.eigvalsh(mat[np.ix_(cand, cand)])[0])
-                    if v < val - 1e-15:
-                        idx = set(cand)
-                        val = v
-                        improved = True
-                        break
-                if improved:
-                    break
+        idx = sorted(rng.choice(t.n, size=s, replace=False).tolist())
+        val = float(eigh.eigvalsh(mat[np.ix_(idx, idx)])[0])
+        while True:
+            # Every single swap of the sweep in one call; the first
+            # improving one in scan order (out, then inc ascending) wins.
+            swaps = [sorted(set(idx) - {out} | {inc})
+                     for out in idx for inc in range(t.n) if inc not in idx]
+            vals = eigh.eigvalsh(_principal_submatrices(mat, swaps))[:, 0]
+            better = np.flatnonzero(vals < val - 1e-15)
+            if better.size == 0:
+                break
+            idx, val = swaps[better[0]], float(vals[better[0]])
         best = min(best, val)
     return best
 
@@ -156,11 +171,20 @@ class DeterminantEstimate:
     seed: int
 
 
-def _det_objective(n: int, support, coeffs: np.ndarray) -> float:
-    t = SparseVector(n, tuple(support),
-                     tuple((coeffs / np.linalg.norm(coeffs)).tolist()))
-    mat = autocorrelation_toeplitz(t, n).to_matrix()
-    return abs(np.linalg.det(mat))
+def _det_objective(n: int, support, coeffs: np.ndarray) -> np.ndarray:
+    """``|det B_t|`` for each row of ``coeffs``, where t is that row placed
+    on ``support`` in dimension n and normalized."""
+    rows = np.arange(n)
+    mats = []
+    for c in coeffs:
+        c = c / np.linalg.norm(c)
+        t = np.zeros(n, dtype=complex)
+        t[list(support)] = c
+        # Normalized a second time, in the summation order of
+        # SparseVector.norm, as autocorrelation_toeplitz does.
+        t /= math.sqrt(sum(abs(v) ** 2 for v in c.tolist()))
+        mats.append(_autocorr_toeplitz(t, rows))
+    return np.abs(np.linalg.det(np.array(mats)))
 
 
 def restricted_determinant(n: int, k: int, search_budget: int = 64,
@@ -196,26 +220,24 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
         for _ in range(restarts):
             c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             c /= np.linalg.norm(c)
-            val = _det_objective(n, support, c)
+            val = _det_objective(n, support, c[None])[0]
             step = 0.3
             for _ in range(120):
                 if step < 1e-6:
                     break
-                grad = np.zeros(2 * k)
                 h = 1e-6
                 flat = np.concatenate([c.real, c.imag])
-                for d in range(2 * k):
-                    probe = flat.copy()
-                    probe[d] += h
-                    pc = probe[:k] + 1j * probe[k:]
-                    grad[d] = (_det_objective(n, support, pc) - val) / h
+                # One forward-difference probe per real coordinate.
+                probes = flat + h * np.eye(2 * k)
+                pcs = probes[:, :k] + 1j * probes[:, k:]
+                grad = (_det_objective(n, support, pcs) - val) / h
                 gn = np.linalg.norm(grad)
                 if gn < 1e-12:
                     break
                 trial_flat = flat - step * grad / gn
                 tc = trial_flat[:k] + 1j * trial_flat[k:]
                 tc /= np.linalg.norm(tc)
-                tval = _det_objective(n, support, tc)
+                tval = _det_objective(n, support, tc[None])[0]
                 if tval < val:
                     c, val = tc, tval
                 else:
@@ -252,13 +274,14 @@ def compressed_dimension(s: int, f: int, n_ambient: int | None = None) -> int:
 
 def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
                       seed: int = 0, max_toeplitz_dim: int = 16) -> float:
-    """Determinant-chain lower bound on alpha(s, f).
+    """Determinant-chain search estimate of the lower bound on alpha(s, f).
 
     Evaluates ``alpha^2 >= D_{nt,k} / sqrt(nt * k^(nt-1))`` with
     k = min(s, f) and nt the compressed dimension (capped at
     ``max_toeplitz_dim`` to keep the determinant search tractable; the cap
     is recorded by :func:`compute_bounds`).  min(s, f) = 1 returns the
-    exact value 1.
+    exact value 1.  For k >= 3 the determinant is an upper estimate of
+    D_{nt,k} from a heuristic search, so the result is not a proven bound.
     """
     k = min(s, f)
     if k == 1:
@@ -267,21 +290,6 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     d_est = restricted_determinant(nt, k, det_budget, seed).value
     alpha_sq = d_est / math.sqrt(nt * float(k) ** (nt - 1))
     return math.sqrt(max(alpha_sq, 0.0))
-
-
-def _autocorr_matrix(y: np.ndarray, rows) -> np.ndarray:
-    """Restricted Toeplitz quadratic form of ||x * y||^2 (convolution on Z)."""
-    full = np.correlate(y, y, "full")
-    center = y.size - 1
-
-    def b(k):
-        if abs(k) >= y.size:
-            return 0.0
-        v = full[center + abs(k)]
-        return v if k >= 0 else np.conj(v)
-
-    rows = list(rows)
-    return np.array([[b(j - i) for j in rows] for i in rows], dtype=complex)
 
 
 def pair_min_norm(support_x, support_y, n: int, rng=None,
@@ -305,12 +313,12 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
         for _ in range(ALT_MIN_MAX_ITERS):
             ydense = np.zeros(n, dtype=complex)
             ydense[support_y] = yv
-            bx = _autocorr_matrix(ydense, support_x)
+            bx = _autocorr_toeplitz(ydense, support_x)
             wx, vx = np.linalg.eigh(bx)
             xv = vx[:, 0]
             xdense = np.zeros(n, dtype=complex)
             xdense[support_x] = xv
-            by = _autocorr_matrix(xdense, support_y)
+            by = _autocorr_toeplitz(xdense, support_y)
             wy, vy = np.linalg.eigh(by)
             yv = vy[:, 0]
             new_val = float(wy[0])

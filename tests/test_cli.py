@@ -48,6 +48,21 @@ def test_main_config_error_exit_code(tmp_path):
     assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("body", [
+    "command = rnmp-bound\ns = 5\nf = 2\nn = 4\n",      # s > n
+    "command = phase-stability\nn = 3\nvariant = bogus\n",
+    "command = recover-sweep\nn = 10\nsparsity = 20\nm_values = 4\n",
+    "command = freiman-search\nset = 1,1\n",             # repeated element
+    "command = embed-verify\nm = 4\nn = 4\ntrials = 0\n",  # NaN report
+])
+def test_main_rejected_value_exit_code(tmp_path, capsys, body):
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out.glob("*.json"))
+
+
 def test_main_io_error_exit_code(tmp_path):
     cfg = _write_config(tmp_path, "command = demod-selftest\nn = 8\n")
     blocker = tmp_path / "blocker"
@@ -157,7 +172,6 @@ def test_reports_byte_identical(tmp_path):
     """)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["--config", str(cfg), "--out", str(out1)]) == 0
-    assert cli.main(["--config", str(cfg), "--out", str(out2),
-                     "--threads", "8"]) == 0
+    assert cli.main(["--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "embed-verify.json").read_bytes() == \
         (out2 / "embed-verify.json").read_bytes()

@@ -1,4 +1,5 @@
-"""The in-repo Hermitian eigensolver against numpy and closed forms."""
+"""The Hermitian eigenvalue wrapper and its Jacobi fallback against numpy
+and closed forms."""
 
 import numpy as np
 import pytest
@@ -11,22 +12,43 @@ def _random_hermitian(n, rng):
     return (a + a.conj().T) / 2
 
 
-def test_tridiagonalize_preserves_spectrum():
-    rng = np.random.default_rng(0)
-    for n in (2, 3, 5, 8, 16):
-        a = _random_hermitian(n, rng)
-        d, e = eigh.hermitian_tridiagonalize(a)
-        tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        got = np.sort(np.linalg.eigvalsh(tri))
-        want = np.sort(np.linalg.eigvalsh(a))
-        assert np.allclose(got, want, atol=1e-10 * max(1.0, abs(want).max()))
+def test_eigvalsh_rejects_non_hermitian():
+    with pytest.raises(ValueError):
+        eigh.eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        eigh.eigvalsh(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        eigh.eigvalsh(np.zeros(3))
+    # One non-Hermitian matrix in a stack rejects the stack.
+    with pytest.raises(ValueError):
+        eigh.eigvalsh(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
-def test_tridiagonalize_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigh.hermitian_tridiagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        eigh.hermitian_tridiagonalize(np.zeros((2, 3)))
+def test_eigvalsh_stack_matches_single_calls():
+    rng = np.random.default_rng(4)
+    stack = np.array([_random_hermitian(5, rng) for _ in range(7)])
+    got = eigh.eigvalsh(stack)
+    assert got.shape == (7, 5)
+    for a, row in zip(stack, got):
+        assert np.allclose(row, eigh.eigvalsh(a), atol=1e-12)
+    assert eigh.eigvalsh(stack[:0]).shape == (0, 5)
+
+
+def test_jacobi_fallback_on_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    rng = np.random.default_rng(5)
+    stack = np.array([_random_hermitian(4, rng) for _ in range(3)])
+    want = np.linalg.eigvalsh(stack)
+    calls = []
+    jacobi = eigh.jacobi_eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(eigh, "jacobi_eigvalsh",
+                        lambda a: calls.append(a) or jacobi(a))
+    got = eigh.eigvalsh(stack)
+    assert len(calls) == 3
+    assert np.allclose(got, want, atol=1e-10)
 
 
 def test_eigvalsh_matches_numpy():
@@ -75,11 +97,3 @@ def test_repeated_eigenvalues():
     a = q @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 5.0]) @ q.conj().T
     got = eigh.eigvalsh((a + a.conj().T) / 2)
     assert np.allclose(got, [1, 1, 1, 2, 2, 5], atol=1e-10)
-
-
-def test_tql_convergence_flag():
-    d = np.array([1.0, 2.0, 3.0])
-    e = np.array([0.1, 0.2])
-    tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.allclose(eigh.tql_implicit(d, e), np.linalg.eigvalsh(tri),
-                       atol=1e-12)

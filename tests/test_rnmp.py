@@ -51,6 +51,33 @@ def test_autocorrelation_energy_bound():
         assert energy <= f + 1e-9
 
 
+def test_autocorr_kernel_matches_definition():
+    # B[i, j] = b_{j-i}, b_k = sum_m conj(y_m) y_{m+k} on Z; rows wider
+    # than y exercise the zero padding.
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+
+    def b(k):
+        return sum(np.conj(y[m]) * y[m + k] for m in range(5)
+                   if 0 <= m + k < 5)
+
+    for rows in ([0, 2, 3], [1, 4, 8], list(range(9))):
+        want = np.array([[b(j - i) for j in rows] for i in rows])
+        got = rnmp._autocorr_toeplitz(y, np.array(rows))
+        assert np.allclose(got, want, atol=1e-12)
+
+
+def test_det_objective_stack_matches_public_path():
+    rng = np.random.default_rng(9)
+    support = (0, 2, 5)
+    coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    got = rnmp._det_objective(7, support, coeffs)
+    for c, value in zip(coeffs, got):
+        t = SparseVector(7, support, tuple((c / np.linalg.norm(c)).tolist()))
+        mat = rnmp.autocorrelation_toeplitz(t, 7).to_matrix()
+        assert value == abs(np.linalg.det(mat))
+
+
 def test_symbol_eval():
     ident = rnmp.autocorrelation_toeplitz(SparseVector.basis(4, 0), 4)
     assert rnmp.symbol_eval(ident, 0.3) == pytest.approx(1.0)
@@ -155,6 +182,13 @@ def test_restricted_determinant_two_by_two():
     recheck = abs(np.linalg.det(
         rnmp.autocorrelation_toeplitz(t, 2).to_matrix()))
     assert recheck == pytest.approx(est.value, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_restricted_determinant_two_sparse_oracle(n):
+    # D_{n,2} = (n + 1) / 2^n exactly.
+    est = rnmp.restricted_determinant(n, 2, search_budget=2, seed=0)
+    assert est.value == pytest.approx((n + 1) / 2 ** n, rel=1e-9)
 
 
 def test_restricted_determinant_monotone_in_n():
