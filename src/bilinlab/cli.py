@@ -1,8 +1,9 @@
 """Reproducible experiment driver.
 
 Configs are flat ``key = value`` text files with a typed schema per
-command; unknown keys are rejected.  Reports embed the resolved config and
-the artifact version and are byte-identical for a fixed (config, seed).
+command; unknown and repeated keys are rejected.  Reports embed the
+resolved config and the artifact version and are byte-identical for a
+fixed (config, seed).
 
 Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
 error (including a value the library rejects), 3 I/O error.
@@ -106,7 +107,10 @@ def parse_config(path: Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
     command = raw.pop("command", None)
     if command not in COMMANDS:
         raise ConfigError(f"config must set command to one of {COMMANDS}")
@@ -195,6 +199,12 @@ def _run_embed_verify(config: dict, out: Path, fmt: str):
 
 
 def _run_recover_sweep(config: dict, out: Path, fmt: str):
+    if config["trials"] < 1:
+        raise ConfigError("trials must be at least 1")
+    if not config["m_values"] or min(config["m_values"]) < 1:
+        raise ConfigError("m_values must list positive integers")
+    if not config["noise"] >= 0:
+        raise ConfigError("noise must be nonnegative")
     n = config["n"]
     s = config["sparsity"]
     rows = []

@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -109,14 +111,78 @@ class RemapResult:
         }
 
 
+def _class_sizes(values) -> list:
+    """Sorted sizes of the sum-coincidence classes; order-invariant."""
+    return sorted(map(len, _sum_pattern(values).values()))
+
+
+def _matching_orders(elems, image_set):
+    """Depth-first walk over the orderings of ``image_set`` as images of
+    ``elems``, in ``itertools.permutations`` order.
+
+    Position k takes each unused value in turn and adds the pairs (i, k),
+    i <= k, to a two-way map between source and image pair-sums.  A sum
+    already paired with a different partner means the two sum patterns
+    differ for every completion, so the subtree is cut.  Yields
+    ``(count, images)``: ``count`` candidate maps ruled out by a cut with
+    ``images`` None, or 1 with the images of a full match.
+    """
+    m = len(elems)
+    images = [0] * m
+    used = [False] * m
+    src_to_img: dict = {}
+    img_to_src: dict = {}
+
+    def extend(k):
+        for slot, value in enumerate(image_set):
+            if used[slot]:
+                continue
+            images[k] = value
+            added = []
+            consistent = True
+            for i in range(k + 1):
+                s, t = elems[i] + elems[k], images[i] + value
+                partner = src_to_img.get(s)
+                if partner is None and t not in img_to_src:
+                    src_to_img[s] = t
+                    img_to_src[t] = s
+                    added.append(s)
+                elif partner != t:
+                    consistent = False
+                    break
+            if not consistent:
+                yield math.factorial(m - k - 1), None
+            elif k == m - 1:
+                yield 1, tuple(images)
+            else:
+                used[slot] = True
+                yield from extend(k + 1)
+                used[slot] = False
+            for s in added:
+                del img_to_src[src_to_img.pop(s)]
+
+    return extend(0)
+
+
 def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
-    """Smallest-diameter Freiman-isomorphic image found by enumeration.
+    """Smallest-diameter Freiman-isomorphic image found by backtracking.
 
     Candidate images are normalized to minimum 0 and first gap at most
     the last gap (reflection symmetry); diameters are scanned in
     increasing order, so the first hit is minimal when the search stayed
-    within budget.  The identity image bounds the search, so a result is
-    always returned.
+    within budget.  An image set whose sorted sum-class sizes differ from
+    the source's cannot match in any order and is skipped whole.  The
+    others are searched depth first, one source position at a time, and
+    a partial map is cut at the first pair-sum coincidence it breaks or
+    creates; the first match is the first matching permutation in
+    ``itertools.permutations`` order.
+
+    ``budget`` bounds the number of candidate maps (orderings of an image
+    set) examined: the match found counts one, a skipped image set counts
+    all m! of its orderings and a cut subtree counts every completion it
+    rules out.  Once the count exceeds ``budget`` the identity image is
+    returned with ``search_exhaustive`` False, so a result is always
+    returned.
     """
     elems = _elements(a)
     m = len(elems)
@@ -124,7 +190,7 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
         raise ValueError("empty set")
     if m == 1:
         return RemapResult(elems, (0,), 0, True, True)
-    src_pattern = set(map(frozenset, _sum_pattern(elems).values()))
+    src_classes = _class_sizes(elems)
     diam_a = elems[-1] - elems[0]
     checks = 0
     exhausted_below = True
@@ -136,18 +202,19 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
             gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
             if gaps[::-1] < gaps:
                 continue
-            for perm in itertools.permutations(image_set):
-                checks += 1
+            if _class_sizes(image_set) != src_classes:
+                steps = [(math.factorial(m), None)]
+            else:
+                steps = _matching_orders(elems, image_set)
+            for count, images in steps:
+                checks += count
                 if checks > budget:
                     identity = RemapResult(elems, elems, diam_a, True, False)
                     return identity
-                images = list(perm)
-                img_pattern = set(map(frozenset,
-                                      _sum_pattern(images).values()))
-                if img_pattern == src_pattern:
+                if images is not None:
                     phi = dict(zip(elems, images))
                     verified = is_freiman_isomorphism(elems, phi)
-                    return RemapResult(elems, tuple(images), diameter,
+                    return RemapResult(elems, images, diameter,
                                        verified, exhausted_below)
     # No strictly smaller image: the set itself (translated to start at 0)
     # is minimal.
@@ -156,11 +223,17 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
 
 
 def _conv_norm(support, values, support2, values2) -> float:
-    acc: dict = {}
-    for i, va in zip(support, values):
-        for j, vb in zip(support2, values2):
-            acc[i + j] = acc.get(i + j, 0.0) + va * vb
-    return math.sqrt(sum(abs(v) ** 2 for v in acc.values()))
+    """Norm of the convolution of two sparse vectors given on supports.
+
+    Pair sums are grouped with ``np.unique`` rather than scattered into a
+    dense array, whose length would be the span of the support.
+    """
+    sums = np.add.outer(support, support2).ravel()
+    products = np.outer(values, values2).ravel()
+    keys, inverse = np.unique(sums, return_inverse=True)
+    acc = np.zeros(keys.size, dtype=products.dtype)
+    np.add.at(acc, inverse, products)
+    return float(np.linalg.norm(acc))
 
 
 def remapped_convolution_norm_check(x, y, result: RemapResult) -> float:

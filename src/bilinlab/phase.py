@@ -208,6 +208,8 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
     Pure sampling overestimates the constant, so the worst sampled pairs
     are refined by pattern search when ``refine`` is set.
     """
+    if n <= 0:
+        raise ValueError("n must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -68,10 +68,11 @@ def _ista(a: np.ndarray, b: np.ndarray, u0: np.ndarray, lam: float,
     r = a @ u - b
     obj = lam * np.sum(np.abs(u)) + 0.5 * np.vdot(r, r).real
     history.append(float(obj))
+    ah = a.conj().T
     used = 0
     for _ in range(max_iters):
         used += 1
-        grad = a.conj().T @ r
+        grad = ah @ r
         u_new = soft_threshold(u - grad / lipschitz, lam / lipschitz)
         r_new = a @ u_new - b
         obj_new = lam * np.sum(np.abs(u_new)) + 0.5 * np.vdot(r_new, r_new).real

@@ -54,6 +54,12 @@ def test_main_config_error_exit_code(tmp_path):
     "command = recover-sweep\nn = 10\nsparsity = 20\nm_values = 4\n",
     "command = freiman-search\nset = 1,1\n",             # repeated element
     "command = embed-verify\nm = 4\nn = 4\ntrials = 0\n",  # NaN report
+    "command = freiman-search\nset = 0,1\nset = 0,2\n",  # duplicate key
+    "command = recover-sweep\nm_values = 8\ntrials = 0\n",
+    "command = recover-sweep\nm_values = 0\n",
+    "command = recover-sweep\nm_values =\n",                # empty list
+    "command = recover-sweep\nm_values = 8\nnoise = -1\n",
+    "command = phase-stability\nn = 0\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,59 @@ def test_min_diameter_budget_exhaustion():
     assert not result.search_exhaustive
     assert result.image == result.source  # identity fallback
     assert result.verified_isomorphism
+
+
+def _enumerated_min_diameter_image(elems, budget):
+    """Reference search: every permutation of every candidate image, in
+    order, each compared by its full sum pattern."""
+    m = len(elems)
+    if m == 1:
+        return RemapResult(elems, (0,), 0, True, True)
+
+    def pattern(values):
+        return set(map(frozenset, freiman._sum_pattern(values).values()))
+
+    src = pattern(elems)
+    diam_a = elems[-1] - elems[0]
+    checks = 0
+    for diameter in range(m - 1, diam_a):
+        for interior in itertools.combinations(range(1, diameter), m - 2):
+            image_set = (0,) + interior + (diameter,)
+            gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
+            if gaps[::-1] < gaps:
+                continue
+            for perm in itertools.permutations(image_set):
+                checks += 1
+                if checks > budget:
+                    return RemapResult(elems, elems, diam_a, True, False)
+                if pattern(perm) == src:
+                    verified = freiman.is_freiman_isomorphism(
+                        elems, dict(zip(elems, perm)))
+                    return RemapResult(elems, perm, diameter, verified, True)
+    shifted = tuple(e - elems[0] for e in elems)
+    return RemapResult(elems, shifted, diam_a, True, True)
+
+
+def test_min_diameter_matches_enumeration():
+    # Budgets 7 and 100 run out on many of these sets, so the identity
+    # fallback must fire at the same candidate as under enumeration.
+    exhausted = 0
+    for m in range(1, 6):
+        for elems in itertools.combinations(range(8), m):
+            for budget in (10 ** 6, 7, 100):
+                expected = _enumerated_min_diameter_image(elems, budget)
+                assert freiman.min_diameter_isomorphic_image(
+                    elems, budget) == expected, (elems, budget)
+                exhausted += not expected.search_exhaustive
+    assert exhausted > 0
+
+
+def test_min_diameter_six_elements():
+    result = freiman.min_diameter_isomorphic_image((0, 1, 5, 13, 30, 31))
+    assert result.diameter == 13
+    assert result.image == (0, 1, 11, 13, 4, 5)
+    assert result.verified_isomorphism
+    assert result.search_exhaustive
 
 
 def test_remap_result_serialization():
