@@ -60,6 +60,7 @@ def test_main_config_error_exit_code(tmp_path):
     "command = recover-sweep\nm_values =\n",                # empty list
     "command = recover-sweep\nm_values = 8\nnoise = -1\n",
     "command = phase-stability\nn = 0\n",
+    "command = phase-stability\nn = 1\n",  # S at n = 1: only sign flips
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)

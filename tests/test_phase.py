@@ -173,3 +173,164 @@ def test_stability_estimate_prime_variant_runs():
                                             refine=False)
     assert est.c_hat > 0
     assert not est.refined
+
+
+# Reference for the sampling stage: the per-trial loop with its own draws
+# and a scalar quotient from np.fft.fft and np.linalg.norm, sharing no code
+# with the batched kernel of the phase module.
+
+def _reference_extension(x, variant):
+    n = x.size
+    if variant == phase.VARIANT_S:
+        padded = np.concatenate([x, np.zeros(n - 1, dtype=complex)])
+        return np.concatenate([padded, np.conj(padded[:0:-1])])
+    return np.concatenate([np.zeros(n, dtype=complex), x, np.conj(x[::-1]),
+                           np.zeros(n - 1, dtype=complex)])
+
+
+def _reference_intensity(x, variant):
+    v = _reference_extension(x, variant)
+    return np.abs(np.fft.fft(v) / math.sqrt(v.size)) ** 2
+
+
+def _reference_ratio(x1, x2, variant):
+    num = np.linalg.norm(_reference_intensity(x1, variant)
+                         - _reference_intensity(x2, variant))
+    if variant == phase.VARIANT_S:
+        den = (np.linalg.norm(_reference_extension(x1 - x2, variant))
+               * np.linalg.norm(_reference_extension(x1 + x2, variant)))
+    else:
+        den = 2.0 * np.linalg.norm(x1 - x2) * np.linalg.norm(x1 + x2)
+    if den <= phase.DENOMINATOR_THRESHOLD:
+        return None
+    return float(num / den)
+
+
+def _draw_pair(n, rng, variant):
+    pair = []
+    for _ in range(2):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if variant == phase.VARIANT_S:
+            v[0] = v[0].real
+        v /= np.linalg.norm(v)
+        pair.append(v)
+    return pair
+
+
+def _reference_pattern_search(x1, x2, variant, rng):
+    best = _reference_ratio(x1, x2, variant)
+    n = x1.size
+    step = 0.25
+    for _ in range(phase.PATTERN_SEARCH_STEPS):
+        d1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c1 = x1 + step * d1 / np.linalg.norm(d1)
+        c2 = x2 + step * d2 / np.linalg.norm(d2)
+        if variant == phase.VARIANT_S:
+            c1[0] = c1[0].real
+            c2[0] = c2[0].real
+        scale = max(np.linalg.norm(c1), np.linalg.norm(c2))
+        c1, c2 = c1 / scale, c2 / scale
+        ratio = _reference_ratio(c1, c2, variant)
+        if ratio is not None and ratio < best:
+            x1, x2, best = c1, c2, ratio
+        else:
+            step *= 0.97
+    return x1, x2, best
+
+
+def _reference_estimate(n, trials, seed, variant, refine):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    worst = []
+    for _ in range(trials):
+        x1, x2 = _draw_pair(n, rng, variant)
+        ratio = _reference_ratio(x1, x2, variant)
+        if ratio is None:
+            continue
+        worst.append((ratio, x1, x2))
+        worst.sort(key=lambda t: t[0])
+        del worst[5:]
+    if not worst:
+        raise RuntimeError("all sampled pairs were excluded")
+    best_ratio, bx1, bx2 = worst[0]
+    if refine:
+        for ratio, x1, x2 in list(worst):
+            rx1, rx2, r = _reference_pattern_search(x1.copy(), x2.copy(),
+                                                    variant, rng)
+            if r < best_ratio:
+                best_ratio, bx1, bx2 = r, rx1, rx2
+    return phase.StabilityEstimate(float(best_ratio), tuple(bx1.tolist()),
+                                   tuple(bx2.tolist()), trials, refine, seed,
+                                   variant)
+
+
+_ORACLE_CASES = [(variant, n) for variant in (phase.VARIANT_S,
+                                              phase.VARIANT_S_PRIME)
+                 for n in (1, 2, 3, 5)
+                 if not (variant == phase.VARIANT_S and n == 1)]
+
+
+@pytest.mark.parametrize("variant,n", _ORACLE_CASES)
+@pytest.mark.parametrize("refine", [True, False])
+def test_estimate_matches_per_trial_reference(variant, n, refine):
+    for seed in (0, 1, 2):
+        expected = _reference_estimate(n, 150, seed, variant, refine)
+        assert phase.stability_constant_estimate(
+            n, 150, seed, variant, refine) == expected
+
+
+@pytest.mark.parametrize("variant", [phase.VARIANT_S, phase.VARIANT_S_PRIME])
+def test_estimate_matches_reference_across_chunks(monkeypatch, variant):
+    # 200 trials in chunks of 64 (the last one short); with the raised
+    # threshold part of every chunk is excluded, so the kept rows and the
+    # merged five worst cross chunk boundaries.
+    monkeypatch.setattr(phase, "SAMPLE_CHUNK", 64)
+    for threshold in (phase.DENOMINATOR_THRESHOLD, 0.5):
+        monkeypatch.setattr(phase, "DENOMINATOR_THRESHOLD", threshold)
+        for seed in (3, 4):
+            expected = _reference_estimate(3, 200, seed, variant, True)
+            assert phase.stability_constant_estimate(
+                3, 200, seed, variant) == expected
+    monkeypatch.setattr(phase, "DENOMINATOR_THRESHOLD", 10.0)
+    with pytest.raises(RuntimeError, match="excluded"):
+        phase.stability_constant_estimate(3, 100, 0, variant)
+
+
+def test_estimate_at_n_one():
+    # under S every unit vector of length 1 is +-1: only sign flips
+    with pytest.raises(ValueError, match="n >= 2"):
+        phase.stability_constant_estimate(1, 50)
+    est = phase.stability_constant_estimate(1, 50, seed=0,
+                                            variant=phase.VARIANT_S_PRIME)
+    assert est.c_hat == pytest.approx(0.408248290463863, rel=1e-12)
+    assert len(est.worst_x1) == 1
+
+
+@pytest.mark.parametrize("variant", [phase.VARIANT_S, phase.VARIANT_S_PRIME])
+def test_quotient_kernel_rows_match_stability_ratio(variant):
+    rng = np.random.default_rng(9)
+    x1 = np.array([_random_real_head(4, rng) for _ in range(40)])
+    x2 = np.array([_random_real_head(4, rng) for _ in range(40)])
+    x2[7] = -x1[7]  # excluded: the sign ambiguity
+    x2[8] = x1[8]
+    num, den = phase._stability_quotients(x1, x2, variant)
+    for i in range(40):
+        single = phase.stability_ratio(x1[i], x2[i], variant)
+        assert single == _reference_ratio(x1[i], x2[i], variant)
+        if i in (7, 8):
+            assert single is None and den[i] <= phase.DENOMINATOR_THRESHOLD
+        else:
+            assert single == float(num[i] / den[i])
+
+
+def test_stability_ratio_rejects_bad_inputs():
+    x = np.array([1j, 1.0, 0.5])
+    with pytest.raises(ValueError, match="leading entry"):
+        phase.stability_ratio(x, np.array([1.0, 0, 0]))
+    # S' has no condition on the leading entry
+    assert phase.stability_ratio(x, np.array([1.0, 0, 0]),
+                                 phase.VARIANT_S_PRIME) > 0
+    with pytest.raises(ValueError, match="unknown variant"):
+        phase.stability_ratio(np.ones(3), np.zeros(3), variant="bogus")
+    with pytest.raises(ValueError, match="unknown variant"):
+        phase.stability_constant_estimate(3, 10, variant="bogus")
