@@ -207,6 +207,8 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
         raise ConfigError("noise must be nonnegative")
     n = config["n"]
     s = config["sparsity"]
+    if not 1 <= s <= n:
+        raise ConfigError("need 1 <= sparsity <= n")
     rows = []
     seq = np.random.SeedSequence(config["seed"])
     for m, child in zip(config["m_values"],

@@ -245,6 +245,8 @@ def verify_embedding(phi: LinearOperator, b: BilinearMap,
     """
     if phi.cols != b.n:
         raise ValueError("operator input dimension must match B output")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     seeds = np.random.SeedSequence(seed).spawn(trials)
     records = []
     skipped = 0

@@ -182,8 +182,10 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
     all m! of its orderings and a cut subtree counts every completion it
     rules out.  Once the count exceeds ``budget`` the identity image is
     returned with ``search_exhaustive`` False, so a result is always
-    returned.
+    returned.  A negative ``budget`` raises ``ValueError``.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     elems = _elements(a)
     m = len(elems)
     if m == 0:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BilinearMap
+from .signals import row_norms
 
 VARIANT_S = "S_padded_4n-3"
 VARIANT_S_PRIME = "S_prime_4n-1"
@@ -41,15 +42,9 @@ class SymmetrizedVector:
         return float(np.linalg.norm(self.dense()))
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Norm of each row, bit for bit ``np.linalg.norm`` of that row: ``vecdot``
-    makes the same BLAS dot calls, ``einsum`` and ``sum(axis)`` do not."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
 def _symmetrize_rows(x: np.ndarray) -> np.ndarray:
     """``S`` of each row of a (T, m) stack whose leading entries are real."""
-    tolerance = 1e-12 * np.maximum(_row_norms(x), 1e-300)
+    tolerance = 1e-12 * np.maximum(row_norms(x), 1e-300)
     if np.any(np.abs(x[:, 0].imag) > tolerance):
         raise ValueError("leading entry must be real for symmetrization")
     return np.concatenate([x, np.conj(x[:, :0:-1])], axis=1)
@@ -149,10 +144,10 @@ def _stability_quotients(x1: np.ndarray, x2: np.ndarray, variant: str):
     t = x1.shape[0]
     v = _symmetrized_rows(np.concatenate([x1, x2]), variant)
     intensity = _intensity_rows(v)
-    num = _row_norms(intensity[:t] - intensity[t:])
+    num = row_norms(intensity[:t] - intensity[t:])
     if variant == VARIANT_S:
-        return num, _row_norms(v[:t] - v[t:]) * _row_norms(v[:t] + v[t:])
-    return num, 2.0 * _row_norms(x1 - x2) * _row_norms(x1 + x2)
+        return num, row_norms(v[:t] - v[t:]) * row_norms(v[:t] + v[t:])
+    return num, 2.0 * row_norms(x1 - x2) * row_norms(x1 + x2)
 
 
 def stability_ratio(x1, x2, variant: str = VARIANT_S) -> float | None:
@@ -194,27 +189,40 @@ class StabilityEstimate:
         }
 
 
-def _pattern_search(x1, x2, variant: str, rng: np.random.Generator):
-    """Gradient-free local refinement of the stability quotient."""
-    best = stability_ratio(x1, x2, variant)
-    n = x1.size
-    step = 0.25
-    for _ in range(PATTERN_SEARCH_STEPS):
-        d1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        d2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c1 = x1 + step * d1 / np.linalg.norm(d1)
-        c2 = x2 + step * d2 / np.linalg.norm(d2)
+def _pattern_search(pairs: np.ndarray, variant: str,
+                    rng: np.random.Generator):
+    """Gradient-free local refinement of the stability quotient of each
+    pair in a (P, 2, n) stack, all pairs in lockstep.
+
+    The directions of every pair and step come from one ``standard_normal``
+    call, the stream of refining the pairs one after another.  Each step
+    scores every pair's candidate with one kernel call; a candidate with a
+    lower quotient replaces its pair, otherwise (an excluded candidate
+    included) that pair's step shrinks.  Returns the pairs and quotients.
+    """
+    p, _, n = pairs.shape
+    num, den = _stability_quotients(pairs[:, 0], pairs[:, 1], variant)
+    best = num / den
+    step = np.full(p, 0.25)
+    # axes (pair, step, x1/x2, real/imaginary part, entry): the draw order
+    draws = rng.standard_normal((p, PATTERN_SEARCH_STEPS, 2, 2, n))
+    directions = draws[:, :, :, 0] + 1j * draws[:, :, :, 1]
+    lengths = row_norms(directions)[..., None]
+    for i in range(PATTERN_SEARCH_STEPS):
+        cand = (pairs + step[:, None, None] * directions[:, i]
+                / lengths[:, i])
         if variant == VARIANT_S:
-            c1[0] = c1[0].real
-            c2[0] = c2[0].real
-        scale = max(np.linalg.norm(c1), np.linalg.norm(c2))
-        c1, c2 = c1 / scale, c2 / scale
-        ratio = stability_ratio(c1, c2, variant)
-        if ratio is not None and ratio < best:
-            x1, x2, best = c1, c2, ratio
-        else:
-            step *= 0.97
-    return x1, x2, best
+            cand[:, :, 0] = cand[:, :, 0].real
+        cand /= np.maximum(row_norms(cand[:, 0]),
+                           row_norms(cand[:, 1]))[:, None, None]
+        num, den = _stability_quotients(cand[:, 0], cand[:, 1], variant)
+        kept = den > DENOMINATOR_THRESHOLD
+        ratio = num / np.where(kept, den, 1.0)
+        better = kept & (ratio < best)
+        pairs = np.where(better[:, None, None], cand, pairs)
+        best = np.where(better, ratio, best)
+        step = np.where(better, step, step * 0.97)
+    return pairs, best
 
 
 def stability_constant_estimate(n: int, trials: int, seed: int = 0,
@@ -226,7 +234,8 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
     call (the stream and final generator state of one draw per trial) and
     scored by one array kernel call; the five smallest quotients are kept,
     ties in trial order.  Pure sampling overestimates the constant, so with
-    ``refine`` those pairs are then refined one by one by pattern search.
+    ``refine`` those pairs are then refined by pattern search, all of them
+    in lockstep; the lowest refined quotient, first in sampled order, wins.
     Variant S at n = 1 raises ``ValueError``: every pair is a sign flip.
     """
     if n <= 0:
@@ -246,7 +255,7 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
         drawn = draws[:, :, 0] + 1j * draws[:, :, 1]
         if variant == VARIANT_S:
             drawn[:, :, 0] = drawn[:, :, 0].real
-        drawn /= _row_norms(drawn)[..., None]
+        drawn /= row_norms(drawn)[..., None]
         num, den = _stability_quotients(drawn[:, 0], drawn[:, 1], variant)
         kept = den > DENOMINATOR_THRESHOLD
         ratios = np.concatenate([ratios, num[kept] / den[kept]])
@@ -257,10 +266,10 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
         raise RuntimeError("all sampled pairs were excluded")
     best_ratio, bx1, bx2 = float(ratios[0]), pairs[0, 0], pairs[0, 1]
     if refine:
-        for x1, x2 in pairs:
-            rx1, rx2, r = _pattern_search(x1.copy(), x2.copy(), variant, rng)
-            if r < best_ratio:
-                best_ratio, bx1, bx2 = r, rx1, rx2
+        refined, r = _pattern_search(pairs, variant, rng)
+        i = int(np.argmin(r))
+        if r[i] < best_ratio:
+            best_ratio, bx1, bx2 = r[i], refined[i, 0], refined[i, 1]
     return StabilityEstimate(float(best_ratio), tuple(bx1.tolist()),
                              tuple(bx2.tolist()), trials, refine, seed,
                              variant)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigh
-from .signals import SparseVector
+from .signals import SparseVector, row_norms
 
 # Supports are enumerated exhaustively while the candidate count stays
 # below this; beyond it searches fall back to seeded random restarts and
@@ -36,6 +36,10 @@ DEFAULT_RESTARTS = 32
 # Principal submatrices per stacked eigenvalue call in the exhaustive
 # restricted-eigenvalue search, which bounds its memory.
 EIG_CHUNK = 1024
+
+# Descents run in lockstep by the determinant search, which bounds its
+# memory (each step evaluates 2k probe matrices per descent).
+DET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -171,20 +175,83 @@ class DeterminantEstimate:
     seed: int
 
 
-def _det_objective(n: int, support, coeffs: np.ndarray) -> np.ndarray:
+def _autocorr_rows(t: np.ndarray) -> np.ndarray:
+    """``np.correlate(v, v, "full")`` for each row v of a (R, n) stack.
+
+    One ``vecdot`` per lag: entry n-1+d is ``b_d`` and entry n-1-d is
+    ``conj(b_d)``.  Each entry is the same BLAS dot as in ``np.correlate``,
+    so the rows are the same bits; an FFT or ``einsum`` would not be.
+    """
+    n = t.shape[1]
+    out = np.empty((t.shape[0], 2 * n - 1), dtype=complex)
+    for d in range(n):
+        out[:, n - 1 + d] = np.vecdot(t[:, :n - d], t[:, d:])
+        out[:, n - 1 - d] = np.vecdot(t[:, d:], t[:, :n - d])
+    return out
+
+
+def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
     """``|det B_t|`` for each row of ``coeffs``, where t is that row placed
-    on ``support`` in dimension n and normalized."""
-    rows = np.arange(n)
-    mats = []
-    for c in coeffs:
-        c = c / np.linalg.norm(c)
-        t = np.zeros(n, dtype=complex)
-        t[list(support)] = c
-        # Normalized a second time, in the summation order of
-        # SparseVector.norm, as autocorrelation_toeplitz does.
-        t /= math.sqrt(sum(abs(v) ** 2 for v in c.tolist()))
-        mats.append(_autocorr_toeplitz(t, rows))
-    return np.abs(np.linalg.det(np.array(mats)))
+    on the same row of ``supports`` (or on one shared support) in
+    dimension n and normalized."""
+    r, k = coeffs.shape
+    c = coeffs / row_norms(coeffs)[:, None]
+    t = np.zeros((r, n), dtype=complex)
+    t[np.arange(r)[:, None], supports] = c
+    # Normalized a second time, as autocorrelation_toeplitz does through
+    # SparseVector.norm: abs(v) ** 2 summed left to right.  hypot and
+    # float_power are Python's abs and ** bit for bit; np.abs and x ** 2
+    # are not.
+    squares = np.float_power(np.hypot(c.real, c.imag), 2.0)
+    total = squares[:, 0]
+    for j in range(1, k):
+        total = total + squares[:, j]
+    t /= np.sqrt(total)[:, None]
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.abs(np.linalg.det(_autocorr_rows(t)[:, n - 1 - lags]))
+
+
+def _descend(n: int, supports: np.ndarray, c: np.ndarray):
+    """Projected gradient descents on the unit sphere, one per row of the
+    unit coefficient stack ``c`` on the same row of ``supports``, run in
+    lockstep; returns the final coefficients and values of ``|det B_t|``.
+
+    Every descent keeps its own step (0.3 at first): a forward-difference
+    gradient from 2k probes, then a normalized step that is taken if it
+    lowers the value and halved otherwise.  A descent stops when its step
+    falls below 1e-6 or its gradient norm below 1e-12, checked in that
+    order, and after 120 steps at most.
+    """
+    k = c.shape[1]
+    h = 1e-6
+    # One forward-difference probe per real coordinate.
+    offsets = h * np.eye(2 * k)
+    val = _det_objective(n, supports, c)
+    step = np.full(len(c), 0.3)
+    live = np.arange(len(c))
+    for _ in range(120):
+        live = live[~(step[live] < 1e-6)]
+        if not live.size:
+            break
+        flat = np.concatenate([c[live].real, c[live].imag], axis=1)
+        probes = flat[:, None, :] + offsets
+        pcs = probes[..., :k] + 1j * probes[..., k:]
+        pvals = _det_objective(n, np.repeat(supports[live], 2 * k, axis=0),
+                               pcs.reshape(-1, k)).reshape(-1, 2 * k)
+        grad = (pvals - val[live, None]) / h
+        gn = row_norms(grad)
+        moving = ~(gn < 1e-12)
+        live = live[moving]
+        trial = (flat[moving] - step[live, None] * grad[moving]
+                 / gn[moving, None])
+        tc = trial[:, :k] + 1j * trial[:, k:]
+        tc /= row_norms(tc)[:, None]
+        tval = _det_objective(n, supports[live], tc)
+        better = tval < val[live]
+        c[live[better]] = tc[better]
+        val[live[better]] = tval[better]
+        step[live[~better]] *= 0.5
+    return c, val
 
 
 def restricted_determinant(n: int, k: int, search_budget: int = 64,
@@ -194,7 +261,17 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
     Exhaustive over translation-normalized supports (smallest index 0)
     combined with multi-start projected gradient descent on the unit
     sphere of the support coefficients.  ``search_budget`` counts restarts
-    per support.  The value is an upper estimate of the true minimum.
+    per support (at most 64).  The value is an upper estimate of the true
+    minimum.
+
+    The descents, in (support, restart) order, run in lockstep
+    ``DET_CHUNK`` at a time, each step scoring the probes of every live
+    descent with one objective call and their trial points with another.
+    A chunk's start points come from one ``standard_normal((m, 2, k))``
+    call, real parts then imaginary parts per descent: the stream of one
+    start per restart.  The first strict minimum in (support, restart)
+    order wins.  With more than ``EXHAUSTIVE_SUPPORT_LIMIT`` supports a
+    random subset of that size is searched, drawn before the start points.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
@@ -212,40 +289,25 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
         keep = rng.choice(len(supports), size=EXHAUSTIVE_SUPPORT_LIMIT,
                           replace=False)
         supports = [supports[i] for i in sorted(keep)]
+    support_rows = np.array(supports)
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
     restarts = max(1, min(search_budget, 64))
-    for support in supports:
-        for _ in range(restarts):
-            c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            c /= np.linalg.norm(c)
-            val = _det_objective(n, support, c[None])[0]
-            step = 0.3
-            for _ in range(120):
-                if step < 1e-6:
-                    break
-                h = 1e-6
-                flat = np.concatenate([c.real, c.imag])
-                # One forward-difference probe per real coordinate.
-                probes = flat + h * np.eye(2 * k)
-                pcs = probes[:, :k] + 1j * probes[:, k:]
-                grad = (_det_objective(n, support, pcs) - val) / h
-                gn = np.linalg.norm(grad)
-                if gn < 1e-12:
-                    break
-                trial_flat = flat - step * grad / gn
-                tc = trial_flat[:k] + 1j * trial_flat[k:]
-                tc /= np.linalg.norm(tc)
-                tval = _det_objective(n, support, tc[None])[0]
-                if tval < val:
-                    c, val = tc, tval
-                else:
-                    step *= 0.5
-            if val < best:
-                best = val
-                best_support = support
-                best_coeffs = c / np.linalg.norm(c)
+    descents = len(supports) * restarts
+    for start in range(0, descents, DET_CHUNK):
+        stop = min(start + DET_CHUNK, descents)
+        # axes (descent, real/imaginary part, coefficient): the draw order
+        draws = rng.standard_normal((stop - start, 2, k))
+        c = draws[:, 0] + 1j * draws[:, 1]
+        c /= row_norms(c)[:, None]
+        owner = np.arange(start, stop) // restarts
+        c, val = _descend(n, support_rows[owner], c)
+        i = int(np.argmin(val))
+        if val[i] < best:
+            best = val[i]
+            best_support = supports[owner[i]]
+            best_coeffs = c[i] / np.linalg.norm(c[i])
     return DeterminantEstimate(n, k, float(best), tuple(best_support),
                                tuple(best_coeffs.tolist()), exhaustive, seed)
 

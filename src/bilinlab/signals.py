@@ -98,7 +98,12 @@ class SparseVector:
         return len(self.support)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.values))
+        # Summed left to right on every Python version (sum() compensates
+        # from 3.12 on); rnmp._det_objective reproduces this order.
+        total = 0.0
+        for v in self.values:
+            total += abs(v) ** 2
+        return math.sqrt(total)
 
     def conj(self) -> "SparseVector":
         return SparseVector(self.n, self.support,
@@ -166,6 +171,13 @@ def time_reverse(x: SparseVector) -> SparseVector:
     pairs = sorted(((-k) % x.n, v) for k, v in zip(x.support, x.values))
     return SparseVector(x.n, tuple(k for k, _ in pairs),
                         tuple(v for _, v in pairs))
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm over the last axis, bit for bit ``np.linalg.norm`` of each row:
+    ``vecdot`` makes the same BLAS dot calls, ``einsum`` and ``sum(axis)``
+    do not."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def dft(x) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_main_config_error_exit_code(tmp_path):
     "command = phase-stability\nn = 3\nvariant = bogus\n",
     "command = recover-sweep\nn = 10\nsparsity = 20\nm_values = 4\n",
     "command = freiman-search\nset = 1,1\n",             # repeated element
-    "command = embed-verify\nm = 4\nn = 4\ntrials = 0\n",  # NaN report
+    "command = embed-verify\nm = 4\nn = 4\ntrials = 0\n",  # no trials
     "command = freiman-search\nset = 0,1\nset = 0,2\n",  # duplicate key
     "command = recover-sweep\nm_values = 8\ntrials = 0\n",
     "command = recover-sweep\nm_values = 0\n",
@@ -61,6 +61,9 @@ def test_main_config_error_exit_code(tmp_path):
     "command = recover-sweep\nm_values = 8\nnoise = -1\n",
     "command = phase-stability\nn = 0\n",
     "command = phase-stability\nn = 1\n",  # S at n = 1: only sign flips
+    "command = embed-verify\nm = 4\nn = 4\ntrials = -3\n",
+    "command = recover-sweep\nm_values = 8\nsparsity = 0\n",
+    "command = freiman-search\nset = 0,1,3\nbudget = -1\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)

@@ -296,6 +296,32 @@ def test_estimate_matches_reference_across_chunks(monkeypatch, variant):
         phase.stability_constant_estimate(3, 100, 0, variant)
 
 
+@pytest.mark.parametrize("variant", [phase.VARIANT_S, phase.VARIANT_S_PRIME])
+def test_pattern_search_matches_reference_per_pair(monkeypatch, variant):
+    # A stack refined in lockstep equals its pairs refined one after
+    # another from the same generator.  Under a threshold of 10 every
+    # candidate is excluded, so no pair may move; the near pairs (small
+    # denominators, large quotients) would often move if one were not.
+    rng = np.random.default_rng(12)
+    far = np.array([_draw_pair(3, rng, variant) for _ in range(3)])
+    near = far.copy()
+    near[:, 1] = far[:, 0] + 0.05 * rng.standard_normal((3, 3))
+    near /= np.linalg.norm(near, axis=-1, keepdims=True)
+    pairs = np.concatenate([far, near])
+    got, best = phase._pattern_search(pairs, variant,
+                                      np.random.default_rng(5))
+    ref_rng = np.random.default_rng(5)
+    for i, (x1, x2) in enumerate(pairs):
+        r1, r2, r = _reference_pattern_search(x1.copy(), x2.copy(), variant,
+                                              ref_rng)
+        assert np.array_equal(got[i, 0], r1)
+        assert np.array_equal(got[i, 1], r2)
+        assert best[i] == r
+    monkeypatch.setattr(phase, "DENOMINATOR_THRESHOLD", 10.0)
+    got, _ = phase._pattern_search(pairs, variant, np.random.default_rng(5))
+    assert np.array_equal(got, pairs)
+
+
 def test_estimate_at_n_one():
     # under S every unit vector of length 1 is +-1: only sign flips
     with pytest.raises(ValueError, match="n >= 2"):

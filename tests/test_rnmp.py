@@ -78,6 +78,24 @@ def test_det_objective_stack_matches_public_path():
         assert value == abs(np.linalg.det(mat))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+def test_autocorr_rows_match_correlate(n):
+    # Bit for bit np.correlate(v, v, "full") on every row: dense rows,
+    # rows with a few nonzeros and the zero row.
+    rng = np.random.default_rng(10)
+    dense = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    sparse = np.zeros((6, n), dtype=complex)
+    for row in sparse:
+        idx = rng.choice(n, size=min(n, 3), replace=False)
+        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(
+            idx.size)
+    rows = np.concatenate([dense, sparse, np.zeros((1, n), dtype=complex)])
+    got = rnmp._autocorr_rows(rows)
+    assert got.shape == (13, 2 * n - 1)
+    for v, out in zip(rows, got):
+        assert np.array_equal(out, np.correlate(v, v, "full"))
+
+
 def test_symbol_eval():
     ident = rnmp.autocorrelation_toeplitz(SparseVector.basis(4, 0), 4)
     assert rnmp.symbol_eval(ident, 0.3) == pytest.approx(1.0)
@@ -189,6 +207,129 @@ def test_restricted_determinant_two_sparse_oracle(n):
     # D_{n,2} = (n + 1) / 2^n exactly.
     est = rnmp.restricted_determinant(n, 2, search_budget=2, seed=0)
     assert est.value == pytest.approx((n + 1) / 2 ** n, rel=1e-9)
+
+
+# Reference for the lockstep search: the per-descent loop, one objective
+# call per probe stack and trial point, with np.correlate and the
+# left-to-right summation of SparseVector.norm, sharing no code with the
+# batched kernel.
+
+def _reference_objective(n, support, coeffs):
+    mats = []
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    for c in coeffs:
+        c = c / np.linalg.norm(c)
+        t = np.zeros(n, dtype=complex)
+        t[list(support)] = c
+        total = 0.0
+        for v in c.tolist():
+            total += abs(v) ** 2
+        t /= math.sqrt(total)
+        mats.append(np.correlate(t, t, "full")[n - 1 - lags])
+    return np.abs(np.linalg.det(np.array(mats)))
+
+
+def _reference_determinant(n, k, search_budget, seed,
+                           objective=_reference_objective):
+    supports = [(0,) + rest
+                for rest in itertools.combinations(range(1, n), k - 1)]
+    exhaustive = len(supports) <= rnmp.EXHAUSTIVE_SUPPORT_LIMIT
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if not exhaustive:
+        keep = rng.choice(len(supports), size=rnmp.EXHAUSTIVE_SUPPORT_LIMIT,
+                          replace=False)
+        supports = [supports[i] for i in sorted(keep)]
+    best = math.inf
+    best_support = supports[0]
+    best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
+    restarts = max(1, min(search_budget, 64))
+    for support in supports:
+        for _ in range(restarts):
+            c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            c /= np.linalg.norm(c)
+            val = objective(n, support, c[None])[0]
+            step = 0.3
+            for _ in range(120):
+                if step < 1e-6:
+                    break
+                h = 1e-6
+                flat = np.concatenate([c.real, c.imag])
+                probes = flat + h * np.eye(2 * k)
+                pcs = probes[:, :k] + 1j * probes[:, k:]
+                grad = (objective(n, support, pcs) - val) / h
+                gn = np.linalg.norm(grad)
+                if gn < 1e-12:
+                    break
+                trial_flat = flat - step * grad / gn
+                tc = trial_flat[:k] + 1j * trial_flat[k:]
+                tc /= np.linalg.norm(tc)
+                tval = objective(n, support, tc[None])[0]
+                if tval < val:
+                    c, val = tc, tval
+                else:
+                    step *= 0.5
+            if val < best:
+                best = val
+                best_support = support
+                best_coeffs = c / np.linalg.norm(c)
+    return rnmp.DeterminantEstimate(n, k, float(best), tuple(best_support),
+                                    tuple(best_coeffs.tolist()), exhaustive,
+                                    seed)
+
+
+# (n, budget, seed) per k: one support with many restarts, more supports
+# with few; budgets above 64 are capped at 64 restarts per support.
+_DETERMINANT_CASES = [(k, n, budget, seed)
+                      for k in (2, 3, 4, 5)
+                      for n, budget, seed in ((k, 16, 0), (k + 1, 3, 1),
+                                              (k + 2, 1, 2), (k + 1, 5, 4),
+                                              (k + 3, 1, 5))]
+_DETERMINANT_CASES += [(2, 2, 70, 3), (3, 3, 70, 3)]
+
+
+@pytest.mark.parametrize("k,n,budget,seed", _DETERMINANT_CASES)
+def test_restricted_determinant_matches_per_descent_reference(k, n, budget,
+                                                              seed):
+    assert rnmp.restricted_determinant(n, k, budget, seed) == \
+        _reference_determinant(n, k, budget, seed)
+
+
+def test_restricted_determinant_matches_reference_across_chunks(monkeypatch):
+    # Chunks of 3 and 7 descents split the restarts of one support and
+    # leave a short last chunk.
+    for chunk in (3, 7):
+        monkeypatch.setattr(rnmp, "DET_CHUNK", chunk)
+        for n, k, budget, seed in ((5, 3, 2, 0), (6, 2, 5, 1), (4, 4, 4, 2)):
+            assert rnmp.restricted_determinant(n, k, budget, seed) == \
+                _reference_determinant(n, k, budget, seed)
+
+
+def test_restricted_determinant_matches_reference_sampled(monkeypatch):
+    # C(6, 2) = 15 supports over a limit of 4: a sampled subset is drawn
+    # from the generator before the start points.
+    monkeypatch.setattr(rnmp, "EXHAUSTIVE_SUPPORT_LIMIT", 4)
+    monkeypatch.setattr(rnmp, "DET_CHUNK", 5)
+    for seed in (0, 1):
+        est = rnmp.restricted_determinant(7, 3, 3, seed)
+        assert not est.exhaustive_supports
+        assert est == _reference_determinant(7, 3, 3, seed)
+
+
+def test_restricted_determinant_matches_reference_on_ties(monkeypatch):
+    # A coarsely rounded objective stops most descents at their start
+    # point with equal values: of tied descents the first in (support,
+    # restart) order wins, within a chunk and across chunks.
+    kernel = rnmp._det_objective
+    monkeypatch.setattr(rnmp, "_det_objective", lambda n, supports, coeffs:
+                        np.round(kernel(n, supports, coeffs), 1))
+    monkeypatch.setattr(rnmp, "DET_CHUNK", 4)
+
+    def rounded(n, support, coeffs):
+        return np.round(_reference_objective(n, support, coeffs), 1)
+
+    for n, k, budget, seed in ((4, 2, 3, 0), (5, 3, 2, 1), (6, 3, 1, 2)):
+        assert rnmp.restricted_determinant(n, k, budget, seed) == \
+            _reference_determinant(n, k, budget, seed, rounded)
 
 
 def test_restricted_determinant_monotone_in_n():
