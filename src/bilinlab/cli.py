@@ -137,15 +137,6 @@ def _json_bytes(payload: dict) -> bytes:
             + "\n").encode()
 
 
-def _echo(config: dict) -> dict:
-    echo = dict(config)
-    if "set" in echo:
-        echo["set"] = list(echo["set"])
-    if "m_values" in echo:
-        echo["m_values"] = list(echo["m_values"])
-    return echo
-
-
 def _run_rnmp_bound(config: dict, out: Path, fmt: str):
     bounds = rnmp.compute_bounds(config["s"], config["f"], config["n"],
                                  trials=config["trials"],
@@ -161,7 +152,7 @@ def _run_rnmp_bound(config: dict, out: Path, fmt: str):
     if fmt == "csv":
         lines = [",".join(row), ",".join(repr(v) for v in row.values())]
         (out / "rnmp-bound.csv").write_bytes(("\n".join(lines) + "\n").encode())
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    payload = {"artifact_version": __version__, "config": config,
                "result": row, "certificates": bounds.certificates}
     (out / "rnmp-bound.json").write_bytes(_json_bytes(payload))
     return 0
@@ -179,6 +170,8 @@ def _make_operator(kind: str, m: int, n: int, seed: int):
 
 
 def _run_embed_verify(config: dict, out: Path, fmt: str):
+    if not 0 < config["delta"] < 1:
+        raise ConfigError("delta must lie in (0, 1)")
     n = config["n"]
     m = n if config["ensemble"] == "identity" else config["m"]
     phi = _make_operator(config["ensemble"], m, n, config["seed"])
@@ -190,7 +183,7 @@ def _run_embed_verify(config: dict, out: Path, fmt: str):
     if fmt == "csv":
         rows = "\n".join(report.to_csv_rows()) + "\n"
         (out / "embed-verify-trials.csv").write_bytes(rows.encode())
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    payload = {"artifact_version": __version__, "config": config,
                "summary": report.summary(),
                "delta_target": config["delta"],
                "within_target": bool(report.delta_hat <= config["delta"])}
@@ -240,7 +233,7 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
                                          r["trials"], r["seed"])
                   for r in rows]
         (out / "recover-sweep.csv").write_bytes(("\n".join(lines) + "\n").encode())
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    payload = {"artifact_version": __version__, "config": config,
                "sweep": rows}
     (out / "recover-sweep.json").write_bytes(_json_bytes(payload))
     return 0
@@ -250,7 +243,7 @@ def _run_phase_stability(config: dict, out: Path, fmt: str):
     est = phase.stability_constant_estimate(config["n"], config["trials"],
                                             seed=config["seed"],
                                             variant=config["variant"])
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    payload = {"artifact_version": __version__, "config": config,
                "c_hat": est.c_hat,
                "positive": bool(est.c_hat > 1e-8),
                "worst_pair": est.worst_pair_json()}
@@ -261,10 +254,12 @@ def _run_phase_stability(config: dict, out: Path, fmt: str):
 def _run_freiman_search(config: dict, out: Path, fmt: str):
     result = freiman.min_diameter_isomorphic_image(config["set"],
                                                    budget=config["budget"])
-    bound = freiman.grynkiewicz_bound(len(result.source))
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    m = len(result.source)
+    d = freiman.dimension_bound(m)
+    bound = freiman.grynkiewicz_bound(m, d)
+    payload = {"artifact_version": __version__, "config": config,
                "result": result.to_json(),
-               "grynkiewicz_bound": bound,
+               "grynkiewicz_bound": bound, "grynkiewicz_d": d,
                "within_bound": bool(result.diameter <= bound)}
     (out / "freiman-search.json").write_bytes(_json_bytes(payload))
     return 0
@@ -299,7 +294,7 @@ def _run_demod_selftest(config: dict, out: Path, fmt: str):
         "descriptor_determinism_ok": determinism_ok,
     }
     all_ok = all(v for k, v in checks.items() if k.endswith("_ok"))
-    payload = {"artifact_version": __version__, "config": _echo(config),
+    payload = {"artifact_version": __version__, "config": config,
                "checks": checks, "all_ok": bool(all_ok)}
     (out / "demod-selftest.json").write_bytes(_json_bytes(payload))
     return 0 if all_ok else 1

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rnmp
 from .operators import BilinearMap, LinearOperator
 
 KINDS = ("sparse_vectors", "sparse_rank_one", "sparse_rank_one_diff",
@@ -45,30 +44,6 @@ class StructuredSetSpec:
             raise ValueError("sparsity exceeds dimension")
         if self.kappa > min(self.s, self.f):
             raise ValueError("rank cannot exceed min sparsity")
-
-
-@dataclass(frozen=True)
-class SampleComplexityParams:
-    """Constants entering the sample-complexity formulas."""
-
-    delta: float
-    sigma: float = 1.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    c: float = 1.0
-    c_prime: float = 1.0
-    c_dprime: float = 1.0
-    rho: float = 1.0
-    gamma: float = 1.0
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.sigma < 1.0:
-            raise ValueError("sigma must be >= 1")
-        if not 0.0 < self.alpha <= self.beta:
-            raise ValueError("need 0 < alpha <= beta")
 
 
 @dataclass(frozen=True)
@@ -273,33 +248,3 @@ def verify_embedding(phi: LinearOperator, b: BilinearMap,
                             tuple(records), skipped, seed,
                             dict(phi.descriptor))
 
-
-def rnmp_distortion_of_b(b: BilinearMap, spec: StructuredSetSpec,
-                         trials: int, seed: int):
-    """Empirical extremes of ||B(u)|| / ||u||_F over structured draws.
-
-    For the zero-padded convolution lift on rank-one inputs the lower
-    extreme is additionally refined with the alternating-minimization
-    search of the rnmp module.
-    """
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    lo, hi = math.inf, 0.0
-    for trial_seed in seeds:
-        rng = np.random.default_rng(trial_seed)
-        u = sample_structured(spec, rng)
-        if u.x is not None and u.y is not None:
-            v = b.apply_pair(u.x, u.y)
-        elif u.array.ndim == 2:
-            v = b.apply_matrix(u.array)
-        else:
-            v = np.asarray(u.array)
-        ratio = float(np.linalg.norm(v) / np.linalg.norm(u.array))
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    if (b.name == "conv_lift_zero_padded"
-            and spec.kind == "sparse_rank_one"):
-        refined = rnmp.alpha_empirical(spec.s, spec.f, b.n1,
-                                       trials=max(8, trials // 16),
-                                       seed=seed)
-        lo = min(lo, refined)
-    return lo, hi

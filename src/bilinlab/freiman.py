@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import sparse_convolve
+
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -76,14 +78,17 @@ def is_freiman_isomorphism(a, phi: dict) -> bool:
     return set(map(frozenset, src.values())) == set(map(frozenset, img.values()))
 
 
-def grynkiewicz_bound(m: int, d: int | None = None) -> float:
-    """Diameter bound ``d!^2 (3/2)^(d-1) 2^(m-2) + (3^(d-1)-1)/2``.
+def dimension_bound(m: int) -> int:
+    """Freiman dimension bound valid for every m-set: m-1 (at least 1),
+    attained by Sidon sets; exact dimension computation is out of scope."""
+    return max(1, m - 1)
 
-    ``d`` defaults to m-2 (the Freiman dimension can be assumed at most
-    that large); exact dimension computation is out of scope.
-    """
+
+def grynkiewicz_bound(m: int, d: int | None = None) -> float:
+    """Diameter bound ``d!^2 (3/2)^(d-1) 2^(m-2) + (3^(d-1)-1)/2`` for an
+    m-set of Freiman dimension at most d (default ``dimension_bound(m)``)."""
     if d is None:
-        d = max(1, m - 2)
+        d = dimension_bound(m)
     return (math.factorial(d) ** 2 * 1.5 ** (d - 1) * 2.0 ** (m - 2)
             + (3.0 ** (d - 1) - 1.0) / 2.0)
 
@@ -225,16 +230,8 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
 
 
 def _conv_norm(support, values, support2, values2) -> float:
-    """Norm of the convolution of two sparse vectors given on supports.
-
-    Pair sums are grouped with ``np.unique`` rather than scattered into a
-    dense array, whose length would be the span of the support.
-    """
-    sums = np.add.outer(support, support2).ravel()
-    products = np.outer(values, values2).ravel()
-    keys, inverse = np.unique(sums, return_inverse=True)
-    acc = np.zeros(keys.size, dtype=products.dtype)
-    np.add.at(acc, inverse, products)
+    """Norm of the convolution of two sparse vectors given on supports."""
+    _, acc = sparse_convolve(support, values, support2, values2)
     return float(np.linalg.norm(acc))
 
 

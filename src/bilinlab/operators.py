@@ -95,26 +95,21 @@ def _resolve_omega(m: int, n: int, omega) -> np.ndarray:
     return idx
 
 
-def partial_circulant_demodulator(m: int, n: int, seed_eta: int, omega,
-                                  gaussian_eta: bool = False) -> LinearOperator:
+def partial_circulant_demodulator(m: int, n: int, seed_eta: int,
+                                  omega) -> LinearOperator:
     """Row subsampling of a random-multiplier circulant.
 
-    The circulant is ``F* D_eta F`` with Fourier multiplier ``eta``
-    (i.i.d. +-1 by default, standard normal with ``gaussian_eta``), so it
-    is unitary in the +-1 case.  Selecting ``m`` of its ``n`` rows and
+    The circulant is ``F* D_eta F`` with i.i.d. +-1 Fourier multiplier
+    ``eta``, so it is unitary.  Selecting ``m`` of its ``n`` rows and
     scaling by ``sqrt(n/m)`` gives ``E||Phi x||^2 = ||x||^2`` over eta
-    draws; for m = n and +-1 multipliers the operator is exactly unitary.
+    draws; for m = n the operator is exactly unitary.
 
     ``omega`` is either an explicit index set of size m or an integer seed
     from which the rows are drawn uniformly without replacement.
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    rng = _rng(seed_eta)
-    if gaussian_eta:
-        eta = rng.standard_normal(n).astype(complex)
-    else:
-        eta = rng.choice([-1.0, 1.0], size=n).astype(complex)
+    eta = _rng(seed_eta).choice([-1.0, 1.0], size=n).astype(complex)
     idx = _resolve_omega(m, n, omega)
     scale = math.sqrt(n / m)
 
@@ -131,9 +126,7 @@ def partial_circulant_demodulator(m: int, n: int, seed_eta: int, omega,
         rows=m, cols=n, apply=apply, adjoint=adjoint,
         descriptor={"ensemble": "partial_circulant_demodulator", "m": m,
                     "n": n, "seed_eta": seed_eta,
-                    "omega": [int(k) for k in idx],
-                    "eta_law": "gaussian" if gaussian_eta else "rademacher",
-                    "rng": "pcg64"},
+                    "omega": [int(k) for k in idx], "rng": "pcg64"},
     )
 
 
@@ -166,8 +159,7 @@ def operator_from_descriptor(desc: dict) -> LinearOperator:
         return sign_diagonal(desc["n"], desc["seed"])
     if kind == "partial_circulant_demodulator":
         return partial_circulant_demodulator(
-            desc["m"], desc["n"], desc["seed_eta"], desc["omega"],
-            gaussian_eta=desc.get("eta_law") == "gaussian")
+            desc["m"], desc["n"], desc["seed_eta"], desc["omega"])
     if kind == "universal_random_demodulator":
         return universal_random_demodulator(
             desc["m"], desc["n"], desc["seed_eta"], desc["seed_xi"],
@@ -244,10 +236,6 @@ class BilinearMap:
                 out += self.pair_apply(col, basis[j])
         return out
 
-    def apply_vec(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=complex)
-        return self.apply_matrix(u.reshape(self.n1, self.n2))
-
 
 def rank_one_pack(x, y) -> np.ndarray:
     """vec(x (outer) y) in C-order: index i*n2 + j holds x_i * y_j."""
@@ -280,10 +268,13 @@ def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
 
 
 def lifted_operator(b: BilinearMap) -> LinearOperator:
-    """The lifting of ``b`` as a dense n x (n1*n2) linear operator."""
-    mat = np.stack(
-        [b.apply_vec(col) for col in np.eye(b.n1 * b.n2, dtype=complex)],
-        axis=1)
+    """The lifting of ``b`` as a dense n x (n1*n2) linear operator.
+
+    Column ``i*n2 + j`` is ``B(e_i, e_j)``, the image of the rank-one basis
+    matrix in ``rank_one_pack`` order.
+    """
+    e1, e2 = np.eye(b.n1, dtype=complex), np.eye(b.n2, dtype=complex)
+    mat = np.stack([b.pair_apply(x, y) for x in e1 for y in e2], axis=1)
     return LinearOperator(
         rows=b.n, cols=b.n1 * b.n2,
         apply=lambda u: mat @ np.asarray(u, dtype=complex),

@@ -1,7 +1,8 @@
 """Symmetrization, Fourier intensity measurements and stability checks.
 
 Phase retrieval from Fourier magnitudes becomes a question about the
-symmetric convolution once the signal is extended conjugate-symmetrically:
+symmetric convolution once the signal is extended conjugate-symmetrically
+(the ``symmetrize`` functions return the extension as a complex array):
 the intensity map then satisfies a binomial identity
 ``A(x1) - A(x2) = B(x1 - x2, x1 + x2)`` and is stable up to a global sign
 with a constant tied to the convolution norm constants of the rnmp module.
@@ -27,21 +28,6 @@ PATTERN_SEARCH_STEPS = 200
 SAMPLE_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class SymmetrizedVector:
-    """Conjugate-symmetric extension of a length-n vector."""
-
-    original_dim: int
-    data: tuple
-    variant: str
-
-    def dense(self) -> np.ndarray:
-        return np.asarray(self.data, dtype=complex)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.dense()))
-
-
 def _symmetrize_rows(x: np.ndarray) -> np.ndarray:
     """``S`` of each row of a (T, m) stack whose leading entries are real."""
     tolerance = 1e-12 * np.maximum(row_norms(x), 1e-300)
@@ -65,33 +51,27 @@ def _as_row(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(1, -1)
 
 
-def symmetrize(x) -> SymmetrizedVector:
+def symmetrize(x) -> np.ndarray:
     """``S(x) = (x_0 .. x_{n-1}, conj(x_{n-1}) .. conj(x_1))``, length 2n-1.
 
     Requires a real leading entry; without it the extension cannot be
     conjugate symmetric.
     """
-    row = _as_row(x)
-    data = tuple(_symmetrize_rows(row)[0].tolist())
-    return SymmetrizedVector(row.size, data, "S_2n-1")
+    return _symmetrize_rows(_as_row(x))[0]
 
 
-def zero_pad_symmetrize(x) -> SymmetrizedVector:
+def zero_pad_symmetrize(x) -> np.ndarray:
     """Zero pad n -> 2n-1, then symmetrize: output length 4n-3."""
-    row = _as_row(x)
-    data = tuple(_symmetrized_rows(row, VARIANT_S)[0].tolist())
-    return SymmetrizedVector(row.size, data, VARIANT_S)
+    return _symmetrized_rows(_as_row(x), VARIANT_S)[0]
 
 
-def symmetrize_prime(x) -> SymmetrizedVector:
+def symmetrize_prime(x) -> np.ndarray:
     """``S'(x) = (0^n, x_0 .. x_{n-1}, conj(x_{n-1}) .. conj(x_0), 0^{n-1})``.
 
     Length 4n-1; no restriction on x (the point of the construction), and
     ``||S'(x)||^2 = 2 ||x||^2`` exactly since the two copies are disjoint.
     """
-    row = _as_row(x)
-    data = tuple(_symmetrized_rows(row, VARIANT_S_PRIME)[0].tolist())
-    return SymmetrizedVector(row.size, data, VARIANT_S_PRIME)
+    return _symmetrized_rows(_as_row(x), VARIANT_S_PRIME)[0]
 
 
 def _intensity_rows(v: np.ndarray) -> np.ndarray:

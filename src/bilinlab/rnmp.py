@@ -456,6 +456,8 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
                    seed: int = 0, det_budget: int = 16,
                    max_toeplitz_dim: int = 16) -> RnmpBounds:
     """Assemble RnmpBounds with certificates for each number."""
+    if not (n >= 1 and 1 <= s <= n and 1 <= f <= n):
+        raise ValueError("need n >= 1 and 1 <= s, f <= n")
     nt = compressed_dimension(s, f, n)
     nt_used = min(nt, max_toeplitz_dim)
     lower = alpha_lower_bound(s, f, n, det_budget, seed, max_toeplitz_dim)

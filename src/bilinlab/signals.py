@@ -2,10 +2,11 @@
 
 A :class:`SparseVector` stores a complex vector of ambient dimension ``n``
 as a strictly increasing support index list plus the values on the support.
-On top of that the module provides linear and circular convolution,
-circular correlation, time reversal and the unitary DFT.  All operations
-are pure functions; vectors are immutable after construction and safe to
-share between concurrent trial workers.
+On top of that the module provides one exact array kernel for sparse
+convolution (:func:`sparse_convolve`), which serves linear and circular
+convolution and circular correlation, plus time reversal and the unitary
+DFT.  All operations are pure functions; vectors are immutable after
+construction and safe to share between concurrent trial workers.
 
 Conventions
 -----------
@@ -25,21 +26,6 @@ import numpy as np
 # product operation are dropped from the support, so genuine cancellation
 # (e.g. (1,1) * (1,-1)) produces an honest sumset support.
 PRUNE_REL = 1e-14
-
-# Convolutions with at most this many support pairs use the direct
-# double-sum; larger instances go through the FFT.
-DIRECT_PAIR_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class DftConvention:
-    """Record of the pinned DFT normalization and kernel sign."""
-
-    normalization: str = "unitary"
-    sign: str = "negative-exponent-forward"
-
-
-UNITARY_DFT = DftConvention()
 
 
 @dataclass(frozen=True)
@@ -110,10 +96,34 @@ class SparseVector:
                             tuple(v.conjugate() for v in self.values))
 
 
-def _from_accumulator(n: int, acc: dict, threshold: float) -> SparseVector:
-    items = sorted((k, v) for k, v in acc.items() if abs(v) > threshold)
-    return SparseVector(n, tuple(k for k, _ in items),
-                        tuple(v for _, v in items))
+def sparse_convolve(support_x, values_x, support_y, values_y,
+                    modulus: int | None = None):
+    """Exact convolution of two sparse vectors given as (support, values).
+
+    Returns ``(keys, values)``: the distinct pair sums ``i + j`` (reduced
+    mod ``modulus`` when given), sorted, and the sum of ``x_i y_j`` over
+    the pairs hitting each key, accumulated in row-major pair order.
+    Pair sums are grouped with ``np.unique``, so no dense array over the
+    span of the supports is built; an exact cancellation stays as a zero.
+    """
+    sums = np.add.outer(np.asarray(support_x, dtype=np.int64),
+                        np.asarray(support_y, dtype=np.int64)).ravel()
+    if modulus is not None:
+        sums %= modulus
+    products = np.outer(values_x, values_y).ravel()
+    keys, inverse = np.unique(sums, return_inverse=True)
+    acc = np.zeros(keys.size, dtype=products.dtype)
+    np.add.at(acc, inverse, products)
+    return keys, acc
+
+
+def _convolve(x: SparseVector, y: SparseVector, n_out: int,
+              modulus: int | None) -> SparseVector:
+    keys, values = sparse_convolve(x.support, x.values, y.support, y.values,
+                                   modulus)
+    kept = np.abs(values) > PRUNE_REL * x.norm() * y.norm()
+    return SparseVector(n_out, tuple(keys[kept].tolist()),
+                        tuple(values[kept].tolist()))
 
 
 def linear_convolve(x: SparseVector, y: SparseVector) -> SparseVector:
@@ -122,16 +132,7 @@ def linear_convolve(x: SparseVector, y: SparseVector) -> SparseVector:
     Supports are read as absolute positions starting at 0; the output
     ambient dimension is ``x.n + y.n - 1``.
     """
-    n_out = x.n + y.n - 1
-    threshold = PRUNE_REL * x.norm() * y.norm()
-    if x.sparsity() * y.sparsity() < DIRECT_PAIR_LIMIT:
-        acc: dict = {}
-        for i, a in zip(x.support, x.values):
-            for j, b in zip(y.support, y.values):
-                acc[i + j] = acc.get(i + j, 0.0) + a * b
-        return _from_accumulator(n_out, acc, threshold)
-    z = np.fft.ifft(np.fft.fft(x.dense(), n_out) * np.fft.fft(y.dense(), n_out))
-    return SparseVector.from_dense(z, tol=threshold)
+    return _convolve(x, y, x.n + y.n - 1, None)
 
 
 def circular_convolve(x: SparseVector, y: SparseVector,
@@ -141,16 +142,7 @@ def circular_convolve(x: SparseVector, y: SparseVector,
         n = x.n
     if x.n != n or y.n != n:
         raise ValueError("ambient dimensions must equal n")
-    threshold = PRUNE_REL * x.norm() * y.norm()
-    if x.sparsity() * y.sparsity() < DIRECT_PAIR_LIMIT:
-        acc: dict = {}
-        for i, a in zip(x.support, x.values):
-            for j, b in zip(y.support, y.values):
-                k = (i + j) % n
-                acc[k] = acc.get(k, 0.0) + a * b
-        return _from_accumulator(n, acc, threshold)
-    z = np.fft.ifft(np.fft.fft(x.dense()) * np.fft.fft(y.dense()))
-    return SparseVector.from_dense(z, tol=threshold)
+    return _convolve(x, y, n, n)
 
 
 def circular_correlate(x: SparseVector, y: SparseVector,

@@ -64,6 +64,10 @@ def test_main_config_error_exit_code(tmp_path):
     "command = embed-verify\nm = 4\nn = 4\ntrials = -3\n",
     "command = recover-sweep\nm_values = 8\nsparsity = 0\n",
     "command = freiman-search\nset = 0,1,3\nbudget = -1\n",
+    "command = rnmp-bound\ns = 1\nf = 1\nn = 0\n",      # n = 0
+    "command = rnmp-bound\ns = 5\nf = 1\nn = 2\n",      # s > n with f = 1
+    "command = embed-verify\nm = 4\nn = 4\ndelta = 2\n",   # vacuous target
+    "command = embed-verify\nm = 4\nn = 4\ndelta = -1\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)
@@ -131,6 +135,18 @@ def test_freiman_search_command(tmp_path):
     payload = json.loads((out / "freiman-search.json").read_text())
     assert payload["result"]["diameter"] == 3
     assert payload["result"]["verified_isomorphism"]
+
+
+def test_freiman_search_sidon_set_within_bound(tmp_path):
+    # {0, 1, 3} is a Sidon set: Freiman dimension 2 = m - 1
+    cfg = _write_config(tmp_path, "command = freiman-search\nset = 0,1,3\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "freiman-search.json").read_text())
+    assert payload["result"]["diameter"] == 3
+    assert payload["grynkiewicz_d"] == 2
+    assert payload["grynkiewicz_bound"] == 13.0
+    assert payload["within_bound"]
 
 
 def test_recover_sweep_csv(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilinlab import embedding, operators
-from bilinlab.embedding import SampleComplexityParams, StructuredSetSpec
+from bilinlab.embedding import StructuredSetSpec
 
 
 def test_entropy_union_subspaces():
@@ -71,16 +71,6 @@ def test_epsilon_hat():
     assert gen < 0.3
     with pytest.raises(ValueError):
         embedding.epsilon_hat(0.3, 1, 1, 1, "loose")
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SampleComplexityParams(delta=0.0)
-    with pytest.raises(ValueError):
-        SampleComplexityParams(delta=0.5, sigma=0.5)
-    with pytest.raises(ValueError):
-        SampleComplexityParams(delta=0.5, alpha=2.0, beta=1.0)
-    SampleComplexityParams(delta=0.5)
 
 
 def test_spec_validation():
@@ -168,21 +158,3 @@ def test_report_serialization():
     assert summary["trials"] == 5
     assert summary["delta_hat_is_lower_estimate"]
     assert summary["operator"]["ensemble"] == "identity"
-
-
-def test_rnmp_distortion_equality_case():
-    n = 8
-    bmap = operators.convolution_lift(n, zero_padded=True)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=1, f=3)
-    lo, hi = embedding.rnmp_distortion_of_b(bmap, spec, trials=64, seed=0)
-    assert 1 - 1e-9 <= lo <= hi <= 1 + 1e-9
-
-
-def test_rnmp_distortion_bounds():
-    n = 6
-    bmap = operators.convolution_lift(n, zero_padded=True)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
-    lo, hi = embedding.rnmp_distortion_of_b(bmap, spec, trials=64, seed=1)
-    assert lo <= hi <= math.sqrt(2) + 1e-9
-    # the refinement step pulls the lower extreme down to the true alpha
-    assert lo <= 1 / math.sqrt(2) + 1e-6

@@ -55,7 +55,8 @@ def test_affine_maps_are_isomorphisms(elems, p, q):
 def test_grynkiewicz_bound():
     assert freiman.grynkiewicz_bound(3, 1) == 2.0
     assert freiman.grynkiewicz_bound(4, 2) == 25.0
-    assert freiman.grynkiewicz_bound(4) == 25.0  # d defaults to m - 2
+    assert freiman.grynkiewicz_bound(4) == 328.0  # d defaults to m - 1
+    assert [freiman.dimension_bound(m) for m in (1, 2, 3, 6)] == [1, 1, 2, 5]
     vals = [freiman.grynkiewicz_bound(m) for m in range(3, 8)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 

@@ -215,7 +215,7 @@ def test_bilinear_lift_consistency():
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pair = b.apply_pair(x, y)
-    lifted = b.apply_vec(operators.rank_one_pack(x, y))
+    lifted = operators.lifted_operator(b).apply(operators.rank_one_pack(x, y))
     assert np.allclose(pair, lifted, atol=1e-12)
     assert np.allclose(b.apply_matrix(np.zeros((n, n))), 0.0)
     # rank-two matrix = sum of its rank-one parts
@@ -258,6 +258,34 @@ def test_lifted_operator_and_compose():
     assert np.allclose(chain.apply(u), phi.apply(lop.apply(u)), atol=1e-12)
     with pytest.raises(ValueError):
         operators.compose(lop, phi)
+
+
+@pytest.mark.parametrize("zero_padded", [False, True])
+def test_lifted_convolution_is_index_scatter(zero_padded):
+    """Column i*n+j of the lifted convolution is e_{(i+j) mod n_out}.
+
+    The lift goes through the FFT, so entries carry rounding of a few
+    ulp; the 0/1 pattern itself must be exact.
+    """
+    for n in range(1, 7):
+        b = operators.convolution_lift(n, zero_padded=zero_padded)
+        n_out = 2 * n - 1 if zero_padded else n
+        want = np.zeros((n_out, n * n))
+        for i in range(n):
+            for j in range(n):
+                want[(i + j) % n_out, i * n + j] = 1.0
+        got = operators.lifted_operator(b).materialize()
+        assert got.shape == want.shape
+        assert np.array_equal(np.round(got.real), want)
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+
+
+def test_lifted_operator_column_order():
+    """The lift of (x, y) -> vec(x y^T) is the identity in rank_one_pack
+    order; n1 != n2 and an asymmetric map pin the column order."""
+    b = operators.BilinearMap(2, 3, 6, lambda x, y: np.outer(x, y).ravel())
+    lop = operators.lifted_operator(b)
+    assert np.array_equal(lop.materialize(), np.eye(6))
 
 
 def test_bilinearity_probe_of_convolution_lift():

@@ -428,6 +428,13 @@ def test_compute_bounds_certificates():
     assert not bounds.certificates["alpha_lower"]["capped"]
 
 
+@pytest.mark.parametrize("s,f,n", [(1, 1, 0), (5, 1, 2), (1, 5, 2),
+                                   (0, 2, 4), (2, 0, 4)])
+def test_compute_bounds_rejects_out_of_range_sizes(s, f, n):
+    with pytest.raises(ValueError):
+        rnmp.compute_bounds(s, f, n, trials=1, det_budget=1)
+
+
 def test_compute_bounds_records_dimension_cap():
     bounds = rnmp.compute_bounds(2, 3, 729, trials=4, seed=0, det_budget=2)
     cert = bounds.certificates["alpha_lower"]

@@ -189,19 +189,109 @@ def test_convolution_theorem():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_fft_path_matches_direct_sum():
-    """Dense inputs push past the direct-path pair limit; both must agree."""
+def test_dense_circular_convolve_matches_direct_sum():
+    """Fully dense inputs against the dense double sum."""
     rng = np.random.default_rng(11)
     for n in (40, 64):
         xd = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         yd = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = SparseVector.from_dense(xd)
         y = SparseVector.from_dense(yd)
-        assert x.sparsity() * y.sparsity() >= signals.DIRECT_PAIR_LIMIT
         z = signals.circular_convolve(x, y).dense()
         oracle = np.array([
             sum(xd[i] * yd[(k - i) % n] for i in range(n)) for k in range(n)])
         assert np.linalg.norm(z - oracle) <= 1e-11 * np.linalg.norm(oracle)
+
+
+def _double_sum(support_x, values_x, support_y, values_y, modulus=None):
+    """Brute-force convolution: {key: sum of x_i y_j}, pairs in row-major
+    order."""
+    acc = {}
+    for i, a in zip(support_x, values_x):
+        for j, b in zip(support_y, values_y):
+            k = i + j if modulus is None else (i + j) % modulus
+            acc[k] = acc.get(k, 0) + a * b
+    return acc
+
+
+def _assert_kernel_matches(support_x, values_x, support_y, values_y,
+                           modulus=None):
+    """Keys exactly; real values bit for bit, complex ones to rounding
+    (numpy's complex product may differ from Python's in the last bit)."""
+    keys, values = signals.sparse_convolve(support_x, values_x, support_y,
+                                           values_y, modulus)
+    want = _double_sum(support_x, values_x, support_y, values_y, modulus)
+    assert keys.tolist() == sorted(want)
+    want = np.array([want[k] for k in sorted(want)])
+    if values.dtype == float:
+        assert np.array_equal(values, want)
+    else:
+        assert np.allclose(values, want, rtol=1e-14, atol=1e-15)
+    return keys, values
+
+
+def test_sparse_convolve_matches_double_sum():
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n = int(rng.integers(1, 13))
+        sx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                replace=False)).tolist()
+        sy = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                replace=False)).tolist()
+        vx = rng.standard_normal(len(sx))
+        vy = rng.standard_normal(len(sy))
+        if trial % 2:
+            vx = vx + 1j * rng.standard_normal(len(sx))
+            vy = vy + 1j * rng.standard_normal(len(sy))
+        _, values = _assert_kernel_matches(sx, vx.tolist(), sy, vy.tolist())
+        assert values.dtype == (complex if trial % 2 else float)
+        _assert_kernel_matches(sx, vx.tolist(), sy, vy.tolist(), modulus=n)
+
+
+def test_sparse_convolve_edge_cases():
+    # wrap-around: 3 + 4 = 7 = 2 mod 5 collides with 0 + 2
+    keys, values = _assert_kernel_matches((0, 3), (1.0, 2.0), (2, 4),
+                                          (1.0, 1.0), modulus=5)
+    assert keys.tolist() == [0, 2, 4] and values.tolist() == [2.0, 3.0, 1.0]
+    # exact cancellation stays in the kernel as a zero
+    keys, values = _assert_kernel_matches((0, 1), (1.0, 1.0), (0, 1),
+                                          (1.0, -1.0))
+    assert keys.tolist() == [0, 1, 2] and values.tolist() == [1.0, 0.0, -1.0]
+    # far-apart supports: no dense array over the span
+    keys, values = _assert_kernel_matches((0, 10 ** 6), (1.0, 2j),
+                                          (0, 10 ** 6), (3.0, 1.0))
+    assert keys.tolist() == [0, 10 ** 6, 2 * 10 ** 6]
+    keys, values = signals.sparse_convolve((), (), (1,), (1.0,))
+    assert keys.size == 0 and values.size == 0
+
+
+def test_convolve_matches_double_sum_and_prunes_zeros():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        x = signals.random_sparse_vector(n, int(rng.integers(1, n + 1)), rng)
+        y = signals.random_sparse_vector(n, int(rng.integers(1, n + 1)), rng)
+        for z, modulus in ((signals.linear_convolve(x, y), None),
+                           (signals.circular_convolve(x, y), n)):
+            want = _double_sum(x.support, x.values, y.support, y.values,
+                               modulus)
+            assert z.n == (2 * n - 1 if modulus is None else n)
+            assert z.support == tuple(sorted(want))
+            assert np.allclose(z.values, [want[k] for k in sorted(want)],
+                               rtol=1e-14, atol=1e-15)
+    # (1, 1) circ (1, -1) on Z_2 cancels everywhere; on Z_3 only at 1
+    x = SparseVector(3, (0, 1), (1.0, 1.0))
+    y = SparseVector(3, (0, 1), (1.0, -1.0))
+    z = signals.circular_convolve(x, y)
+    assert z.support == (0, 2) and z.values == (1.0, -1.0)
+    z = signals.circular_convolve(SparseVector(2, (0, 1), (1.0, 1.0)),
+                                  SparseVector(2, (0, 1), (1.0, -1.0)))
+    assert z.support == () and z.n == 2
+    big = SparseVector(10 ** 6 + 1, (0, 10 ** 6), (1.0, 1j))
+    z = signals.linear_convolve(big, big)
+    assert z.n == 2 * 10 ** 6 + 1
+    assert z.support == (0, 10 ** 6, 2 * 10 ** 6)
+    assert z.values == (1.0, 2j, -1.0)
 
 
 def test_support_shift_invariance():

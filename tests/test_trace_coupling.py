@@ -1,0 +1,34 @@
+"""The benchmark's span tracer patches bilinlab attributes by name.
+
+``perfbench/spans.py`` wraps module functions and methods for the length
+of a ``with instrument(...)`` block; a renamed or deleted name there makes
+every traced benchmark run fail.  Entering the block here catches that in
+the regular test suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from bilinlab import cli, freiman, rnmp
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_patches_every_named_attribute():
+    spans = _load_spans()
+    originals = (cli.main, rnmp.restricted_determinant, freiman._sum_pattern)
+    with spans.instrument(spans.Tracer()) as tracer:
+        assert cli.main is not originals[0]
+        assert freiman._sum_pattern is not originals[2]
+        rnmp.restricted_determinant(3, 2, 1)
+    assert (cli.main, rnmp.restricted_determinant,
+            freiman._sum_pattern) == originals
+    assert "rnmp.restricted_determinant" in tracer.names
+    assert len(tracer) >= 1
