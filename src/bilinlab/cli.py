@@ -191,6 +191,30 @@ def _run_embed_verify(config: dict, out: Path, fmt: str):
     return 0
 
 
+def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
+    """Planted trials recovered to 1e-3 relative error, one per seed: a
+    Gaussian (m, n) matrix, an s-sparse u0 and b = A u0 plus noise of norm
+    ``noise``, all solved as one stack."""
+    a = np.empty((len(seeds), m, n), dtype=complex)
+    b = np.empty((len(seeds), m), dtype=complex)
+    u0 = np.zeros((len(seeds), n), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        a[i] = (rng.standard_normal((m, n))
+                + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
+        support = rng.choice(n, size=s, replace=False)
+        u0[i, support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        b[i] = a[i] @ u0[i]
+        if noise > 0:
+            e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            e *= noise / np.linalg.norm(e)
+            b[i] += e
+    results = recovery.bpdn_synthesis_stack(a, b, eps=noise)
+    return sum(int(np.linalg.norm(res.solution - u) / np.linalg.norm(u)
+                   <= 1e-3)
+               for res, u in zip(results, u0))
+
+
 def _run_recover_sweep(config: dict, out: Path, fmt: str):
     if config["trials"] < 1:
         raise ConfigError("trials must be at least 1")
@@ -206,25 +230,13 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
     seq = np.random.SeedSequence(config["seed"])
     for m, child in zip(config["m_values"],
                         seq.spawn(len(config["m_values"]))):
-        successes = 0
-        for trial_seed in child.spawn(config["trials"]):
-            rng = np.random.default_rng(trial_seed)
-            a = (rng.standard_normal((m, n))
-                 + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
-            support = rng.choice(n, size=s, replace=False)
-            u0 = np.zeros(n, dtype=complex)
-            u0[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-            b = a @ u0
-            eps = 0.0
-            if config["noise"] > 0:
-                e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                e *= config["noise"] / np.linalg.norm(e)
-                b = b + e
-                eps = config["noise"]
-            result = recovery.bpdn_synthesis(a, b, eps=eps)
-            err = np.linalg.norm(result.solution - u0) / np.linalg.norm(u0)
-            if err <= 1e-3:
-                successes += 1
+        # Every trial draws from its own stream; the trials of one m are
+        # then solved together, one lockstep stack at a time.
+        seeds = child.spawn(config["trials"])
+        chunk = recovery.stack_rows(m, n)
+        successes = sum(_recovered(seeds[lo:lo + chunk], m, n, s,
+                                   config["noise"])
+                        for lo in range(0, len(seeds), chunk))
         rows.append({"m": m, "success_rate": successes / config["trials"],
                      "trials": config["trials"], "seed": config["seed"]})
     if fmt == "csv":

@@ -3,6 +3,9 @@
 ``bpdn_synthesis`` solves  min ||u||_1  s.t.  ||A u - b|| <= eps  by
 proximal gradient descent on the penalized problem with continuation on
 the penalty, followed by a least-squares polish on the detected support.
+``bpdn_synthesis_stack`` solves a stack of such problems with every
+problem's schedule run in lockstep on stacked matrices; a single problem
+is its one-row case.
 Complex l1 means the sum of magnitudes; the soft threshold shrinks the
 magnitude and preserves the phase.  At a fixed penalty the iteration is a
 descent method, so the penalized objective is monotonically nonincreasing.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BilinearMap, LinearOperator, lifted_operator
+from .signals import row_norms
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iterations < 1 or self.tolerance <= 0:
             raise ValueError("solver options must be positive")
+        if self.penalty is not None and not self.penalty >= 0:
+            raise ValueError("penalty must be nonnegative")
+        if not 0 < self.penalty_floor_rel <= 1:
+            raise ValueError("penalty_floor_rel must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -48,11 +56,25 @@ class SolverResult:
     iterations: int
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Magnitude shrinkage preserving phase."""
+# Matrix entries (T * m * n) in one lockstep stack of bpdn_synthesis_stack:
+# 512 KiB of complex values plus their conjugates, whatever the number of
+# problems or their shape.
+STACK_ENTRIES = 2 ** 15
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
+    """Magnitude shrinkage preserving phase (``tau`` broadcasts against
+    ``v``, so a column of thresholds serves a stack of rows)."""
     mag = np.abs(v)
-    scale = np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0)
+    # max(mag, tiny) is mag wherever mag > 0, and 0 / tiny = 0 where it is 0
+    scale = np.maximum(mag - tau, 0.0) / np.maximum(mag, _TINY)
     return v * scale
+
+
+def stack_rows(m: int, n: int) -> int:
+    """Problems of shape (m, n) that one lockstep stack holds."""
+    return max(1, STACK_ENTRIES // max(1, m * n))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -61,27 +83,183 @@ def _as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def _ista(a: np.ndarray, b: np.ndarray, u0: np.ndarray, lam: float,
-          lipschitz: float, max_iters: int, tol: float, history: list):
-    """Monotone proximal gradient steps at fixed penalty lam."""
-    u = u0
-    r = a @ u - b
-    obj = lam * np.sum(np.abs(u)) + 0.5 * np.vdot(r, r).real
-    history.append(float(obj))
-    ah = a.conj().T
-    used = 0
-    for _ in range(max_iters):
-        used += 1
-        grad = ah @ r
-        u_new = soft_threshold(u - grad / lipschitz, lam / lipschitz)
-        r_new = a @ u_new - b
-        obj_new = lam * np.sum(np.abs(u_new)) + 0.5 * np.vdot(r_new, r_new).real
-        history.append(float(obj_new))
-        change = np.linalg.norm(u_new - u) / max(1.0, np.linalg.norm(u))
-        u, r, obj = u_new, r_new, obj_new
-        if change < tol:
+def _schedule(u, lam_max, eps: float, opts: SolverOptions):
+    """Penalty schedule of one problem, as a generator.
+
+    Yields ``(start point, penalty, step cap)`` for each stage of monotone
+    proximal gradient steps at a fixed penalty, and is sent back the
+    stage's ``(u, r, steps)``: a stage ends after ``step cap`` steps or at
+    the first step that moves u by less than the tolerance (relative to
+    max(1, ||u||)).  Returns the final point and the total step count.
+    """
+    if opts.penalty is not None:
+        u, _, used = yield u, opts.penalty, opts.max_iterations
+        return u, used
+    lam = 0.5 * lam_max
+    lam_floor = opts.penalty_floor_rel * lam_max
+    stage_iters = max(50, opts.max_iterations // 20)
+    total = 0
+    while True:
+        u, r, used = yield u, lam, stage_iters
+        total += used
+        res = np.linalg.norm(r)
+        if eps > 0 and res <= eps:
             break
-    return u, r, used
+        if lam <= lam_floor or total >= opts.max_iterations:
+            return u, total
+        lam = max(lam * 0.25, lam_floor)
+    # Bisection on the penalty so the residual lands just inside the
+    # constraint; the penalized minimizer with residual eps is the
+    # constrained optimum.
+    lo, hi = lam, lam * 4.0
+    for _ in range(30):
+        if total >= opts.max_iterations:
+            break
+        mid = 0.5 * (lo + hi)
+        u_mid, r_mid, used = yield u, mid, stage_iters
+        total += used
+        if np.linalg.norm(r_mid) <= eps:
+            lo = mid
+            u = u_mid
+        else:
+            hi = mid
+        if (hi - lo) / hi < 1e-3:
+            break
+    return u, total
+
+
+def _finish(a, b, u, bnorm, history, total, eps, opts) -> SolverResult:
+    """Least-squares polish on the detected support, then the result."""
+    m, n = a.shape
+    if opts.debias and opts.penalty is None and eps == 0.0:
+        support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
+        if 0 < support.size <= m:
+            sub, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
+            u_db = np.zeros(n, dtype=complex)
+            u_db[support] = sub
+            r_db = a @ u_db - b
+            if np.linalg.norm(r_db) <= max(eps, np.linalg.norm(a @ u - b)):
+                u = u_db
+    res = float(np.linalg.norm(a @ u - b))
+    feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
+    objective = float(np.sum(np.abs(u)))
+    return SolverResult(u, bool(feasible), res, objective, tuple(history),
+                        total)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
+                 opts: SolverOptions) -> list:
+    """Run every row's ``_schedule`` in lockstep on the stack (a, b).
+
+    Each step is one proximal gradient step of every live row: one stacked
+    matrix-vector product for A^H r and one for A u, the soft threshold,
+    the objective and the row norms over the whole stack, each row at its
+    own penalty.
+    Only rows whose stage just ended return to their schedule; the stack
+    is gathered again when a row finishes.
+    """
+    t, m, n = a.shape
+    bnorm = row_norms(b)
+    results = [SolverResult(np.zeros(n, dtype=complex), True, 0.0, 0.0,
+                            (0.0,), 0) for _ in range(t)]
+    ids = np.flatnonzero(bnorm != 0.0)
+    if ids.size == 0:
+        return results
+    a_in = a
+    if ids.size < t:
+        a, b = a[ids], b[ids]
+    ah = a.conj().transpose(0, 2, 1)
+    lip = np.linalg.norm(a, 2, axis=(1, 2))[:, None] ** 2
+    lam_max = np.abs(np.matvec(ah, b)).max(axis=1)
+    rows = ids.size
+    schedules = [_schedule(np.zeros(n, dtype=complex), lam_max[p], eps, opts)
+                 for p in range(rows)]
+    histories = [[] for _ in range(rows)]
+    # w[1] is u; w[0] takes the step's change, so that one row_norms call
+    # gives both norms of the stopping test.
+    w = np.zeros((2, rows, n), dtype=complex)
+    u = w[1]
+    r = np.empty((rows, m), dtype=complex)
+    lam = np.empty(rows)
+    tau = np.empty((rows, 1))
+    start = np.zeros(rows, dtype=np.int64)  # step at which the stage began
+    end = np.zeros(rows, dtype=np.int64)  # step at which its cap is hit
+    step = 0
+    tol = opts.tolerance
+
+    def begin(p, u0, penalty, cap):
+        rp = a[p] @ u0 - b[p]
+        u[p], r[p], lam[p], tau[p] = u0, rp, penalty, penalty / lip[p, 0]
+        histories[p].append(float(penalty * np.sum(np.abs(u0))
+                                  + 0.5 * np.vdot(rp, rp).real))
+        start[p], end[p] = step, step + cap
+
+    for p in range(rows):
+        begin(p, *next(schedules[p]))
+    next_end = int(end.min())
+    while rows:
+        u_new = soft_threshold(u - np.matvec(ah, r) / lip, tau)
+        r_new = np.matvec(a, u_new) - b
+        objective = (lam * np.add.reduce(np.abs(u_new), axis=1)
+                     + 0.5 * np.vecdot(r_new, r_new).real)
+        for history, value in zip(histories, objective.tolist()):
+            history.append(value)
+        np.subtract(u_new, u, out=w[0])
+        norms = row_norms(w)
+        done = norms[0] / np.maximum(1.0, norms[1]) < tol
+        u[...] = u_new
+        r = r_new
+        step += 1
+        if step >= next_end:
+            done |= end <= step
+        if not np.count_nonzero(done):
+            continue
+        finished = []
+        for p in np.flatnonzero(done):
+            try:
+                begin(p, *schedules[p].send((u[p].copy(), r[p].copy(),
+                                             int(step - start[p]))))
+            except StopIteration as stop:
+                u_p, total = stop.value
+                results[ids[p]] = _finish(a[p], b[p], u_p, bnorm[ids[p]],
+                                          histories[p], total, eps, opts)
+                finished.append(p)
+        if finished:
+            keep = [p for p in range(rows) if p not in finished]
+            ids, b, r, lam, tau, lip, start, end = (
+                x[keep] for x in (ids, b, r, lam, tau, lip, start, end))
+            w = w[:, keep]
+            u = w[1]
+            a = ah = None  # freed before the smaller stacks are built
+            a = a_in[ids]
+            ah = a.conj().transpose(0, 2, 1)
+            schedules = [schedules[p] for p in keep]
+            histories = [histories[p] for p in keep]
+            rows = len(keep)
+        if rows:
+            next_end = int(end.min())
+    return results
+
+
+def bpdn_synthesis_stack(a, b, eps: float = 0.0,
+                         opts: SolverOptions = SolverOptions()) -> list:
+    """Basis pursuit denoising of a stack of problems, one per row.
+
+    ``a`` has shape (T, m, n) and ``b`` shape (T, m); returns one
+    ``SolverResult`` per row, each equal bit for bit to solving that row
+    alone.  Rows run in lockstep, ``stack_rows(m, n)`` at a time.
+    """
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 3 or b.shape != a.shape[:2]:
+        raise ValueError("need a of shape (T, m, n) and b of shape (T, m)")
+    rows = stack_rows(*a.shape[1:])
+    results = []
+    for lo in range(0, len(a), rows):
+        results += _solve_stack(a[lo:lo + rows], b[lo:lo + rows], eps, opts)
+    return results
 
 
 def bpdn_synthesis(a, b, eps: float = 0.0,
@@ -89,78 +267,11 @@ def bpdn_synthesis(a, b, eps: float = 0.0,
     """Basis pursuit denoising in synthesis form.
 
     ``a`` may be a LinearOperator (materialized internally; instances here
-    are desk scale) or a dense matrix.
+    are desk scale) or a dense matrix.  This is the one-row case of
+    ``bpdn_synthesis_stack``.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    amat = _as_matrix(a)
-    m, n = amat.shape
     b = np.asarray(b, dtype=complex).ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return SolverResult(np.zeros(n, dtype=complex), True, 0.0, 0.0,
-                            (0.0,), 0)
-    lipschitz = np.linalg.norm(amat, 2) ** 2
-    lam_max = np.max(np.abs(amat.conj().T @ b))
-    history: list = []
-    u = np.zeros(n, dtype=complex)
-    total_iters = 0
-
-    if opts.penalty is not None:
-        u, r, used = _ista(amat, b, u, opts.penalty, lipschitz,
-                           opts.max_iterations, opts.tolerance, history)
-        total_iters = used
-    else:
-        lam = 0.5 * lam_max
-        lam_floor = opts.penalty_floor_rel * lam_max
-        stage_iters = max(50, opts.max_iterations // 20)
-        res = bnorm
-        while total_iters < opts.max_iterations:
-            u, r, used = _ista(amat, b, u, lam, lipschitz, stage_iters,
-                               opts.tolerance, history)
-            total_iters += used
-            res = np.linalg.norm(r)
-            if eps > 0 and res <= eps:
-                break
-            if lam <= lam_floor:
-                break
-            lam = max(lam * 0.25, lam_floor)
-        if eps > 0 and res <= eps:
-            # Bisection on the penalty so the residual lands just inside
-            # the constraint; the penalized minimizer with residual eps is
-            # the constrained optimum.
-            lo, hi = lam, lam * 4.0
-            for _ in range(30):
-                if total_iters >= opts.max_iterations:
-                    break
-                mid = 0.5 * (lo + hi)
-                u_mid, r_mid, used = _ista(amat, b, u, mid, lipschitz,
-                                           stage_iters, opts.tolerance,
-                                           history)
-                total_iters += used
-                if np.linalg.norm(r_mid) <= eps:
-                    lo = mid
-                    u, r = u_mid, r_mid
-                else:
-                    hi = mid
-                if (hi - lo) / hi < 1e-3:
-                    break
-
-    if opts.debias and opts.penalty is None and eps == 0.0:
-        support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
-        if 0 < support.size <= m:
-            sub, *_ = np.linalg.lstsq(amat[:, support], b, rcond=None)
-            u_db = np.zeros(n, dtype=complex)
-            u_db[support] = sub
-            r_db = amat @ u_db - b
-            if np.linalg.norm(r_db) <= max(eps, np.linalg.norm(amat @ u - b)):
-                u, r = u_db, r_db
-
-    res = float(np.linalg.norm(amat @ u - b))
-    feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
-    objective = float(np.sum(np.abs(u)))
-    return SolverResult(u, bool(feasible), res, objective,
-                        tuple(history), total_iters)
+    return bpdn_synthesis_stack(_as_matrix(a)[None], b[None], eps, opts)[0]
 
 
 def bpdn_analysis(phi, b_map: BilinearMap, b, eps: float = 0.0,

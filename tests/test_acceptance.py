@@ -267,33 +267,36 @@ def test_acceptance_09_freiman():
 def test_acceptance_10_bpdn_planted_recovery():
     rng = np.random.default_rng(2024)
     n, s = 100, 3
-    successes = 0
-    for _ in range(100):
-        a = (rng.standard_normal((40, n))
-             + 1j * rng.standard_normal((40, n))) / math.sqrt(80)
+    # draw every trial first, in the per-trial order, then solve the stack
+    a = np.empty((100, 40, n), dtype=complex)
+    u0 = np.zeros((100, n), dtype=complex)
+    for i in range(100):
+        a[i] = (rng.standard_normal((40, n))
+                + 1j * rng.standard_normal((40, n))) / math.sqrt(80)
         support = rng.choice(n, size=s, replace=False)
-        u0 = np.zeros(n, dtype=complex)
-        u0[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        res = recovery.bpdn_synthesis(a, a @ u0)
-        if np.linalg.norm(res.solution - u0) <= 1e-3 * np.linalg.norm(u0):
-            successes += 1
+        u0[i, support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    results = recovery.bpdn_synthesis_stack(a, np.matvec(a, u0))
+    successes = sum(
+        int(np.linalg.norm(res.solution - u) <= 1e-3 * np.linalg.norm(u))
+        for res, u in zip(results, u0))
     # nested-row sweep: each trial reuses one tall matrix so the success
     # indicator can only improve as rows are added
     m_values = list(range(8, 48, 4))
-    counts = {m: 0 for m in m_values}
     trials = 20
-    for _ in range(trials):
-        a_full = (rng.standard_normal((max(m_values), n))
-                  + 1j * rng.standard_normal((max(m_values), n)))
+    a_full = np.empty((trials, max(m_values), n), dtype=complex)
+    u0 = np.zeros((trials, n), dtype=complex)
+    for i in range(trials):
+        a_full[i] = (rng.standard_normal((max(m_values), n))
+                     + 1j * rng.standard_normal((max(m_values), n)))
         support = rng.choice(n, size=s, replace=False)
-        u0 = np.zeros(n, dtype=complex)
-        u0[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        for m in m_values:
-            a = a_full[:m] / math.sqrt(2 * m)
-            res = recovery.bpdn_synthesis(a, a @ u0)
-            if np.linalg.norm(res.solution - u0) <= 1e-3 * np.linalg.norm(u0):
-                counts[m] += 1
-    rates = [counts[m] / trials for m in m_values]
+        u0[i, support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    rates = []
+    for m in m_values:
+        a = a_full[:, :m] / math.sqrt(2 * m)
+        results = recovery.bpdn_synthesis_stack(a, np.matvec(a, u0))
+        rates.append(sum(
+            int(np.linalg.norm(res.solution - u) <= 1e-3 * np.linalg.norm(u))
+            for res, u in zip(results, u0)) / trials)
     monotone = all(b >= a for a, b in zip(rates, rates[1:]))
     _report("10 bpdn recovery {}/100 >= 98, sweep {} nondecreasing".format(
         successes, rates), successes >= 98 and monotone)

@@ -168,6 +168,56 @@ def test_recover_sweep_csv(tmp_path):
     assert all(0.0 <= r <= 1.0 for r in rates)
 
 
+def _per_trial_sweep(config):
+    """Success rates of recover-sweep solved one trial at a time, each
+    trial drawn from its own child stream in spawn order."""
+    import numpy as np
+
+    from bilinlab import recovery
+    n, s, noise = config["n"], config["sparsity"], config["noise"]
+    rates = []
+    seq = np.random.SeedSequence(config["seed"])
+    for m, child in zip(config["m_values"],
+                        seq.spawn(len(config["m_values"]))):
+        successes = 0
+        for trial_seed in child.spawn(config["trials"]):
+            rng = np.random.default_rng(trial_seed)
+            a = (rng.standard_normal((m, n))
+                 + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
+            support = rng.choice(n, size=s, replace=False)
+            u0 = np.zeros(n, dtype=complex)
+            u0[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            b = a @ u0
+            if noise > 0:
+                e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                b = b + e * (noise / np.linalg.norm(e))
+            res = recovery.bpdn_synthesis(a, b, eps=noise)
+            err = np.linalg.norm(res.solution - u0) / np.linalg.norm(u0)
+            successes += int(err <= 1e-3)
+        rates.append(successes / config["trials"])
+    return rates
+
+
+@pytest.mark.parametrize("noise,m_values", [(0.0, "5, 14"),
+                                            (1e-3, "8, 14, 20")])
+def test_recover_sweep_matches_per_trial_solves(tmp_path, monkeypatch, noise,
+                                                m_values):
+    from bilinlab import recovery
+    # stacks of 3 trials at m = 14, so 7 trials cross two stack boundaries;
+    # the largest m recovers every trial, and at noise 1e-3 the smaller
+    # ones recover only some, which depends on the noise drawn
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 3 * 14 * 24)
+    cfg = _write_config(tmp_path, "command = recover-sweep\nn = 24\n"
+                        f"sparsity = 2\nm_values = {m_values}\n"
+                        f"trials = 7\nnoise = {noise}\nseed = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "recover-sweep.json").read_text())
+    rates = [row["success_rate"] for row in payload["sweep"]]
+    assert rates == _per_trial_sweep(payload["config"])
+    assert rates[-1] == 1.0
+
+
 def test_phase_stability_command(tmp_path):
     cfg = _write_config(tmp_path,
                         "command = phase-stability\nn = 2\ntrials = 60\n")

@@ -78,21 +78,6 @@ def test_min_diameter_already_minimal():
     assert single.diameter == 0
 
 
-def _dimension_for_bound(elems):
-    """Freiman-dimension input for the diameter bound.
-
-    m - 2 is only valid when the set has at least one pair-sum
-    coincidence; a 3-element Sidon set (all pair sums distinct) has
-    dimension 2, not 1.
-    """
-    m = len(elems)
-    sums = [elems[i] + elems[j] for i in range(m) for j in range(i, m)]
-    sidon = len(set(sums)) == len(sums)
-    if m == 3 and sidon:
-        return 2
-    return max(1, m - 2)
-
-
 def test_min_diameter_respects_bounds():
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -102,7 +87,7 @@ def test_min_diameter_respects_bounds():
         a = IndexSet(elems)
         assert result.diameter <= a.diameter()
         assert result.diameter <= freiman.grynkiewicz_bound(
-            m, _dimension_for_bound(elems))
+            m, freiman.dimension_bound(m))
         if result.verified_isomorphism:
             assert freiman.is_freiman_isomorphism(elems, result.mapping())
 

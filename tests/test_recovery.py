@@ -35,6 +35,20 @@ def test_options_validation():
         SolverOptions(tolerance=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"penalty": -0.1}, {"penalty": float("nan")},
+    {"penalty_floor_rel": 0.0}, {"penalty_floor_rel": -1e-8},
+    {"penalty_floor_rel": 1.5}, {"penalty_floor_rel": float("nan")}])
+def test_options_reject_bad_penalties(kwargs):
+    with pytest.raises(ValueError):
+        SolverOptions(**kwargs)
+
+
+def test_options_accept_edge_penalties():
+    SolverOptions(penalty=0.0)
+    SolverOptions(penalty_floor_rel=1.0)
+
+
 def test_zero_data_shortcut():
     rng = np.random.default_rng(0)
     a = _gaussian(6, 12, rng)
@@ -176,3 +190,208 @@ def test_linear_operator_input_accepted():
     b = op.apply(u0)
     res = recovery.bpdn_synthesis(op, b)
     assert np.linalg.norm(res.solution - u0) <= 1e-3 * np.linalg.norm(u0)
+
+
+# The per-problem solver as it was before the lockstep engine, kept as the
+# reference that bpdn_synthesis_stack must match bit for bit.
+
+def _reference_soft_threshold(v, tau):
+    mag = np.abs(v)
+    scale = np.maximum(mag - tau, 0.0) / np.where(mag > 0, mag, 1.0)
+    return v * scale
+
+
+def _reference_ista(a, b, u0, lam, lipschitz, max_iters, tol, history):
+    u = u0
+    r = a @ u - b
+    obj = lam * np.sum(np.abs(u)) + 0.5 * np.vdot(r, r).real
+    history.append(float(obj))
+    ah = a.conj().T
+    used = 0
+    for _ in range(max_iters):
+        used += 1
+        grad = ah @ r
+        u_new = _reference_soft_threshold(u - grad / lipschitz,
+                                          lam / lipschitz)
+        r_new = a @ u_new - b
+        obj_new = lam * np.sum(np.abs(u_new)) + 0.5 * np.vdot(r_new, r_new).real
+        history.append(float(obj_new))
+        change = np.linalg.norm(u_new - u) / max(1.0, np.linalg.norm(u))
+        u, r, obj = u_new, r_new, obj_new
+        if change < tol:
+            break
+    return u, r, used
+
+
+def _reference_bpdn_synthesis(amat, b, eps=0.0, opts=SolverOptions()):
+    m, n = amat.shape
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return recovery.SolverResult(np.zeros(n, dtype=complex), True, 0.0,
+                                     0.0, (0.0,), 0)
+    lipschitz = np.linalg.norm(amat, 2) ** 2
+    lam_max = np.max(np.abs(amat.conj().T @ b))
+    history = []
+    u = np.zeros(n, dtype=complex)
+    total_iters = 0
+    if opts.penalty is not None:
+        u, r, used = _reference_ista(amat, b, u, opts.penalty, lipschitz,
+                                     opts.max_iterations, opts.tolerance,
+                                     history)
+        total_iters = used
+    else:
+        lam = 0.5 * lam_max
+        lam_floor = opts.penalty_floor_rel * lam_max
+        stage_iters = max(50, opts.max_iterations // 20)
+        res = bnorm
+        while total_iters < opts.max_iterations:
+            u, r, used = _reference_ista(amat, b, u, lam, lipschitz,
+                                         stage_iters, opts.tolerance, history)
+            total_iters += used
+            res = np.linalg.norm(r)
+            if eps > 0 and res <= eps:
+                break
+            if lam <= lam_floor:
+                break
+            lam = max(lam * 0.25, lam_floor)
+        if eps > 0 and res <= eps:
+            lo, hi = lam, lam * 4.0
+            for _ in range(30):
+                if total_iters >= opts.max_iterations:
+                    break
+                mid = 0.5 * (lo + hi)
+                u_mid, r_mid, used = _reference_ista(
+                    amat, b, u, mid, lipschitz, stage_iters, opts.tolerance,
+                    history)
+                total_iters += used
+                if np.linalg.norm(r_mid) <= eps:
+                    lo = mid
+                    u, r = u_mid, r_mid
+                else:
+                    hi = mid
+                if (hi - lo) / hi < 1e-3:
+                    break
+    if opts.debias and opts.penalty is None and eps == 0.0:
+        support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
+        if 0 < support.size <= m:
+            sub, *_ = np.linalg.lstsq(amat[:, support], b, rcond=None)
+            u_db = np.zeros(n, dtype=complex)
+            u_db[support] = sub
+            r_db = amat @ u_db - b
+            if np.linalg.norm(r_db) <= max(eps, np.linalg.norm(amat @ u - b)):
+                u, r = u_db, r_db
+    res = float(np.linalg.norm(amat @ u - b))
+    feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
+    return recovery.SolverResult(u, bool(feasible), res,
+                                 float(np.sum(np.abs(u))), tuple(history),
+                                 total_iters)
+
+
+def _planted_stack(t, m, n, s, noise, seed):
+    rng = np.random.default_rng(seed)
+    a = np.empty((t, m, n), dtype=complex)
+    b = np.empty((t, m), dtype=complex)
+    for i in range(t):
+        a[i], _, b[i] = _planted(m, n, s, rng)
+        if noise:
+            e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            b[i] += e * (noise / np.linalg.norm(e))
+    return a, b
+
+
+def _assert_matches_reference(a, b, eps, opts):
+    stacked = recovery.bpdn_synthesis_stack(a, b, eps, opts)
+    assert len(stacked) == len(a)
+    for ai, bi, got in zip(a, b, stacked):
+        want = _reference_bpdn_synthesis(ai, bi, eps, opts)
+        assert np.array_equal(got.solution, want.solution)
+        assert got.iterations == want.iterations
+        assert type(got.iterations) is int
+        assert got.objective_history == want.objective_history
+        assert got.converged == want.converged
+        assert got.residual_norm == want.residual_norm
+        assert got.objective == want.objective
+    return stacked
+
+
+def _stages(res):
+    # one history entry per stage start plus one per step
+    return len(res.objective_history) - res.iterations
+
+
+@pytest.mark.parametrize("m,s,seed", [(8, 3, 0), (16, 3, 1), (24, 4, 2),
+                                      (40, 3, 3)])
+def test_stack_matches_reference_exact(m, s, seed):
+    a, b = _planted_stack(6, m, 60, s, 0.0, seed)
+    _assert_matches_reference(a, b, 0.0, SolverOptions())
+
+
+@pytest.mark.parametrize("m,noise,eps,seed", [
+    (16, 1e-4, 1e-4, 4), (24, 0.05, 0.05, 5), (30, 0.01, 0.02, 6)])
+def test_stack_matches_reference_noisy(m, noise, eps, seed):
+    a, b = _planted_stack(6, m, 60, 3, noise, seed)
+    stacked = _assert_matches_reference(a, b, eps, SolverOptions())
+    # the rows end their bisections at different rounds
+    assert len({_stages(res) for res in stacked}) > 1
+
+
+def test_stack_matches_reference_fixed_penalty():
+    a, b = _planted_stack(5, 20, 50, 3, 0.0, 7)
+    _assert_matches_reference(a, b, 0.0,
+                              SolverOptions(penalty=0.05, max_iterations=400))
+    _assert_matches_reference(a, b, 0.01, SolverOptions(penalty=0.0,
+                                                        max_iterations=60))
+
+
+def test_stack_matches_reference_zero_row():
+    a, b = _planted_stack(4, 12, 40, 2, 0.0, 8)
+    b[1] = 0.0
+    for eps in (0.0, 0.1):
+        stacked = _assert_matches_reference(a, b, eps, SolverOptions())
+        assert np.array_equal(stacked[1].solution, np.zeros(40))
+        assert stacked[1].iterations == 0
+        assert all(res.iterations > 0 for i, res in enumerate(stacked)
+                   if i != 1)
+
+
+@pytest.mark.parametrize("max_iterations,eps", [(1, 0.0), (60, 0.0),
+                                                (120, 0.01), (700, 1e-3)])
+def test_stack_matches_reference_iteration_cap(max_iterations, eps):
+    a, b = _planted_stack(5, 16, 60, 3, eps / 2, 9)
+    opts = SolverOptions(max_iterations=max_iterations)
+    stacked = _assert_matches_reference(a, b, eps, opts)
+    assert any(res.iterations >= max_iterations for res in stacked)
+
+
+def test_stack_matches_reference_single_row():
+    a, b = _planted_stack(1, 20, 60, 3, 0.0, 10)
+    _assert_matches_reference(a, b, 0.0, SolverOptions())
+    want = _reference_bpdn_synthesis(a[0], b[0])
+    got = recovery.bpdn_synthesis(a[0], b[0])
+    assert np.array_equal(got.solution, want.solution)
+    assert got.objective_history == want.objective_history
+
+
+def test_stack_matches_reference_across_chunks(monkeypatch):
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 3 * 16 * 50 + 1)
+    assert recovery.stack_rows(16, 50) == 3
+    a, b = _planted_stack(7, 16, 50, 3, 1e-3, 11)
+    b[4] = 0.0
+    _assert_matches_reference(a, b, 1e-3, SolverOptions())
+
+
+def test_stack_rows_bound_the_stack_entries():
+    assert recovery.stack_rows(64, 100) == recovery.STACK_ENTRIES // 6400
+    assert recovery.stack_rows(64, 100) * 64 * 100 <= recovery.STACK_ENTRIES
+    assert recovery.stack_rows(1000, 1000) == 1
+    assert recovery.stack_rows(0, 5) == recovery.STACK_ENTRIES
+
+
+def test_stack_rejects_bad_shapes():
+    a, b = _planted_stack(2, 6, 10, 1, 0.0, 12)
+    with pytest.raises(ValueError):
+        recovery.bpdn_synthesis_stack(a[0], b[0])
+    with pytest.raises(ValueError):
+        recovery.bpdn_synthesis_stack(a, b[:, :5])
+    with pytest.raises(ValueError):
+        recovery.bpdn_synthesis_stack(a, b, eps=-1.0)

@@ -32,3 +32,17 @@ def test_trace_patches_every_named_attribute():
             freiman._sum_pattern) == originals
     assert "rnmp.restricted_determinant" in tracer.names
     assert len(tracer) >= 1
+
+
+def test_traced_recover_sweep_runs(tmp_path):
+    # The recovery workload runs recover-sweep under the tracer; a solver
+    # entry point that breaks there fails here as well.
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = recover-sweep\nn = 20\nsparsity = 2\n"
+                   "m_values = 6, 12\ntrials = 2\nnoise = 0.001\n")
+    with spans.instrument(spans.Tracer()) as tracer:
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "recover-sweep.json").is_file()
+    assert "cli.main" in tracer.names
