@@ -10,6 +10,11 @@ Randomness is drawn from numpy's PCG64 generator seeded through
 ``np.random.SeedSequence``; the descriptor of every operator records the
 ensemble name, dimensions and seeds, and rebuilding from the same
 descriptor reproduces the action bit for bit.
+
+Every action works on stacks along the last axis: ``apply`` maps
+``(..., cols) -> (..., rows)``, ``adjoint`` maps ``(..., rows) -> (..., cols)``
+and ``BilinearMap.pair_apply`` maps ``(..., n1), (..., n2) -> (..., n)``,
+each row bit for bit equal to the one-row result.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .signals import SparseVector
 
 @dataclass
 class LinearOperator:
-    """m x n complex linear operator with explicit adjoint."""
+    """m x n complex linear operator with explicit adjoint, both acting
+    on stacks of vectors along the last axis."""
 
     rows: int
     cols: int
@@ -34,10 +40,11 @@ class LinearOperator:
     descriptor: dict = field(default_factory=dict)
 
     def materialize(self) -> np.ndarray:
-        """Dense matrix obtained by applying the operator to the basis."""
-        eye = np.eye(self.cols, dtype=complex)
-        cols = [self.apply(eye[:, j]) for j in range(self.cols)]
-        return np.stack(cols, axis=1)
+        """Dense matrix obtained by applying the operator to the basis, in
+        C order: a transposed view would change the summation order, and
+        so the last bits, of products with it."""
+        return np.ascontiguousarray(
+            self.apply(np.eye(self.cols, dtype=complex)).T)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -62,8 +69,8 @@ def gaussian_operator(m: int, n: int, seed: int) -> LinearOperator:
     a /= math.sqrt(2 * m)
     return LinearOperator(
         rows=m, cols=n,
-        apply=lambda x: a @ np.asarray(x, dtype=complex),
-        adjoint=lambda w: a.conj().T @ np.asarray(w, dtype=complex),
+        apply=lambda x: np.matvec(a, np.asarray(x, dtype=complex)),
+        adjoint=lambda w: np.matvec(a.conj().T, np.asarray(w, dtype=complex)),
         descriptor={"ensemble": "gaussian", "m": m, "n": n, "seed": seed,
                     "rng": "pcg64"},
     )
@@ -115,11 +122,12 @@ def partial_circulant_demodulator(m: int, n: int, seed_eta: int,
 
     def apply(x):
         y = np.fft.ifft(eta * np.fft.fft(np.asarray(x, dtype=complex)))
-        return scale * y[idx]
+        return scale * y[..., idx]
 
     def adjoint(w):
-        y = np.zeros(n, dtype=complex)
-        y[idx] = scale * np.asarray(w, dtype=complex)
+        w = np.asarray(w, dtype=complex)
+        y = np.zeros(w.shape[:-1] + (n,), dtype=complex)
+        y[..., idx] = scale * w
         return np.fft.ifft(np.conj(eta) * np.fft.fft(y))
 
     return LinearOperator(
@@ -181,10 +189,11 @@ def weyl_heisenberg(j1: int, j2: int, n: int) -> LinearOperator:
     phase = np.exp(2j * np.pi * j1 * ((k - j2) % n) / n)
 
     def apply(y):
-        return phase * np.roll(np.asarray(y, dtype=complex), j2)
+        return phase * np.roll(np.asarray(y, dtype=complex), j2, axis=-1)
 
     def adjoint(w):
-        return np.roll(np.conj(phase) * np.asarray(w, dtype=complex), -j2)
+        return np.roll(np.conj(phase) * np.asarray(w, dtype=complex), -j2,
+                       axis=-1)
 
     return LinearOperator(
         rows=n, cols=n, apply=apply, adjoint=adjoint,
@@ -211,7 +220,11 @@ def spreading_channel(x: SparseVector, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BilinearMap:
-    """Bilinear map C^{n1} x C^{n2} -> C^n with its rank-one lifting."""
+    """Bilinear map C^{n1} x C^{n2} -> C^n with its rank-one lifting.
+
+    ``pair_apply`` takes stacks ``(..., n1)`` and ``(..., n2)`` whose leading
+    axes broadcast, and returns ``(..., n)``.
+    """
 
     n1: int
     n2: int
@@ -224,14 +237,15 @@ class BilinearMap:
                                np.asarray(y, dtype=complex))
 
     def apply_matrix(self, m) -> np.ndarray:
-        """Lifted action on an n1 x n2 matrix via linearity in each slot."""
+        """Lifted action on an n1 x n2 matrix, or a stack of them, via
+        linearity in each slot."""
         m = np.asarray(m, dtype=complex)
-        if m.shape != (self.n1, self.n2):
+        if m.shape[-2:] != (self.n1, self.n2):
             raise ValueError("matrix shape mismatch")
-        out = np.zeros(self.n, dtype=complex)
+        out = np.zeros(m.shape[:-2] + (self.n,), dtype=complex)
         basis = np.eye(self.n2, dtype=complex)
         for j in range(self.n2):
-            col = m[:, j]
+            col = m[..., j]
             if np.any(col):
                 out += self.pair_apply(col, basis[j])
         return out
@@ -273,12 +287,14 @@ def lifted_operator(b: BilinearMap) -> LinearOperator:
     Column ``i*n2 + j`` is ``B(e_i, e_j)``, the image of the rank-one basis
     matrix in ``rank_one_pack`` order.
     """
-    e1, e2 = np.eye(b.n1, dtype=complex), np.eye(b.n2, dtype=complex)
-    mat = np.stack([b.pair_apply(x, y) for x in e1 for y in e2], axis=1)
+    i, j = np.divmod(np.arange(b.n1 * b.n2), b.n2)
+    mat = np.ascontiguousarray(b.pair_apply(
+        np.eye(b.n1, dtype=complex)[i], np.eye(b.n2, dtype=complex)[j]).T)
     return LinearOperator(
         rows=b.n, cols=b.n1 * b.n2,
-        apply=lambda u: mat @ np.asarray(u, dtype=complex),
-        adjoint=lambda w: mat.conj().T @ np.asarray(w, dtype=complex),
+        apply=lambda u: np.matvec(mat, np.asarray(u, dtype=complex)),
+        adjoint=lambda w: np.matvec(mat.conj().T,
+                                    np.asarray(w, dtype=complex)),
         descriptor={"ensemble": "lifted_bilinear", "name": b.name,
                     "n1": b.n1, "n2": b.n2, "n": b.n},
     )

@@ -158,3 +158,183 @@ def test_report_serialization():
     assert summary["trials"] == 5
     assert summary["delta_hat_is_lower_estimate"]
     assert summary["operator"]["ensemble"] == "identity"
+
+
+# The per-trial sampler and loop that verify_embedding replaced, kept as
+# the reference: one dataclass sample, one lift, one Phi and three norms
+# per trial.
+
+def _reference_sparse_factor(n, s, rng):
+    support = np.sort(rng.choice(n, size=s, replace=False))
+    v = np.zeros(n, dtype=complex)
+    vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    v[support] = vals / np.linalg.norm(vals)
+    return v, tuple(int(i) for i in support)
+
+
+def _reference_sample_structured(spec, rng):
+    Sample = embedding.StructuredSample
+    if spec.kind == "sparse_vectors":
+        v, supp = _reference_sparse_factor(spec.n1, spec.s, rng)
+        return Sample("sparse_vectors", v, support_x=supp)
+    if spec.kind == "sparse_rank_one":
+        x, sx = _reference_sparse_factor(spec.n1, spec.s, rng)
+        y, sy = _reference_sparse_factor(spec.n2, spec.f, rng)
+        return Sample("sparse_rank_one", np.outer(x, y), support_x=sx,
+                      support_y=sy, x=x, y=y)
+    if spec.kind == "sparse_rank_one_diff":
+        one = StructuredSetSpec("sparse_rank_one", spec.n1, spec.n2,
+                                spec.s, spec.f)
+        a = _reference_sample_structured(one, rng)
+        b = _reference_sample_structured(one, rng)
+        diff = a.array - b.array
+        nrm = np.linalg.norm(diff)
+        if nrm > 0:
+            diff = diff / nrm
+        return Sample("sparse_rank_one_diff", diff,
+                      support_x=tuple(sorted(set(a.support_x)
+                                             | set(b.support_x))),
+                      support_y=tuple(sorted(set(a.support_y)
+                                             | set(b.support_y))))
+    if spec.kind == "sparse_lowrank":
+        rows = np.sort(rng.choice(spec.n1, size=spec.s, replace=False))
+        cols = np.sort(rng.choice(spec.n2, size=spec.f, replace=False))
+        left = (rng.standard_normal((spec.s, spec.kappa))
+                + 1j * rng.standard_normal((spec.s, spec.kappa)))
+        right = (rng.standard_normal((spec.kappa, spec.f))
+                 + 1j * rng.standard_normal((spec.kappa, spec.f)))
+        core = left @ right
+        m = np.zeros((spec.n1, spec.n2), dtype=complex)
+        m[np.ix_(rows, cols)] = core / np.linalg.norm(core)
+        return Sample("sparse_lowrank", m,
+                      support_x=tuple(int(i) for i in rows),
+                      support_y=tuple(int(j) for j in cols))
+    x, sx = _reference_sparse_factor(spec.n1, spec.s, rng)
+    y, sy = _reference_sparse_factor(spec.n1, spec.s, rng)
+    m = np.outer(x + y, x - y)
+    nrm = np.linalg.norm(m)
+    if nrm > 0:
+        m = m / nrm
+    supp = tuple(sorted(set(sx) | set(sy)))
+    return Sample("symmetric_quadratic", m, support_x=supp, support_y=supp,
+                  x=x + y, y=x - y)
+
+
+def _reference_verify_embedding(phi, b, spec, trials, seed):
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    records = []
+    skipped = 0
+    for trial_id in range(trials):
+        rng = np.random.default_rng(seeds[trial_id])
+        u = _reference_sample_structured(spec, rng)
+        if u.x is not None and u.y is not None:
+            v = b.apply_pair(u.x, u.y)
+        elif u.array.ndim == 2:
+            v = b.apply_matrix(u.array)
+        else:
+            v = np.asarray(u.array, dtype=complex)
+        vn = np.linalg.norm(v)
+        if vn < embedding.NEAR_KERNEL_REL * np.linalg.norm(u.array):
+            skipped += 1
+            continue
+        ratio = float(np.linalg.norm(phi.apply(v)) / vn)
+        records.append((trial_id, ratio, u.support_x, u.support_y))
+    ratios = [r for _, r, _, _ in records]
+    max_ratio = max(ratios) if ratios else math.nan
+    min_ratio = min(ratios) if ratios else math.nan
+    delta_hat = max(abs(r - 1.0) for r in ratios) if ratios else math.nan
+    return embedding.DistortionReport(trials, max_ratio, min_ratio,
+                                      delta_hat, tuple(records), skipped,
+                                      seed, dict(phi.descriptor))
+
+
+SPECS = [
+    StructuredSetSpec("sparse_vectors", 8, s=3),
+    StructuredSetSpec("sparse_rank_one", 8, 8, s=2, f=3),
+    StructuredSetSpec("sparse_rank_one_diff", 8, 8, s=2, f=2),
+    StructuredSetSpec("sparse_lowrank", 8, 8, s=3, f=3, kappa=2),
+    StructuredSetSpec("symmetric_quadratic", 8, s=2),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_stacked_sampler_matches_reference(spec):
+    for seed in range(20):
+        got = embedding.sample_structured(spec, np.random.default_rng(seed))
+        want = _reference_sample_structured(spec,
+                                            np.random.default_rng(seed))
+        assert got.kind == want.kind
+        assert np.array_equal(got.array, want.array)
+        assert (got.support_x, got.support_y) == (want.support_x,
+                                                  want.support_y)
+        for a, b in ((got.x, want.x), (got.y, want.y)):
+            assert (a is None) == (b is None)
+            assert a is None or np.array_equal(a, b)
+
+
+OPERATORS = {
+    "identity": lambda n: (operators.identity_operator(n),
+                           operators.convolution_lift(n)),
+    "gaussian_wide": lambda n: (operators.gaussian_operator(n - 2, n, 3),
+                                operators.convolution_lift(n)),
+    "gaussian_tall": lambda n: (operators.gaussian_operator(n + 4, n, 4),
+                                operators.convolution_lift(n)),
+    "partial_circulant": lambda n: (
+        operators.partial_circulant_demodulator(n - 3, n, 5, omega=6),
+        operators.convolution_lift(n)),
+    "demodulator": lambda n: (
+        operators.universal_random_demodulator(n - 3, n, 5, 7, omega=6),
+        operators.convolution_lift(n)),
+    "zero_padded_lift": lambda n: (
+        operators.gaussian_operator(n + 1, 2 * n - 1, 8),
+        operators.convolution_lift(n, zero_padded=True)),
+}
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_verify_embedding_matches_reference_across_stacks(monkeypatch, name):
+    # Small stacks, so that every trial count below crosses a boundary.
+    monkeypatch.setattr(embedding, "STACK_ENTRIES", 64)
+    phi, b = OPERATORS[name](8)
+    spec = StructuredSetSpec("sparse_rank_one", 8, 8, s=2, f=3)
+    step = embedding.stack_trials(phi, b, spec)
+    assert 2 <= step < 10
+    for trials in (1, step - 1, step, step + 1, 5 * step // 2):
+        for seed in (0, 7):
+            assert embedding.verify_embedding(phi, b, spec, trials, seed) \
+                == _reference_verify_embedding(phi, b, spec, trials, seed)
+
+
+def test_verify_embedding_matches_reference_at_default_stack():
+    n = 64
+    phi = operators.gaussian_operator(56, n, 0)
+    b = operators.convolution_lift(n)
+    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    step = embedding.stack_trials(phi, b, spec)
+    assert step == 64
+    assert embedding.verify_embedding(phi, b, spec, 2 * step + 1, 1) \
+        == _reference_verify_embedding(phi, b, spec, 2 * step + 1, 1)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_every_kind_matches_reference(monkeypatch, spec):
+    monkeypatch.setattr(embedding, "STACK_ENTRIES", 256)
+    phi, b = OPERATORS["gaussian_wide"](8)
+    step = embedding.stack_trials(phi, b, spec)
+    trials = 5 * step // 2
+    assert trials > step
+    assert embedding.verify_embedding(phi, b, spec, trials, 2) \
+        == _reference_verify_embedding(phi, b, spec, trials, 2)
+
+
+def test_near_kernel_skips_inside_a_stack(monkeypatch):
+    # x * y vanishes exactly when the supports are disjoint, so some rows
+    # of a stack are skipped and the others measured.
+    monkeypatch.setattr(embedding, "STACK_ENTRIES", 64)
+    n = 8
+    b = operators.BilinearMap(n, n, n, lambda x, y: x * y)
+    phi = operators.gaussian_operator(6, n, 1)
+    spec = StructuredSetSpec("sparse_rank_one", n, n, s=3, f=3)
+    report = embedding.verify_embedding(phi, b, spec, 40, 3)
+    assert 0 < report.skipped < 40
+    assert report == _reference_verify_embedding(phi, b, spec, 40, 3)

@@ -283,7 +283,9 @@ def test_lifted_convolution_is_index_scatter(zero_padded):
 def test_lifted_operator_column_order():
     """The lift of (x, y) -> vec(x y^T) is the identity in rank_one_pack
     order; n1 != n2 and an asymmetric map pin the column order."""
-    b = operators.BilinearMap(2, 3, 6, lambda x, y: np.outer(x, y).ravel())
+    b = operators.BilinearMap(
+        2, 3, 6, lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(
+            x.shape[:-1] + (6,)))
     lop = operators.lifted_operator(b)
     assert np.array_equal(lop.materialize(), np.eye(6))
 
@@ -296,3 +298,38 @@ def test_bilinearity_probe_of_convolution_lift():
     lhs = b.apply_pair(2.0 * x - 1j * x2, y)
     rhs = 2.0 * b.apply_pair(x, y) - 1j * b.apply_pair(x2, y)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: operators.identity_operator(12),
+    lambda: operators.gaussian_operator(8, 20, seed=3),
+    lambda: operators.gaussian_operator(20, 8, seed=3),
+    lambda: operators.sign_diagonal(16, seed=4),
+    lambda: operators.partial_circulant_demodulator(9, 16, seed_eta=5, omega=6),
+    lambda: operators.universal_random_demodulator(9, 16, seed_eta=5,
+                                                   seed_xi=7, omega=6),
+    lambda: operators.weyl_heisenberg(3, 5, 8),
+    lambda: operators.lifted_operator(operators.convolution_lift(4)),
+    lambda: operators.lifted_operator(
+        operators.convolution_lift(3, zero_padded=True)),
+])
+def test_stacked_apply_and_adjoint_equal_row_by_row(factory):
+    """apply and adjoint act on (..., cols) and (..., rows) stacks along
+    the last axis, every row bit for bit the one-row result."""
+    op = factory()
+    rng = np.random.default_rng(11)
+    for action, width in ((op.apply, op.cols), (op.adjoint, op.rows)):
+        stack = (rng.standard_normal((2, 3, width))
+                 + 1j * rng.standard_normal((2, 3, width)))
+        rows = np.array([[action(v) for v in block] for block in stack])
+        assert np.array_equal(action(stack), rows)
+        assert np.array_equal(action(stack[0]), rows[0])
+
+
+def test_stacked_apply_matrix_equals_one_by_one():
+    b = operators.convolution_lift(5)
+    rng = np.random.default_rng(12)
+    mats = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    mats[1, :, 2] = 0.0
+    assert np.array_equal(b.apply_matrix(mats),
+                          np.array([b.apply_matrix(m) for m in mats]))

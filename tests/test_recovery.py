@@ -109,7 +109,8 @@ def test_analysis_equals_synthesis_for_unitary_lift():
     # scaled DFT as the bilinear action: the lifted matrix is unitary
     f = np.fft.fft(np.eye(n)) / np.sqrt(n)
     bmap = operators.BilinearMap(
-        n, 1, n, lambda x, y: (f @ x) * y[0], name="unitary_lift")
+        n, 1, n, lambda x, y: np.matvec(f, x) * y[..., :1],
+        name="unitary_lift")
     b_mat = operators.lifted_operator(bmap).materialize()
     assert np.allclose(b_mat.conj().T @ b_mat, np.eye(n), atol=1e-12)
     phi = _gaussian(10, n, rng)

@@ -9,7 +9,7 @@ the regular test suite.
 import importlib.util
 from pathlib import Path
 
-from bilinlab import cli, freiman, rnmp
+from bilinlab import cli, embedding, freiman, operators, rnmp
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +46,25 @@ def test_traced_recover_sweep_runs(tmp_path):
     assert code == 0
     assert (tmp_path / "recover-sweep.json").is_file()
     assert "cli.main" in tracer.names
+
+
+def test_traced_embed_verify_stacks(tmp_path):
+    # The montecarlo workload runs embed-verify under the tracer: the
+    # stacked trials must still call Phi and the lift through the patched
+    # attributes, once per stack, and never the one-row sampler.
+    spans = _load_spans()
+    n, m = 64, 56
+    step = embedding.stack_trials(
+        operators.gaussian_operator(m, n, 0), operators.convolution_lift(n),
+        embedding.StructuredSetSpec("sparse_rank_one", n, n, 2, 2))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = embed-verify\nensemble = gaussian\nm = {m}\n"
+                   f"n = {n}\ntrials = {2 * step + 1}\n")
+    with spans.instrument(spans.Tracer()) as tracer:
+        code = cli.main(["--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    calls = [tracer.names[i] for i in tracer.name_id]
+    assert calls.count("operators.phi_apply") == 3
+    assert calls.count("operators.pair_apply") == 3
+    assert calls.count("embedding.verify_embedding") == 1
+    assert "embedding.sample_structured" not in calls
