@@ -220,8 +220,8 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
         raise ConfigError("trials must be at least 1")
     if not config["m_values"] or min(config["m_values"]) < 1:
         raise ConfigError("m_values must list positive integers")
-    if not config["noise"] >= 0:
-        raise ConfigError("noise must be nonnegative")
+    if not 0 <= config["noise"] < np.inf:
+        raise ConfigError("noise must be a finite nonnegative number")
     n = config["n"]
     s = config["sparsity"]
     if not 1 <= s <= n:

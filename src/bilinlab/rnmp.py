@@ -41,6 +41,10 @@ EIG_CHUNK = 1024
 # memory (each step evaluates 2k probe matrices per descent).
 DET_CHUNK = 256
 
+# (support pair, start) rows run in lockstep by the alternating
+# minimization, which bounds its memory.
+ALT_MIN_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class HermitianToeplitz:
@@ -67,21 +71,6 @@ class HermitianToeplitz:
         return out.astype(complex)
 
 
-def _autocorr_toeplitz(v: np.ndarray, rows) -> np.ndarray:
-    """Autocorrelation Toeplitz matrix of ``v`` restricted to ``rows``.
-
-    Entry (i, j) is ``b_{j-i}`` with ``b_k = sum_m conj(v_m) v_{m+k}`` on Z,
-    so ``<x, B x> = ||x * v||^2`` for x supported on ``rows``.
-    """
-    lags = np.subtract.outer(rows, rows)
-    span = int(np.abs(lags).max()) + 1
-    if span > v.size:
-        v = np.concatenate([v, np.zeros(span - v.size, dtype=v.dtype)])
-    # np.correlate conjugates its second argument: entry size-1+k is b_k,
-    # and entry size-1-k is conj(b_k).
-    return np.correlate(v, v, "full")[v.size - 1 - lags]
-
-
 def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     """Toeplitz matrix of the autocorrelation ``b_k = sum_j conj(t_j) t_{j+k}``.
 
@@ -89,7 +78,9 @@ def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     """
     if t.sparsity() == 0 or t.norm() == 0:
         raise ValueError("autocorrelation of the zero vector is undefined")
-    b = _autocorr_toeplitz(t.dense() / t.norm(), np.arange(n))[0]
+    # Zero padded on Z: rows longer than t read lags past its span.
+    v = np.pad(t.dense() / t.norm(), (0, max(n - t.n, 0)))
+    b = _autocorr_rows(v[None])[0, v.size - 1:v.size - 1 + n]
     b[0] = b[0].real
     return HermitianToeplitz(n, tuple(b.tolist()))
 
@@ -354,42 +345,71 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     return math.sqrt(max(alpha_sq, 0.0))
 
 
+def _restricted_toeplitz(v: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Autocorrelation Toeplitz matrix of each row of ``v`` restricted to the
+    same row of ``supports`` (indices into the row): entry (r, i, j) is
+    ``b_{j-i}`` of row r, so ``<x, B x> = ||x * v||^2`` for x on it."""
+    lags = supports[:, :, None] - supports[:, None, :]
+    rows = np.arange(len(v))[:, None, None]
+    return _autocorr_rows(v)[rows, v.shape[1] - 1 - lags]
+
+
+def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray,
+             y: np.ndarray) -> np.ndarray:
+    """Alternating minimizations in lockstep from the unit rows of ``y`` on
+    the same rows of the sorted supports ``sx``, ``sy``; returns each row's
+    last ``||x * y||^2``.  Each half-step places the current vector on its
+    support and takes the bottom eigenpair of the other side's restricted
+    matrix.  A row stops when its value stalls (``ALT_MIN_STALL``, relative
+    to max(1, value)) or after ``ALT_MIN_MAX_ITERS`` rounds."""
+    val = np.full(len(y), math.inf)
+    live = np.arange(len(y))
+    for _ in range(ALT_MIN_MAX_ITERS):
+        for on, other in ((sy, sx), (sx, sy)):
+            dense = np.zeros((live.size, n), dtype=complex)
+            dense[np.arange(live.size)[:, None], on] = y
+            w, vecs = np.linalg.eigh(_restricted_toeplitz(dense, other))
+            y = vecs[..., 0]
+        old = val[live]
+        val[live] = w[:, 0]
+        going = ~(old - w[:, 0] < ALT_MIN_STALL * np.maximum(1.0, np.abs(old)))
+        live, sx, sy, y = live[going], sx[going], sy[going], y[going]
+        if not live.size:
+            break
+    return val
+
+
+def _min_norm(n: int, pairs, f: int, rng, starts: int) -> float:
+    """Least ``||x * y||`` that ``_alt_min`` reaches from ``starts`` random
+    unit y per support pair, ``ALT_MIN_CHUNK`` (pair, start) rows at a
+    time.  One ``rng`` call per pair, as the pair is reached, draws the
+    real then the imaginary parts of one start after another."""
+    rows = ((sx, sy, draws) for sx, sy in pairs
+            for draws in rng.standard_normal((starts, 2, f)))
+    best = math.inf
+    while chunk := list(itertools.islice(rows, ALT_MIN_CHUNK)):
+        sx, sy, draws = (np.array(part) for part in zip(*chunk))
+        y = draws[:, 0] + 1j * draws[:, 1]
+        y /= row_norms(y)[:, None]
+        val = _alt_min(n, np.sort(sx), np.sort(sy), y)
+        best = min(best, float(val.min()))
+    return math.sqrt(max(best, 0.0))
+
+
 def pair_min_norm(support_x, support_y, n: int, rng=None,
                   starts: int = 4) -> float:
     """Minimum of ||x * y|| over unit vectors on fixed supports.
 
-    Alternating minimization: for fixed y, the optimal x on support I is
-    the bottom eigenvector of the restricted autocorrelation Toeplitz
-    matrix of y, and symmetrically.  Convolution is on Z (zero padded).
+    Alternating minimization from ``starts`` random unit y on
+    ``support_y`` (see ``_alt_min``).  Convolution is on Z (zero padded).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    support_x = sorted(int(i) for i in support_x)
-    support_y = sorted(int(j) for j in support_y)
-    s, f = len(support_x), len(support_y)
-    best = math.inf
-    for _ in range(starts):
-        yv = rng.standard_normal(f) + 1j * rng.standard_normal(f)
-        yv /= np.linalg.norm(yv)
-        val = math.inf
-        for _ in range(ALT_MIN_MAX_ITERS):
-            ydense = np.zeros(n, dtype=complex)
-            ydense[support_y] = yv
-            bx = _autocorr_toeplitz(ydense, support_x)
-            wx, vx = np.linalg.eigh(bx)
-            xv = vx[:, 0]
-            xdense = np.zeros(n, dtype=complex)
-            xdense[support_x] = xv
-            by = _autocorr_toeplitz(xdense, support_y)
-            wy, vy = np.linalg.eigh(by)
-            yv = vy[:, 0]
-            new_val = float(wy[0])
-            if val - new_val < ALT_MIN_STALL * max(1.0, abs(val)):
-                val = new_val
-                break
-            val = new_val
-        best = min(best, val)
-    return math.sqrt(max(best, 0.0))
+    support_x = [int(i) for i in support_x]
+    support_y = [int(j) for j in support_y]
+    if not all(0 <= i < n for i in support_x + support_y):
+        raise ValueError("support indices must lie in [0, n)")
+    return _min_norm(n, [(support_x, support_y)], len(support_y), rng, starts)
 
 
 def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
@@ -398,30 +418,27 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
 
     Convolutions are zero padded, so circular equals ordinary convolution.
     Support pairs are enumerated exhaustively when few enough, otherwise
-    sampled; ``trials`` counts random restarts.  min(s, f) = 1 returns
-    exactly 1.
+    sampled; ``trials`` counts random restarts.  Every pair gets two
+    starts, and all (pair, start) alternating minimizations run in
+    lockstep (see ``_min_norm``).  min(s, f) = 1 returns exactly 1.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not (n >= 1 and 1 <= s <= n and 1 <= f <= n):
+        raise ValueError("need n >= 1 and 1 <= s, f <= n")
     if min(s, f) == 1:
         return 1.0
-    if not (s <= n and f <= n):
-        raise ValueError("sparsities cannot exceed the dimension")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best = math.inf
     # Translation invariance: fix the smallest index of each support to 0.
     sx_list = [(0,) + r for r in itertools.combinations(range(1, n), s - 1)]
     sy_list = [(0,) + r for r in itertools.combinations(range(1, n), f - 1)]
     if len(sx_list) * len(sy_list) <= 2000:
-        for sx in sx_list:
-            for sy in sy_list:
-                best = min(best, pair_min_norm(sx, sy, n, rng, starts=2))
+        pairs = itertools.product(sx_list, sy_list)
     else:
-        for _ in range(trials):
-            sx = np.sort(rng.choice(n, size=s, replace=False))
-            sy = np.sort(rng.choice(n, size=f, replace=False))
-            best = min(best, pair_min_norm(sx, sy, n, rng, starts=2))
-    return min(best, math.sqrt(min(s, f)))
+        pairs = ((rng.choice(n, size=s, replace=False),
+                  rng.choice(n, size=f, replace=False))
+                 for _ in range(trials))
+    return min(_min_norm(n, pairs, f, rng, starts=2), math.sqrt(min(s, f)))
 
 
 def beta_upper(s: int, f: int) -> float:
@@ -456,12 +473,11 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
                    seed: int = 0, det_budget: int = 16,
                    max_toeplitz_dim: int = 16) -> RnmpBounds:
     """Assemble RnmpBounds with certificates for each number."""
-    if not (n >= 1 and 1 <= s <= n and 1 <= f <= n):
-        raise ValueError("need n >= 1 and 1 <= s, f <= n")
+    # First, so that its size checks run before the determinant search.
+    emp = alpha_empirical(s, f, n, trials, seed)
     nt = compressed_dimension(s, f, n)
     nt_used = min(nt, max_toeplitz_dim)
     lower = alpha_lower_bound(s, f, n, det_budget, seed, max_toeplitz_dim)
-    emp = alpha_empirical(s, f, n, trials, seed)
     certs = {
         "alpha_lower": {
             "method": "determinant-chain formula",

@@ -59,6 +59,8 @@ def test_main_config_error_exit_code(tmp_path):
     "command = recover-sweep\nm_values = 0\n",
     "command = recover-sweep\nm_values =\n",                # empty list
     "command = recover-sweep\nm_values = 8\nnoise = -1\n",
+    "command = recover-sweep\nm_values = 8\nnoise = inf\n",
+    "command = recover-sweep\nm_values = 8\nnoise = nan\n",
     "command = phase-stability\nn = 0\n",
     "command = phase-stability\nn = 1\n",  # S at n = 1: only sign flips
     "command = embed-verify\nm = 4\nn = 4\ntrials = -3\n",

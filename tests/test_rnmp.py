@@ -51,11 +51,12 @@ def test_autocorrelation_energy_bound():
         assert energy <= f + 1e-9
 
 
-def test_autocorr_kernel_matches_definition():
-    # B[i, j] = b_{j-i}, b_k = sum_m conj(y_m) y_{m+k} on Z; rows wider
-    # than y exercise the zero padding.
+def test_restricted_toeplitz_matches_definition():
+    # B[i, j] = b_{j-i}, b_k = sum_m conj(y_m) y_{m+k} on Z; y is zero
+    # padded to 9 entries, so rows past its 5 exercise the padding.
     rng = np.random.default_rng(8)
     y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    padded = np.concatenate([y, np.zeros(4)])
 
     def b(k):
         return sum(np.conj(y[m]) * y[m + k] for m in range(5)
@@ -63,8 +64,19 @@ def test_autocorr_kernel_matches_definition():
 
     for rows in ([0, 2, 3], [1, 4, 8], list(range(9))):
         want = np.array([[b(j - i) for j in rows] for i in rows])
-        got = rnmp._autocorr_toeplitz(y, np.array(rows))
-        assert np.allclose(got, want, atol=1e-12)
+        got = rnmp._restricted_toeplitz(padded[None], np.array([rows]))
+        assert got.shape == (1, len(rows), len(rows))
+        assert np.allclose(got[0], want, atol=1e-12)
+
+
+def test_restricted_toeplitz_stack_equals_one_by_one():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    supports = np.array([[0, 2, 6], [1, 2, 3], [0, 5, 6], [4, 5, 6]])
+    got = rnmp._restricted_toeplitz(v, supports)
+    for r in range(4):
+        one = rnmp._restricted_toeplitz(v[r:r + 1], supports[r:r + 1])
+        assert np.array_equal(got[r], one[0])
 
 
 def test_det_objective_stack_matches_public_path():
@@ -386,6 +398,150 @@ def test_alpha_empirical_nonincreasing_in_sparsity():
     a22 = rnmp.alpha_empirical(2, 2, 5, trials=8, seed=0)
     a23 = rnmp.alpha_empirical(2, 3, 5, trials=8, seed=0)
     assert a23 <= a22 + 1e-9
+
+
+# Reference for the lockstep alternating minimization: the per-pair,
+# per-start loop with np.correlate and one eigh per matrix, sharing no
+# code with the stacked engine.
+
+def _reference_toeplitz(v, rows):
+    lags = np.subtract.outer(rows, rows)
+    return np.correlate(v, v, "full")[v.size - 1 - lags]
+
+
+def _reference_pair_min_norm(support_x, support_y, n, rng, starts):
+    support_x = sorted(int(i) for i in support_x)
+    support_y = sorted(int(j) for j in support_y)
+    f = len(support_y)
+    best = math.inf
+    for _ in range(starts):
+        yv = rng.standard_normal(f) + 1j * rng.standard_normal(f)
+        yv /= np.linalg.norm(yv)
+        val = math.inf
+        for _ in range(rnmp.ALT_MIN_MAX_ITERS):
+            ydense = np.zeros(n, dtype=complex)
+            ydense[support_y] = yv
+            _, vx = np.linalg.eigh(_reference_toeplitz(ydense, support_x))
+            xdense = np.zeros(n, dtype=complex)
+            xdense[support_x] = vx[:, 0]
+            wy, vy = np.linalg.eigh(_reference_toeplitz(xdense, support_y))
+            yv = vy[:, 0]
+            new_val = float(wy[0])
+            if val - new_val < rnmp.ALT_MIN_STALL * max(1.0, abs(val)):
+                val = new_val
+                break
+            val = new_val
+        best = min(best, val)
+    return math.sqrt(max(best, 0.0))
+
+
+def _reference_alpha_empirical(s, f, n, trials, seed):
+    if min(s, f) == 1:
+        return 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    best = math.inf
+    sx_list = [(0,) + r for r in itertools.combinations(range(1, n), s - 1)]
+    sy_list = [(0,) + r for r in itertools.combinations(range(1, n), f - 1)]
+    if len(sx_list) * len(sy_list) <= 2000:
+        for sx in sx_list:
+            for sy in sy_list:
+                best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
+    else:
+        for _ in range(trials):
+            sx = np.sort(rng.choice(n, size=s, replace=False))
+            sy = np.sort(rng.choice(n, size=f, replace=False))
+            best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
+    return min(best, math.sqrt(min(s, f)))
+
+
+def _exhaustive_pairs(s, f, n):
+    return math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000
+
+
+# (s, f, n, trials): exhaustive pairs first, then sampled ones.
+_ALPHA_CASES = [(2, 2, 8, 10), (2, 3, 6, 4), (3, 2, 9, 30), (2, 2, 5, 1),
+                (3, 3, 12, 4), (2, 4, 16, 40), (4, 3, 14, 25)]
+
+
+@pytest.mark.parametrize("s,f,n,trials", _ALPHA_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_alpha_empirical_matches_per_pair_reference(s, f, n, trials, seed):
+    assert _exhaustive_pairs(s, f, n) == (n <= 9)
+    assert rnmp.alpha_empirical(s, f, n, trials, seed) == \
+        _reference_alpha_empirical(s, f, n, trials, seed)
+
+
+def test_alpha_empirical_matches_reference_across_chunks(monkeypatch):
+    # Chunks of 3 and 7 rows split the two starts of one pair and leave a
+    # short last chunk (or only a short one); every stack but the last is
+    # one full chunk.
+    engine = rnmp._alt_min
+    stacked = []
+
+    def recording(n, sx, sy, y):
+        stacked.append(len(y))
+        return engine(n, sx, sy, y)
+
+    monkeypatch.setattr(rnmp, "_alt_min", recording)
+    for chunk in (3, 7):
+        monkeypatch.setattr(rnmp, "ALT_MIN_CHUNK", chunk)
+        for s, f, n, trials, seed in ((2, 2, 5, 1, 0), (2, 3, 6, 1, 2),
+                                      (2, 4, 16, 1, 1), (2, 4, 16, 3, 3),
+                                      (3, 3, 12, 7, 4), (2, 4, 16, 10, 0)):
+            stacked.clear()
+            assert rnmp.alpha_empirical(s, f, n, trials, seed) == \
+                _reference_alpha_empirical(s, f, n, trials, seed)
+            assert stacked[:-1] == [chunk] * (len(stacked) - 1)
+            assert 0 < stacked[-1] <= chunk
+
+
+def test_alpha_empirical_matches_reference_at_iteration_cap(monkeypatch):
+    # Caps of 1 to 3 rounds stop rows before they stall, while other rows
+    # of the same stack stall earlier.
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(rnmp, "ALT_MIN_MAX_ITERS", cap)
+        for case in ((3, 3, 12, 6, 0), (2, 4, 16, 5, 1), (2, 3, 6, 1, 2)):
+            assert rnmp.alpha_empirical(*case) == \
+                _reference_alpha_empirical(*case)
+
+
+def test_alpha_empirical_stacks_at_most_one_chunk(monkeypatch):
+    # 1500 sampled pairs, two starts each: five full default chunks of
+    # rows and a short one.
+    engine = rnmp._alt_min
+    stacked = []
+    monkeypatch.setattr(rnmp, "_alt_min", lambda n, sx, sy, y: (
+        stacked.append(len(y)) or engine(n, sx, sy, y)))
+    rnmp.alpha_empirical(2, 4, 16, trials=1500, seed=0)
+    chunk = rnmp.ALT_MIN_CHUNK
+    assert stacked == [chunk] * (3000 // chunk) + [3000 % chunk]
+
+
+@pytest.mark.parametrize("starts", [1, 2, 5])
+def test_pair_min_norm_matches_reference_and_leaves_rng_state(monkeypatch,
+                                                              starts):
+    monkeypatch.setattr(rnmp, "ALT_MIN_CHUNK", 3)
+    for sx, sy, n in (((5, 0, 2), (1, 3, 4, 9), 12), ((3, 4), (1, 3), 8),
+                      ((0, 1, 2), (0, 2), 4), ((1, 6), (0, 1, 2, 3, 4), 7)):
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        assert rnmp.pair_min_norm(sx, sy, n, ours, starts) == \
+            _reference_pair_min_norm(sx, sy, n, theirs, starts)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert rnmp.pair_min_norm((0, 2), (0, 1), 5) == _reference_pair_min_norm(
+        (0, 2), (0, 1), 5, np.random.default_rng(0), 4)
+
+
+def test_pair_min_norm_rejects_indices_outside_dimension():
+    for sx, sy in (((0, 4), (0, 1)), ((0, 1), (-1, 2))):
+        with pytest.raises(ValueError, match=r"\[0, n\)"):
+            rnmp.pair_min_norm(sx, sy, 4)
+
+
+@pytest.mark.parametrize("s,f,n", [(1, 5, 4), (5, 1, 4), (0, 2, 4),
+                                   (2, 0, 4), (1, 1, 0)])
+def test_alpha_empirical_rejects_out_of_range_sizes(s, f, n):
+    with pytest.raises(ValueError, match="1 <= s, f <= n"):
+        rnmp.alpha_empirical(s, f, n)
 
 
 def test_pair_min_norm_shift_invariance():
