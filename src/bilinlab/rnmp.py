@@ -38,7 +38,8 @@ DEFAULT_RESTARTS = 32
 EIG_CHUNK = 1024
 
 # Descents run in lockstep by the determinant search, which bounds its
-# memory (each step evaluates 2k probe matrices per descent).
+# memory (each step inverts one matrix per descent that moved and takes
+# one determinant per live descent).
 DET_CHUNK = 256
 
 # (support pair, start) rows run in lockstep by the alternating
@@ -181,10 +182,10 @@ def _autocorr_rows(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
-    """``|det B_t|`` for each row of ``coeffs``, where t is that row placed
-    on the same row of ``supports`` (or on one shared support) in
-    dimension n and normalized."""
+def _det_matrices(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
+    """Stack of ``B_t``, where t is each row of ``coeffs`` placed on the same
+    row of ``supports`` (or on one shared support) in dimension n and
+    normalized."""
     r, k = coeffs.shape
     c = coeffs / row_norms(coeffs)[:, None]
     t = np.zeros((r, n), dtype=complex)
@@ -199,7 +200,44 @@ def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
         total = total + squares[:, j]
     t /= np.sqrt(total)[:, None]
     lags = np.subtract.outer(np.arange(n), np.arange(n))
-    return np.abs(np.linalg.det(_autocorr_rows(t)[:, n - 1 - lags]))
+    return _autocorr_rows(t)[:, n - 1 - lags]
+
+
+def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
+    """``|det B_t|`` for each row of ``coeffs`` (see ``_det_matrices``)."""
+    return np.abs(np.linalg.det(_det_matrices(n, supports, coeffs)))
+
+
+def _det_gradient(n: int, supports: np.ndarray, c: np.ndarray,
+                  val: np.ndarray) -> np.ndarray:
+    """Gradient of ``|det B_t|`` on the unit sphere at each unit row of
+    ``c`` on the same row of ``supports``, where ``val`` holds those
+    values: entry p is the derivative along Re c_p plus i times the one
+    along Im c_p.
+
+    Jacobi's formula: ``d log det B = tr(B^-1 dB)`` (B is positive
+    definite).  Moving Re c_p changes ``b_d`` by ``t_{p+d} + conj(t_{p-d})``
+    and moving Im c_p by ``-i t_{p+d} + i conj(t_{p-d})``, so the trace
+    needs only the diagonal sums ``S_d = sum_i (B^-1)_{i+d,i}`` of the
+    inverse: it is twice the real and imaginary part of
+    ``sum_q S_{q-p} c_q``.  ``|det B_t|`` is 2n-homogeneous in c, so
+    projecting onto the sphere subtracts ``2n c`` from the log-gradient.
+    Every sum runs left to right within a row, so a row gets the same bits
+    in any stack; a BLAS matmul, blocked by the stack height, would not.
+    """
+    r, k = c.shape
+    inv = np.linalg.inv(_det_matrices(n, supports, c))
+    # diag[:, n - 1 + d] = S_d, added up top row first.
+    diag = np.zeros((r, 2 * n - 1), dtype=complex)
+    for i in range(n):
+        diag[:, i:i + n] += inv[:, i, ::-1]
+    # pair[:, p, q] = S_{q-p} for support positions p, q of the row.
+    lags = n - 1 + supports[:, None, :] - supports[:, :, None]
+    pair = diag[np.arange(r)[:, None, None], lags]
+    g = pair[:, :, 0] * c[:, None, 0]
+    for q in range(1, k):
+        g = g + pair[:, :, q] * c[:, None, q]
+    return 2.0 * val[:, None] * (g - n * c)
 
 
 def _descend(n: int, supports: np.ndarray, c: np.ndarray):
@@ -207,40 +245,32 @@ def _descend(n: int, supports: np.ndarray, c: np.ndarray):
     unit coefficient stack ``c`` on the same row of ``supports``, run in
     lockstep; returns the final coefficients and values of ``|det B_t|``.
 
-    Every descent keeps its own step (0.3 at first): a forward-difference
-    gradient from 2k probes, then a normalized step that is taken if it
-    lowers the value and halved otherwise.  A descent stops when its step
-    falls below 1e-6 or its gradient norm below 1e-12, checked in that
-    order, and after 120 steps at most.
+    Every descent keeps its own step (0.3 at first): the exact gradient
+    (``_det_gradient``), then a normalized step that is taken if it lowers
+    the value and halved otherwise.  A rejected step leaves the point, and
+    so its gradient, as it was; only rows that moved get a new gradient.
+    A descent stops when its step falls below 1e-6 or its gradient norm
+    below 1e-12, checked in that order, and after 120 steps at most.
     """
-    k = c.shape[1]
-    h = 1e-6
-    # One forward-difference probe per real coordinate.
-    offsets = h * np.eye(2 * k)
     val = _det_objective(n, supports, c)
+    grad = _det_gradient(n, supports, c, val)
     step = np.full(len(c), 0.3)
     live = np.arange(len(c))
     for _ in range(120):
         live = live[~(step[live] < 1e-6)]
         if not live.size:
             break
-        flat = np.concatenate([c[live].real, c[live].imag], axis=1)
-        probes = flat[:, None, :] + offsets
-        pcs = probes[..., :k] + 1j * probes[..., k:]
-        pvals = _det_objective(n, np.repeat(supports[live], 2 * k, axis=0),
-                               pcs.reshape(-1, k)).reshape(-1, 2 * k)
-        grad = (pvals - val[live, None]) / h
-        gn = row_norms(grad)
+        gn = row_norms(grad[live])
         moving = ~(gn < 1e-12)
         live = live[moving]
-        trial = (flat[moving] - step[live, None] * grad[moving]
-                 / gn[moving, None])
-        tc = trial[:, :k] + 1j * trial[:, k:]
+        tc = c[live] - step[live, None] * grad[live] / gn[moving, None]
         tc /= row_norms(tc)[:, None]
         tval = _det_objective(n, supports[live], tc)
         better = tval < val[live]
-        c[live[better]] = tc[better]
-        val[live[better]] = tval[better]
+        moved = live[better]
+        c[moved] = tc[better]
+        val[moved] = tval[better]
+        grad[moved] = _det_gradient(n, supports[moved], c[moved], val[moved])
         step[live[~better]] *= 0.5
     return c, val
 
@@ -256,8 +286,10 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
     minimum.
 
     The descents, in (support, restart) order, run in lockstep
-    ``DET_CHUNK`` at a time, each step scoring the probes of every live
-    descent with one objective call and their trial points with another.
+    ``DET_CHUNK`` at a time, each step scoring the trial points of every
+    live descent with one stacked determinant and taking the new gradients
+    of the descents that moved with one stacked inverse (Jacobi's formula,
+    ``_det_gradient``).
     A chunk's start points come from one ``standard_normal((m, 2, k))``
     call, real parts then imaginary parts per descent: the stream of one
     start per restart.  The first strict minimum in (support, restart)
@@ -336,13 +368,20 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     exact value 1.  For k >= 3 the determinant is an upper estimate of
     D_{nt,k} from a heuristic search, so the result is not a proven bound.
     """
+    return _alpha_lower(s, f, n, det_budget, seed, max_toeplitz_dim)[0]
+
+
+def _alpha_lower(s: int, f: int, n: int, det_budget: int, seed: int,
+                 max_toeplitz_dim: int) -> tuple[float, bool]:
+    """``alpha_lower_bound`` and whether its determinant search covered
+    every support (true when no search runs)."""
     k = min(s, f)
     if k == 1:
-        return 1.0
+        return 1.0, True
     nt = min(compressed_dimension(s, f, n), max_toeplitz_dim)
-    d_est = restricted_determinant(nt, k, det_budget, seed).value
-    alpha_sq = d_est / math.sqrt(nt * float(k) ** (nt - 1))
-    return math.sqrt(max(alpha_sq, 0.0))
+    est = restricted_determinant(nt, k, det_budget, seed)
+    alpha_sq = est.value / math.sqrt(nt * float(k) ** (nt - 1))
+    return math.sqrt(max(alpha_sq, 0.0)), est.exhaustive_supports
 
 
 def _restricted_toeplitz(v: np.ndarray, supports: np.ndarray) -> np.ndarray:
@@ -412,13 +451,22 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
     return _min_norm(n, [(support_x, support_y)], len(support_y), rng, starts)
 
 
+def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
+    """Whether ``alpha_empirical`` enumerates every translation-normalized
+    support pair (at most 2000 of them) instead of sampling ``trials``
+    pairs; also true for min(s, f) = 1, whose value is exact."""
+    return (min(s, f) == 1
+            or math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000)
+
+
 def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
                     seed: int = 0) -> float:
     """Empirical minimum of ||x * y|| over unit sparse pairs.
 
     Convolutions are zero padded, so circular equals ordinary convolution.
-    Support pairs are enumerated exhaustively when few enough, otherwise
-    sampled; ``trials`` counts random restarts.  Every pair gets two
+    Support pairs are enumerated exhaustively when few enough (see
+    ``_exhaustive_pairs``), otherwise ``trials`` pairs are sampled; an
+    enumeration does not use ``trials``.  Every pair gets two
     starts, and all (pair, start) alternating minimizations run in
     lockstep (see ``_min_norm``).  min(s, f) = 1 returns exactly 1.
     """
@@ -429,10 +477,13 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
     if min(s, f) == 1:
         return 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # Translation invariance: fix the smallest index of each support to 0.
-    sx_list = [(0,) + r for r in itertools.combinations(range(1, n), s - 1)]
-    sy_list = [(0,) + r for r in itertools.combinations(range(1, n), f - 1)]
-    if len(sx_list) * len(sy_list) <= 2000:
+    if _exhaustive_pairs(s, f, n):
+        # Translation invariance: fix the smallest index of each support
+        # to 0.
+        sx_list = [(0,) + r
+                   for r in itertools.combinations(range(1, n), s - 1)]
+        sy_list = [(0,) + r
+                   for r in itertools.combinations(range(1, n), f - 1)]
         pairs = itertools.product(sx_list, sy_list)
     else:
         pairs = ((rng.choice(n, size=s, replace=False),
@@ -477,7 +528,8 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
     emp = alpha_empirical(s, f, n, trials, seed)
     nt = compressed_dimension(s, f, n)
     nt_used = min(nt, max_toeplitz_dim)
-    lower = alpha_lower_bound(s, f, n, det_budget, seed, max_toeplitz_dim)
+    lower, exhaustive_supports = _alpha_lower(s, f, n, det_budget, seed,
+                                              max_toeplitz_dim)
     certs = {
         "alpha_lower": {
             "method": "determinant-chain formula",
@@ -486,10 +538,16 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
             "capped": nt_used < nt,
             "det_budget": det_budget,
             "seed": seed,
+            "exhaustive_supports": exhaustive_supports,
+            # Only min(s, f) = 1 is exact; every other value comes from a
+            # search, an upper estimate of D_{nt,k}, possibly in a capped
+            # dimension.
+            "proven": min(s, f) == 1,
         },
         "alpha_empirical": {
             "method": "alternating minimization over support pairs",
             "trials": trials,
+            "exhaustive_pairs": _exhaustive_pairs(s, f, n),
             "seed": seed,
             "upper_estimate": True,
         },

@@ -90,6 +90,50 @@ def test_det_objective_stack_matches_public_path():
         assert value == abs(np.linalg.det(mat))
 
 
+def _unit_rows(rng, r, k):
+    c = rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_det_gradient_matches_central_differences(k):
+    # Adjacent supports and supports spread over the whole dimension; the
+    # objective normalizes its input, so central differences of it see the
+    # gradient on the sphere.
+    rng = np.random.default_rng(20 + k)
+    h = 1e-5
+    for n in (k + 1, 2 * k + 3, 16):
+        spread = np.round(np.linspace(0, n - 1, k)).astype(int)
+        for support in (np.arange(k), spread):
+            c = _unit_rows(rng, 1, k)
+            val = rnmp._det_objective(n, support, c)
+            grad = rnmp._det_gradient(n, support[None], c, val)[0]
+            want = np.zeros(k, dtype=complex)
+            for p in range(k):
+                for unit in (1.0, 1j):
+                    e = np.zeros((1, k), dtype=complex)
+                    e[0, p] = h * unit
+                    diff = (rnmp._det_objective(n, support, c + e)
+                            - rnmp._det_objective(n, support, c - e))
+                    want[p] += unit * diff[0] / (2 * h)
+            assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
+            # Scaling c leaves the objective unchanged.
+            assert abs(np.vdot(c[0], grad).real) <= 1e-12 * np.abs(grad).max()
+
+
+def test_det_gradient_stack_equals_one_by_one():
+    rng = np.random.default_rng(13)
+    supports = np.array([[0, 1, 2], [0, 4, 11], [0, 2, 7], [0, 10, 11],
+                         [0, 1, 2]])
+    c = _unit_rows(rng, 5, 3)
+    val = rnmp._det_objective(12, supports, c)
+    got = rnmp._det_gradient(12, supports, c, val)
+    for r in range(5):
+        one = rnmp._det_gradient(12, supports[r:r + 1], c[r:r + 1],
+                                 val[r:r + 1])
+        assert np.array_equal(got[r], one[0])
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 def test_autocorr_rows_match_correlate(n):
     # Bit for bit np.correlate(v, v, "full") on every row: dense rows,
@@ -222,9 +266,10 @@ def test_restricted_determinant_two_sparse_oracle(n):
 
 
 # Reference for the lockstep search: the per-descent loop, one objective
-# call per probe stack and trial point, with np.correlate and the
-# left-to-right summation of SparseVector.norm, sharing no code with the
-# batched kernel.
+# call per point with np.correlate and the left-to-right summation of
+# SparseVector.norm, sharing no code with the batched objective.  The
+# gradient comes from the kernel on one row, which the gradient tests pin
+# to central differences; a one-row call gives the bits of a stacked one.
 
 def _reference_objective(n, support, coeffs):
     mats = []
@@ -261,23 +306,21 @@ def _reference_determinant(n, k, search_budget, seed,
             c /= np.linalg.norm(c)
             val = objective(n, support, c[None])[0]
             step = 0.3
+            grad = None
             for _ in range(120):
                 if step < 1e-6:
                     break
-                h = 1e-6
-                flat = np.concatenate([c.real, c.imag])
-                probes = flat + h * np.eye(2 * k)
-                pcs = probes[:, :k] + 1j * probes[:, k:]
-                grad = (objective(n, support, pcs) - val) / h
+                if grad is None:
+                    grad = rnmp._det_gradient(n, np.array([support]),
+                                              c[None], np.array([val]))[0]
                 gn = np.linalg.norm(grad)
                 if gn < 1e-12:
                     break
-                trial_flat = flat - step * grad / gn
-                tc = trial_flat[:k] + 1j * trial_flat[k:]
+                tc = c - step * grad / gn
                 tc /= np.linalg.norm(tc)
                 tval = objective(n, support, tc[None])[0]
                 if tval < val:
-                    c, val = tc, tval
+                    c, val, grad = tc, tval, None
                 else:
                     step *= 0.5
             if val < best:
@@ -579,9 +622,40 @@ def test_compute_bounds_certificates():
     bounds = rnmp.compute_bounds(2, 2, 8, trials=8, seed=0, det_budget=4)
     assert bounds.beta == pytest.approx(math.sqrt(2))
     assert bounds.alpha_lower <= bounds.alpha_empirical <= bounds.beta + 1e-9
-    assert bounds.certificates["alpha_lower"]["toeplitz_dim"] == 8
+    lower = bounds.certificates["alpha_lower"]
+    assert lower["toeplitz_dim"] == 8
+    assert not lower["capped"]
+    # A search value, even over every support, is not a proven bound.
+    assert lower["exhaustive_supports"]
+    assert lower["proven"] is False
     assert bounds.certificates["alpha_empirical"]["upper_estimate"]
-    assert not bounds.certificates["alpha_lower"]["capped"]
+    assert bounds.certificates["alpha_empirical"]["exhaustive_pairs"]
+
+
+@pytest.mark.parametrize("s,f,n", [(1, 1, 1), (1, 5, 32), (7, 1, 8)])
+def test_compute_bounds_proven_only_for_singleton_sparsity(s, f, n):
+    cert = rnmp.compute_bounds(s, f, n, trials=1, det_budget=1).certificates
+    assert cert["alpha_lower"]["proven"] is True
+    assert cert["alpha_lower"]["exhaustive_supports"]
+    assert cert["alpha_empirical"]["exhaustive_pairs"]
+
+
+def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
+    # C(15, 1) * C(15, 3) = 6825 support pairs at (2, 4, 16) are sampled,
+    # so trials count; the C(8, 2)^2 = 784 pairs at (3, 3, 9) are all
+    # enumerated, so they do not.  A support limit of 20 lies between the
+    # C(15, 1) = 15 determinant supports of the first and the C(8, 2) = 28
+    # of the second.
+    monkeypatch.setattr(rnmp, "EXHAUSTIVE_SUPPORT_LIMIT", 20)
+    cert = rnmp.compute_bounds(2, 4, 16, trials=3, det_budget=1).certificates
+    assert not cert["alpha_empirical"]["exhaustive_pairs"]
+    assert cert["alpha_lower"]["exhaustive_supports"]
+    cert = rnmp.compute_bounds(3, 3, 9, trials=3, det_budget=1).certificates
+    assert cert["alpha_empirical"]["exhaustive_pairs"]
+    assert rnmp.alpha_empirical(3, 3, 9, 1) == rnmp.alpha_empirical(3, 3, 9,
+                                                                     500)
+    assert not cert["alpha_lower"]["exhaustive_supports"]
+    assert cert["alpha_lower"]["proven"] is False
 
 
 @pytest.mark.parametrize("s,f,n", [(1, 1, 0), (5, 1, 2), (1, 5, 2),
@@ -597,6 +671,7 @@ def test_compute_bounds_records_dimension_cap():
     assert cert["capped"]
     assert cert["toeplitz_dim"] == 16
     assert cert["toeplitz_dim_uncapped"] == 729
+    assert cert["proven"] is False
 
 
 def test_restricted_min_eigenvalue_heuristic_path():
