@@ -1,14 +1,20 @@
 """l1 recovery for the lifted bilinear problem.
 
 ``bpdn_synthesis`` solves  min ||u||_1  s.t.  ||A u - b|| <= eps  by
-proximal gradient descent on the penalized problem with continuation on
-the penalty, followed by a least-squares polish on the detected support.
-``bpdn_synthesis_stack`` solves a stack of such problems with every
-problem's schedule run in lockstep on stacked matrices; a single problem
-is its one-row case.
+accelerated proximal gradient steps on the penalized problem with
+continuation on the penalty, followed by a least-squares polish on the
+detected support.  ``bpdn_synthesis_stack`` solves a stack of such
+problems with every problem's schedule run in lockstep on stacked
+matrices; a single problem is its one-row case.
 Complex l1 means the sum of magnitudes; the soft threshold shrinks the
-magnitude and preserves the phase.  At a fixed penalty the iteration is a
-descent method, so the penalized objective is monotonically nonincreasing.
+magnitude and preserves the phase.  At a fixed penalty the steps are
+monotone FISTA (Beck & Teboulle 2009): a step is kept only if it does not
+raise the penalized objective, and a rejected step restarts the momentum
+from the best point so far (O'Donoghue & Candes 2015), so the objective
+is monotonically nonincreasing.  A stage at one penalty ends when the
+proximal gradient residual at the extrapolated point y, ||z - y|| for the
+step z, falls below the tolerance relative to max(1, ||z||), or at the
+stage's step cap.
 
 ``bpdn_analysis`` solves  min ||B* z||_1  s.t.  ||Phi z - b|| <= eps
 with a primal-dual (Chambolle-Pock) scheme; for unitary B the two
@@ -49,7 +55,7 @@ class SolverOptions:
 @dataclass(frozen=True)
 class SolverResult:
     solution: np.ndarray
-    converged: bool
+    converged: bool  # feasible: the residual is within eps (plus rounding)
     residual_norm: float
     objective: float
     objective_history: tuple
@@ -87,10 +93,11 @@ def _schedule(u, lam_max, eps: float, opts: SolverOptions):
     """Penalty schedule of one problem, as a generator.
 
     Yields ``(start point, penalty, step cap)`` for each stage of monotone
-    proximal gradient steps at a fixed penalty, and is sent back the
-    stage's ``(u, r, steps)``: a stage ends after ``step cap`` steps or at
-    the first step that moves u by less than the tolerance (relative to
-    max(1, ||u||)).  Returns the final point and the total step count.
+    accelerated proximal gradient steps at a fixed penalty, and is sent
+    back the stage's ``(u, r, steps)``: a stage ends after ``step cap``
+    steps or at the first step whose proximal gradient residual is below
+    the tolerance (see the module docstring).  Returns the final point and
+    the total step count.
     """
     if opts.penalty is not None:
         u, _, used = yield u, opts.penalty, opts.max_iterations
@@ -147,14 +154,29 @@ def _finish(a, b, u, bnorm, history, total, eps, opts) -> SolverResult:
                         total)
 
 
+def _momentum_weights(count: int) -> np.ndarray:
+    """FISTA's extrapolation weights beta_k = (t_k - 1) / t_{k+1} for
+    k < count, with t_0 = 1 and t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
+    out = np.empty(count)
+    t = 1.0
+    for k in range(count):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        out[k] = (t - 1.0) / t_next
+        t = t_next
+    return out
+
+
 def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
                  opts: SolverOptions) -> list:
     """Run every row's ``_schedule`` in lockstep on the stack (a, b).
 
-    Each step is one proximal gradient step of every live row: one stacked
-    matrix-vector product for A^H r and one for A u, the soft threshold,
-    the objective and the row norms over the whole stack, each row at its
-    own penalty.
+    Each step is one monotone FISTA step of every live row, each at its own
+    penalty: the proximal gradient step z from the extrapolated point y is
+    accepted as the row's point u if it does not raise the objective, and
+    y moves on to z + beta_k (z - u); otherwise u stays, the momentum
+    restarts (k = 0) and y = u.  A step costs one stacked matrix-vector
+    product for A^H r_y and one for A z; the residual r_y = A y - b is
+    carried by linearity from those of z and u.
     Only rows whose stage just ended return to their schedule; the stack
     is gathered again when a row finishes.
     """
@@ -171,44 +193,66 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     ah = a.conj().transpose(0, 2, 1)
     lip = np.linalg.norm(a, 2, axis=(1, 2))[:, None] ** 2
     lam_max = np.abs(np.matvec(ah, b)).max(axis=1)
+    ah /= lip[:, :, None]  # the gradient step's matrix A^H / L
     rows = ids.size
     schedules = [_schedule(np.zeros(n, dtype=complex), lam_max[p], eps, opts)
                  for p in range(rows)]
     histories = [[] for _ in range(rows)]
-    # w[1] is u; w[0] takes the step's change, so that one row_norms call
-    # gives both norms of the stopping test.
-    w = np.zeros((2, rows, n), dtype=complex)
-    u = w[1]
-    r = np.empty((rows, m), dtype=complex)
+    # A point and its residual share a row of n + m entries, so that one
+    # call updates both: pts[0] is (y, r_y), pts[1] is (u, r_u) and zr is
+    # (z, r_z).
+    pts = np.zeros((2, rows, n + m), dtype=complex)
+    zr = np.empty((rows, n + m), dtype=complex)
+    # w[0] takes z - y and w[1] z, so that one vecdot call gives both
+    # squared norms of the stopping test.
+    w = np.empty((2, rows, n), dtype=complex)
+    fu = np.empty(rows)  # objective at u
+    k = np.zeros(rows, dtype=np.int64)  # steps since the momentum restart
+    betas = np.empty(0)
     lam = np.empty(rows)
     tau = np.empty((rows, 1))
     start = np.zeros(rows, dtype=np.int64)  # step at which the stage began
     end = np.zeros(rows, dtype=np.int64)  # step at which its cap is hit
     step = 0
-    tol = opts.tolerance
+    tol_sq = opts.tolerance ** 2
 
     def begin(p, u0, penalty, cap):
+        nonlocal betas
+        if cap > betas.size:
+            betas = _momentum_weights(cap)
         rp = a[p] @ u0 - b[p]
-        u[p], r[p], lam[p], tau[p] = u0, rp, penalty, penalty / lip[p, 0]
-        histories[p].append(float(penalty * np.sum(np.abs(u0))
-                                  + 0.5 * np.vdot(rp, rp).real))
+        fp = float(penalty * np.sum(np.abs(u0)) + 0.5 * np.vdot(rp, rp).real)
+        pts[:, p, :n], pts[:, p, n:], fu[p], k[p] = u0, rp, fp, 0
+        lam[p], tau[p] = penalty, penalty / lip[p, 0]
+        histories[p].append(fp)
         start[p], end[p] = step, step + cap
 
     for p in range(rows):
         begin(p, *next(schedules[p]))
     next_end = int(end.min())
     while rows:
-        u_new = soft_threshold(u - np.matvec(ah, r) / lip, tau)
-        r_new = np.matvec(a, u_new) - b
-        objective = (lam * np.add.reduce(np.abs(u_new), axis=1)
-                     + 0.5 * np.vecdot(r_new, r_new).real)
-        for history, value in zip(histories, objective.tolist()):
+        y, ry = pts[0, :, :n], pts[0, :, n:]
+        z, rz = zr[:, :n], zr[:, n:]
+        z[...] = soft_threshold(y - np.matvec(ah, ry), tau)
+        np.matvec(a, z, out=rz)
+        rz -= b
+        fz = (lam * np.add.reduce(np.abs(z), axis=1)
+              + 0.5 * np.vecdot(rz, rz).real)
+        # The stage ends at ||z - y|| / max(1, ||z||) < tolerance, squared.
+        np.subtract(z, y, out=w[0])
+        w[1] = z
+        sq = np.vecdot(w, w).real
+        done = sq[0] < tol_sq * np.maximum(1.0, sq[1])
+        accept = fz <= fu
+        beta = betas[k] * accept
+        k = (k + 1) * accept
+        np.subtract(zr, pts[1], out=pts[0])
+        np.copyto(pts[1], zr, where=accept[:, None])
+        np.copyto(fu, fz, where=accept)
+        pts[0] *= beta[:, None]
+        pts[0] += pts[1]
+        for history, value in zip(histories, fu.tolist()):
             history.append(value)
-        np.subtract(u_new, u, out=w[0])
-        norms = row_norms(w)
-        done = norms[0] / np.maximum(1.0, norms[1]) < tol
-        u[...] = u_new
-        r = r_new
         step += 1
         if step >= next_end:
             done |= end <= step
@@ -217,7 +261,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
         finished = []
         for p in np.flatnonzero(done):
             try:
-                begin(p, *schedules[p].send((u[p].copy(), r[p].copy(),
+                begin(p, *schedules[p].send((pts[1, p, :n].copy(),
+                                             pts[1, p, n:].copy(),
                                              int(step - start[p]))))
             except StopIteration as stop:
                 u_p, total = stop.value
@@ -226,13 +271,14 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
                 finished.append(p)
         if finished:
             keep = [p for p in range(rows) if p not in finished]
-            ids, b, r, lam, tau, lip, start, end = (
-                x[keep] for x in (ids, b, r, lam, tau, lip, start, end))
-            w = w[:, keep]
-            u = w[1]
+            ids, b, fu, k, lam, tau, lip, start, end, zr = (
+                v[keep] for v in (ids, b, fu, k, lam, tau, lip, start, end,
+                                  zr))
+            pts, w = pts[:, keep], w[:, keep]
             a = ah = None  # freed before the smaller stacks are built
             a = a_in[ids]
             ah = a.conj().transpose(0, 2, 1)
+            ah /= lip[:, :, None]
             schedules = [schedules[p] for p in keep]
             histories = [histories[p] for p in keep]
             rows = len(keep)

@@ -530,8 +530,15 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
     nt_used = min(nt, max_toeplitz_dim)
     lower, exhaustive_supports = _alpha_lower(s, f, n, det_budget, seed,
                                               max_toeplitz_dim)
-    certs = {
-        "alpha_lower": {
+    if min(s, f) == 1:
+        # Both values are the exact 1 and neither search runs.
+        exact = "exact (min(s, f) = 1)"
+        lower_cert = {"method": exact, "exhaustive_supports": True,
+                      "proven": True}
+        emp_cert = {"method": exact, "exhaustive_pairs": True,
+                    "upper_estimate": True}
+    else:
+        lower_cert = {
             "method": "determinant-chain formula",
             "toeplitz_dim": nt_used,
             "toeplitz_dim_uncapped": nt,
@@ -539,18 +546,17 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
             "det_budget": det_budget,
             "seed": seed,
             "exhaustive_supports": exhaustive_supports,
-            # Only min(s, f) = 1 is exact; every other value comes from a
-            # search, an upper estimate of D_{nt,k}, possibly in a capped
-            # dimension.
-            "proven": min(s, f) == 1,
-        },
-        "alpha_empirical": {
+            # A search value is an upper estimate of D_{nt,k}, possibly
+            # in a capped dimension.
+            "proven": False,
+        }
+        emp_cert = {
             "method": "alternating minimization over support pairs",
             "trials": trials,
             "exhaustive_pairs": _exhaustive_pairs(s, f, n),
             "seed": seed,
             "upper_estimate": True,
-        },
-        "beta": {"method": "closed form sqrt(min(s, f))"},
-    }
+        }
+    certs = {"alpha_lower": lower_cert, "alpha_empirical": emp_cert,
+             "beta": {"method": "closed form sqrt(min(s, f))"}}
     return RnmpBounds(s, f, nt_used, lower, emp, beta_upper(s, f), certs)

@@ -638,6 +638,11 @@ def test_compute_bounds_proven_only_for_singleton_sparsity(s, f, n):
     assert cert["alpha_lower"]["proven"] is True
     assert cert["alpha_lower"]["exhaustive_supports"]
     assert cert["alpha_empirical"]["exhaustive_pairs"]
+    # Both values are the exact 1, so no search's settings are reported.
+    for name in ("alpha_lower", "alpha_empirical"):
+        assert cert[name]["method"] == "exact (min(s, f) = 1)"
+        assert not {"toeplitz_dim", "toeplitz_dim_uncapped", "capped",
+                    "det_budget", "trials", "seed"} & cert[name].keys()
 
 
 def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
