@@ -282,9 +282,7 @@ def _run_demod_selftest(config: dict, out: Path, fmt: str):
     m = config["m"] or n // 2 + 1
     seed = config["seed"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    op = operators.universal_random_demodulator(m, n, seed_eta=seed + 1,
-                                                seed_xi=seed + 2,
-                                                omega=seed + 3)
+    op = _make_operator("demodulator", m, n, seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     adjoint_err = abs(np.vdot(w, op.apply(x)) - np.vdot(op.adjoint(w), x))
@@ -292,7 +290,7 @@ def _run_demod_selftest(config: dict, out: Path, fmt: str):
     dense = op.materialize()
     dense_err = float(np.linalg.norm(dense @ x - op.apply(x))
                       / np.linalg.norm(x))
-    signs = operators.sign_diagonal(n, seed + 2)
+    signs = operators.sign_diagonal(n, op.descriptor["seed_xi"])
     unitary_err = abs(np.linalg.norm(signs.apply(x)) - np.linalg.norm(x))
     rebuilt = operators.operator_from_descriptor(op.descriptor)
     determinism_ok = bool(np.array_equal(rebuilt.apply(x), op.apply(x)))

@@ -29,10 +29,6 @@ class IndexSet:
             raise ValueError("elements must be distinct")
         object.__setattr__(self, "elements", elems)
 
-    @property
-    def contains_zero(self) -> bool:
-        return 0 in self.elements
-
     def diameter(self) -> int:
         return self.elements[-1] - self.elements[0] if self.elements else 0
 

@@ -1,10 +1,10 @@
-"""Measurement operator ensembles and lifted bilinear maps.
+"""Measurement operator ensembles and bilinear maps.
 
 Provides :class:`LinearOperator` (apply/adjoint pairs with a descriptor for
 deterministic reconstruction) for the Gaussian ensemble, random sign
 diagonal, partial circulant demodulator, their composition (the universal
 random demodulator) and the finite Weyl-Heisenberg dictionary, plus
-:class:`BilinearMap` with rank-one lifting helpers.
+:class:`BilinearMap` and the convolution as one.
 
 Randomness is drawn from numpy's PCG64 generator seeded through
 ``np.random.SeedSequence``; the descriptor of every operator records the
@@ -220,7 +220,7 @@ def spreading_channel(x: SparseVector, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BilinearMap:
-    """Bilinear map C^{n1} x C^{n2} -> C^n with its rank-one lifting.
+    """Bilinear map C^{n1} x C^{n2} -> C^n.
 
     ``pair_apply`` takes stacks ``(..., n1)`` and ``(..., n2)`` whose leading
     axes broadcast, and returns ``(..., n)``.
@@ -230,7 +230,6 @@ class BilinearMap:
     n2: int
     n: int
     pair_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "bilinear"
 
     def apply_pair(self, x, y) -> np.ndarray:
         return self.pair_apply(np.asarray(x, dtype=complex),
@@ -251,16 +250,6 @@ class BilinearMap:
         return out
 
 
-def rank_one_pack(x, y) -> np.ndarray:
-    """vec(x (outer) y) in C-order: index i*n2 + j holds x_i * y_j."""
-    return np.outer(np.asarray(x, dtype=complex),
-                    np.asarray(y, dtype=complex)).ravel()
-
-
-def rank_one_unpack(u, n1: int, n2: int) -> np.ndarray:
-    return np.asarray(u, dtype=complex).reshape(n1, n2)
-
-
 def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
     """Convolution as a bilinear map on C^n x C^n.
 
@@ -273,41 +262,9 @@ def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
         def pair(x, y):
             return np.fft.ifft(np.fft.fft(x, n_out) * np.fft.fft(y, n_out))
 
-        return BilinearMap(n, n, n_out, pair, name="conv_lift_zero_padded")
+        return BilinearMap(n, n, n_out, pair)
 
     def pair(x, y):
         return np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
 
-    return BilinearMap(n, n, n, pair, name="conv_lift_circular")
-
-
-def lifted_operator(b: BilinearMap) -> LinearOperator:
-    """The lifting of ``b`` as a dense n x (n1*n2) linear operator.
-
-    Column ``i*n2 + j`` is ``B(e_i, e_j)``, the image of the rank-one basis
-    matrix in ``rank_one_pack`` order.
-    """
-    i, j = np.divmod(np.arange(b.n1 * b.n2), b.n2)
-    mat = np.ascontiguousarray(b.pair_apply(
-        np.eye(b.n1, dtype=complex)[i], np.eye(b.n2, dtype=complex)[j]).T)
-    return LinearOperator(
-        rows=b.n, cols=b.n1 * b.n2,
-        apply=lambda u: np.matvec(mat, np.asarray(u, dtype=complex)),
-        adjoint=lambda w: np.matvec(mat.conj().T,
-                                    np.asarray(w, dtype=complex)),
-        descriptor={"ensemble": "lifted_bilinear", "name": b.name,
-                    "n1": b.n1, "n2": b.n2, "n": b.n},
-    )
-
-
-def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """Composition a o b as a LinearOperator."""
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions do not match")
-    return LinearOperator(
-        rows=a.rows, cols=b.cols,
-        apply=lambda x: a.apply(b.apply(x)),
-        adjoint=lambda w: b.adjoint(a.adjoint(w)),
-        descriptor={"ensemble": "composition",
-                    "outer": a.descriptor, "inner": b.descriptor},
-    )
+    return BilinearMap(n, n, n, pair)

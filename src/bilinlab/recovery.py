@@ -1,4 +1,4 @@
-"""l1 recovery for the lifted bilinear problem.
+"""l1 recovery of sparse vectors from linear measurements.
 
 ``bpdn_synthesis`` solves  min ||u||_1  s.t.  ||A u - b|| <= eps  by
 accelerated proximal gradient steps on the penalized problem with
@@ -15,13 +15,6 @@ is monotonically nonincreasing.  A stage at one penalty ends when the
 proximal gradient residual at the extrapolated point y, ||z - y|| for the
 step z, falls below the tolerance relative to max(1, ||z||), or at the
 stage's step cap.
-
-``bpdn_analysis`` solves  min ||B* z||_1  s.t.  ||Phi z - b|| <= eps
-with a primal-dual (Chambolle-Pock) scheme; for unitary B the two
-programs' optima coincide.
-
-``rank_one_factor`` extracts the top rank-one factor pair from a
-recovered matrix under a canonical gauge.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BilinearMap, LinearOperator, lifted_operator
+from .operators import LinearOperator
 from .signals import row_norms
 
 
@@ -40,16 +33,12 @@ class SolverOptions:
     max_iterations: int = 5000
     tolerance: float = 1e-8
     penalty: float | None = None  # fixed l1 penalty; None = continuation
-    penalty_floor_rel: float = 1e-8
-    debias: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.tolerance <= 0:
             raise ValueError("solver options must be positive")
         if self.penalty is not None and not self.penalty >= 0:
             raise ValueError("penalty must be nonnegative")
-        if not 0 < self.penalty_floor_rel <= 1:
-            raise ValueError("penalty_floor_rel must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,6 +56,8 @@ class SolverResult:
 # problems or their shape.
 STACK_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).smallest_subnormal
+# Continuation stops lowering the penalty at this fraction of lam_max.
+PENALTY_FLOOR_REL = 1e-8
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
@@ -103,7 +94,7 @@ def _schedule(u, lam_max, eps: float, opts: SolverOptions):
         u, _, used = yield u, opts.penalty, opts.max_iterations
         return u, used
     lam = 0.5 * lam_max
-    lam_floor = opts.penalty_floor_rel * lam_max
+    lam_floor = PENALTY_FLOOR_REL * lam_max
     stage_iters = max(50, opts.max_iterations // 20)
     total = 0
     while True:
@@ -138,7 +129,7 @@ def _schedule(u, lam_max, eps: float, opts: SolverOptions):
 def _finish(a, b, u, bnorm, history, total, eps, opts) -> SolverResult:
     """Least-squares polish on the detected support, then the result."""
     m, n = a.shape
-    if opts.debias and opts.penalty is None and eps == 0.0:
+    if opts.penalty is None and eps == 0.0:
         support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
         if 0 < support.size <= m:
             sub, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
@@ -318,88 +309,3 @@ def bpdn_synthesis(a, b, eps: float = 0.0,
     """
     b = np.asarray(b, dtype=complex).ravel()
     return bpdn_synthesis_stack(_as_matrix(a)[None], b[None], eps, opts)[0]
-
-
-def bpdn_analysis(phi, b_map: BilinearMap, b, eps: float = 0.0,
-                  opts: SolverOptions = SolverOptions()) -> SolverResult:
-    """Basis pursuit denoising in analysis form.
-
-    When the lifted map is square and well conditioned the program is
-    solved exactly through the substitution ``w = B* z`` (for unitary B
-    this is the statement that analysis and synthesis coincide);
-    otherwise a primal-dual (Chambolle-Pock) scheme runs on the original
-    variables.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    phi_mat = _as_matrix(phi)
-    b_mat = lifted_operator(b_map).materialize()
-    m, n = phi_mat.shape
-    if b_mat.shape[0] != n:
-        raise ValueError("Phi columns must match the lifted output dimension")
-    b = np.asarray(b, dtype=complex).ravel()
-    if np.linalg.norm(b) == 0.0:
-        return SolverResult(np.zeros(n, dtype=complex), True, 0.0, 0.0,
-                            (0.0,), 0)
-    if b_mat.shape[0] == b_mat.shape[1] \
-            and np.linalg.cond(b_mat) < 1e6:
-        # min ||w||_1 s.t. ||Phi B^{-*} w - b|| <= eps, then z = B^{-*} w.
-        b_inv_adj = np.linalg.inv(b_mat.conj().T)
-        res = bpdn_synthesis(phi_mat @ b_inv_adj, b, eps, opts)
-        z = b_inv_adj @ res.solution
-        res_norm = float(np.linalg.norm(phi_mat @ z - b))
-        return SolverResult(z, res.converged, res_norm, res.objective,
-                            res.objective_history, res.iterations)
-    analysis = b_mat.conj().T  # maps z to the sparse coefficient domain
-    op_norm_sq = np.linalg.norm(analysis, 2) ** 2 + np.linalg.norm(phi_mat, 2) ** 2
-    tau = sigma = 0.99 / math.sqrt(op_norm_sq)
-    z = np.zeros(n, dtype=complex)
-    zbar = z.copy()
-    p = np.zeros(analysis.shape[0], dtype=complex)
-    q = np.zeros(m, dtype=complex)
-    history = []
-    used = 0
-    for _ in range(opts.max_iterations):
-        used += 1
-        p_t = p + sigma * (analysis @ zbar)
-        mag = np.abs(p_t)
-        p = p_t / np.maximum(mag, 1.0)
-        q_t = q + sigma * (phi_mat @ zbar)
-        r = q_t - sigma * b
-        rnorm = np.linalg.norm(r)
-        q = r * max(0.0, 1.0 - sigma * eps / rnorm) if rnorm > 0 else r * 0
-        z_new = z - tau * (analysis.conj().T @ p + phi_mat.conj().T @ q)
-        history.append(float(np.sum(np.abs(analysis @ z_new))))
-        change = np.linalg.norm(z_new - z) / max(1.0, np.linalg.norm(z))
-        zbar = 2 * z_new - z
-        z = z_new
-        if change < opts.tolerance:
-            break
-    res = float(np.linalg.norm(phi_mat @ z - b))
-    feasible = res <= eps * (1 + 1e-6) + 1e-6 * np.linalg.norm(b)
-    return SolverResult(z, bool(feasible), res,
-                        float(np.sum(np.abs(analysis @ z))),
-                        tuple(history), used)
-
-
-def rank_one_factor(m):
-    """Top rank-one factor pair of a matrix under a canonical gauge.
-
-    Returns ``(x, y, residual)`` with ``m ~ outer(x, y)``, ``||x|| = ||y||``,
-    the largest-magnitude entry of x real positive, and
-    ``residual = ||m - outer(x, y)||_F / ||m||_F``.
-    """
-    m = np.asarray(m, dtype=complex)
-    fro = np.linalg.norm(m)
-    if fro == 0.0:
-        raise ValueError("cannot factor the zero matrix")
-    u_svd, s_svd, vh_svd = np.linalg.svd(m)
-    scale = math.sqrt(s_svd[0])
-    x = scale * u_svd[:, 0]
-    y = scale * vh_svd[0, :]
-    lead = np.argmax(np.abs(x))
-    phase = x[lead] / abs(x[lead])
-    x = x / phase
-    y = y * phase
-    residual = float(np.linalg.norm(m - np.outer(x, y)) / fro)
-    return x, y, residual

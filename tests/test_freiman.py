@@ -12,7 +12,6 @@ from bilinlab.freiman import IndexSet, RemapResult
 def test_index_set():
     a = IndexSet((10, -3, 0))
     assert a.elements == (-3, 0, 10)
-    assert a.contains_zero
     assert a.diameter() == 13
     with pytest.raises(ValueError):
         IndexSet((1, 1, 2))

@@ -215,8 +215,7 @@ def test_bilinear_lift_consistency():
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pair = b.apply_pair(x, y)
-    lifted = operators.lifted_operator(b).apply(operators.rank_one_pack(x, y))
-    assert np.allclose(pair, lifted, atol=1e-12)
+    assert np.allclose(pair, b.apply_matrix(np.outer(x, y)), atol=1e-12)
     assert np.allclose(b.apply_matrix(np.zeros((n, n))), 0.0)
     # rank-two matrix = sum of its rank-one parts
     x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -224,15 +223,6 @@ def test_bilinear_lift_consistency():
     m2 = np.outer(x, y) + np.outer(x2, y2)
     assert np.allclose(b.apply_matrix(m2),
                        b.apply_pair(x, y) + b.apply_pair(x2, y2), atol=1e-12)
-
-
-def test_rank_one_pack_unpack_roundtrip():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    u = operators.rank_one_pack(x, y)
-    assert u.shape == (15,)
-    assert np.allclose(operators.rank_one_unpack(u, 3, 5), np.outer(x, y))
 
 
 def test_zero_padded_lift_equals_linear_convolution():
@@ -247,22 +237,9 @@ def test_zero_padded_lift_equals_linear_convolution():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_lifted_operator_and_compose():
-    b = operators.convolution_lift(4)
-    lop = operators.lifted_operator(b)
-    assert (lop.rows, lop.cols) == (4, 16)
-    phi = operators.gaussian_operator(3, 4, seed=0)
-    chain = operators.compose(phi, lop)
-    rng = np.random.default_rng(15)
-    u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(chain.apply(u), phi.apply(lop.apply(u)), atol=1e-12)
-    with pytest.raises(ValueError):
-        operators.compose(lop, phi)
-
-
 @pytest.mark.parametrize("zero_padded", [False, True])
 def test_lifted_convolution_is_index_scatter(zero_padded):
-    """Column i*n+j of the lifted convolution is e_{(i+j) mod n_out}.
+    """The convolution of basis vectors e_i and e_j is e_{(i+j) mod n_out}.
 
     The lift goes through the FFT, so entries carry rounding of a few
     ulp; the 0/1 pattern itself must be exact.
@@ -270,24 +247,14 @@ def test_lifted_convolution_is_index_scatter(zero_padded):
     for n in range(1, 7):
         b = operators.convolution_lift(n, zero_padded=zero_padded)
         n_out = 2 * n - 1 if zero_padded else n
-        want = np.zeros((n_out, n * n))
-        for i in range(n):
-            for j in range(n):
-                want[(i + j) % n_out, i * n + j] = 1.0
-        got = operators.lifted_operator(b).materialize()
+        i, j = np.divmod(np.arange(n * n), n)
+        want = np.zeros((n * n, n_out))
+        want[np.arange(n * n), (i + j) % n_out] = 1.0
+        basis = np.eye(n, dtype=complex)
+        got = b.pair_apply(basis[i], basis[j])
         assert got.shape == want.shape
         assert np.array_equal(np.round(got.real), want)
         assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
-
-
-def test_lifted_operator_column_order():
-    """The lift of (x, y) -> vec(x y^T) is the identity in rank_one_pack
-    order; n1 != n2 and an asymmetric map pin the column order."""
-    b = operators.BilinearMap(
-        2, 3, 6, lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(
-            x.shape[:-1] + (6,)))
-    lop = operators.lifted_operator(b)
-    assert np.array_equal(lop.materialize(), np.eye(6))
 
 
 def test_bilinearity_probe_of_convolution_lift():
@@ -309,9 +276,6 @@ def test_bilinearity_probe_of_convolution_lift():
     lambda: operators.universal_random_demodulator(9, 16, seed_eta=5,
                                                    seed_xi=7, omega=6),
     lambda: operators.weyl_heisenberg(3, 5, 8),
-    lambda: operators.lifted_operator(operators.convolution_lift(4)),
-    lambda: operators.lifted_operator(
-        operators.convolution_lift(3, zero_padded=True)),
 ])
 def test_stacked_apply_and_adjoint_equal_row_by_row(factory):
     """apply and adjoint act on (..., cols) and (..., rows) stacks along
@@ -324,6 +288,17 @@ def test_stacked_apply_and_adjoint_equal_row_by_row(factory):
         rows = np.array([[action(v) for v in block] for block in stack])
         assert np.array_equal(action(stack), rows)
         assert np.array_equal(action(stack[0]), rows[0])
+
+
+@pytest.mark.parametrize("n, zero_padded", [(4, False), (3, True)])
+def test_stacked_pair_apply_equals_row_by_row(n, zero_padded):
+    b = operators.convolution_lift(n, zero_padded=zero_padded)
+    rng = np.random.default_rng(11)
+    x, y = (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+            for _ in range(2))
+    rows = np.array([[b.pair_apply(u, v) for u, v in zip(xs, ys)]
+                     for xs, ys in zip(x, y)])
+    assert np.array_equal(b.pair_apply(x, y), rows)
 
 
 def test_stacked_apply_matrix_equals_one_by_one():

@@ -106,7 +106,7 @@ def _correlation_map(n):
     def pair(x, y):
         rev = np.roll(y[::-1], 1)
         return np.fft.ifft(np.fft.fft(x) * np.fft.fft(np.conj(rev)))
-    return operators.BilinearMap(n, n, n, pair, name="sesquilinear_corr")
+    return operators.BilinearMap(n, n, n, pair)
 
 
 def test_binomial_rejects_asymmetric_map():

@@ -38,9 +38,7 @@ def test_options_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"penalty": -0.1}, {"penalty": float("nan")},
-    {"penalty_floor_rel": 0.0}, {"penalty_floor_rel": -1e-8},
-    {"penalty_floor_rel": 1.5}, {"penalty_floor_rel": float("nan")}])
+    {"penalty": -0.1}, {"penalty": float("nan")}])
 def test_options_reject_bad_penalties(kwargs):
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
@@ -48,7 +46,6 @@ def test_options_reject_bad_penalties(kwargs):
 
 def test_options_accept_edge_penalties():
     SolverOptions(penalty=0.0)
-    SolverOptions(penalty_floor_rel=1.0)
 
 
 def test_zero_data_shortcut():
@@ -57,10 +54,6 @@ def test_zero_data_shortcut():
     res = recovery.bpdn_synthesis(a, np.zeros(6), eps=0.0)
     assert np.array_equal(res.solution, np.zeros(12))
     assert res.converged
-    res2 = recovery.bpdn_analysis(_gaussian(6, 8, rng),
-                                  operators.convolution_lift(8),
-                                  np.zeros(6))
-    assert np.array_equal(res2.solution, np.zeros(8))
 
 
 def test_planted_recovery_noiseless():
@@ -99,90 +92,6 @@ def test_negative_eps_rejected():
     a = _gaussian(5, 10, rng)
     with pytest.raises(ValueError):
         recovery.bpdn_synthesis(a, np.ones(5), eps=-1.0)
-    with pytest.raises(ValueError):
-        recovery.bpdn_analysis(a, operators.convolution_lift(10),
-                               np.ones(5), eps=-1.0)
-
-
-def test_analysis_equals_synthesis_for_unitary_lift():
-    """For a unitary lifted map the two programs share their optimum."""
-    n = 16
-    rng = np.random.default_rng(5)
-    # scaled DFT as the bilinear action: the lifted matrix is unitary
-    f = np.fft.fft(np.eye(n)) / np.sqrt(n)
-    bmap = operators.BilinearMap(
-        n, 1, n, lambda x, y: np.matvec(f, x) * y[..., :1],
-        name="unitary_lift")
-    b_mat = operators.lifted_operator(bmap).materialize()
-    assert np.allclose(b_mat.conj().T @ b_mat, np.eye(n), atol=1e-12)
-    phi = _gaussian(10, n, rng)
-    w0 = np.zeros(n, dtype=complex)
-    w0[[2, 9]] = [1.5, -1j]
-    z0 = np.linalg.solve(b_mat.conj().T, w0)
-    b = phi @ z0
-    synth = recovery.bpdn_synthesis(phi @ np.linalg.inv(b_mat.conj().T), b)
-    analysis = recovery.bpdn_analysis(phi, bmap, b)
-    assert abs(synth.objective - analysis.objective) <= \
-        1e-6 * max(1.0, synth.objective)
-
-
-def test_analysis_primal_dual_path():
-    # rectangular lifted map rules out the substitution shortcut
-    rng = np.random.default_rng(6)
-    n, m = 8, 6
-    bmap = operators.convolution_lift(n)
-    phi = _gaussian(m, n, rng)
-    z0 = np.zeros(n, dtype=complex)
-    z0[[2, 5]] = [1.2, -0.7 + 0.3j]
-    b = phi @ z0
-    eps = 1e-2 * np.linalg.norm(b)
-    res = recovery.bpdn_analysis(
-        phi, bmap, b, eps=eps,
-        opts=SolverOptions(max_iterations=20000, tolerance=1e-12))
-    assert res.converged
-    assert res.residual_norm <= eps * (1 + 1e-3)
-    assert res.iterations > 100
-
-
-def test_analysis_dimension_mismatch():
-    rng = np.random.default_rng(7)
-    with pytest.raises(ValueError):
-        recovery.bpdn_analysis(_gaussian(4, 9, rng),
-                               operators.convolution_lift(8), np.ones(4))
-
-
-def test_rank_one_factor_exact():
-    rng = np.random.default_rng(8)
-    x0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    x, y, residual = recovery.rank_one_factor(np.outer(x0, y0))
-    assert residual <= 1e-10
-    assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(y), rel=1e-10)
-    lead = np.argmax(np.abs(x))
-    assert abs(x[lead].imag) <= 1e-10 * abs(x[lead])
-    assert x[lead].real > 0
-    assert np.allclose(np.outer(x, y), np.outer(x0, y0), atol=1e-10)
-
-
-def test_rank_one_factor_rank_two_residual():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    u, s, vh = np.linalg.svd(a)
-    m = s[0] * np.outer(u[:, 0], vh[0]) + s[1] * np.outer(u[:, 1], vh[1])
-    _, _, residual = recovery.rank_one_factor(m)
-    assert residual == pytest.approx(s[1] / np.linalg.norm(m), rel=1e-10)
-
-
-def test_rank_one_factor_scaling_invariance():
-    rng = np.random.default_rng(10)
-    m = np.outer(rng.standard_normal(4) + 1j * rng.standard_normal(4),
-                 rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    x1, y1, _ = recovery.rank_one_factor(m)
-    x2, y2, _ = recovery.rank_one_factor((2.5 + 0j) * m)
-    assert np.allclose(x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2),
-                       atol=1e-10)
-    with pytest.raises(ValueError):
-        recovery.rank_one_factor(np.zeros((3, 3)))
 
 
 def test_linear_operator_input_accepted():
@@ -258,7 +167,7 @@ def _reference_bpdn_synthesis(amat, b, eps=0.0, opts=SolverOptions(),
         total_iters = used
     else:
         lam = 0.5 * lam_max
-        lam_floor = opts.penalty_floor_rel * lam_max
+        lam_floor = recovery.PENALTY_FLOOR_REL * lam_max
         stage_iters = max(50, opts.max_iterations // 20)
         res = bnorm
         while total_iters < opts.max_iterations:
@@ -289,7 +198,7 @@ def _reference_bpdn_synthesis(amat, b, eps=0.0, opts=SolverOptions(),
                     hi = mid
                 if (hi - lo) / hi < 1e-3:
                     break
-    if opts.debias and opts.penalty is None and eps == 0.0:
+    if opts.penalty is None and eps == 0.0:
         support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
         if 0 < support.size <= m:
             sub, *_ = np.linalg.lstsq(amat[:, support], b, rcond=None)
