@@ -5,8 +5,13 @@ command; unknown and repeated keys are rejected.  Reports embed the
 resolved config and the artifact version and are byte-identical for a
 fixed (config, seed).
 
+``recover-sweep`` solves its trial stacks, which share nothing, in fork
+worker processes, one per usable CPU, and in this process when only one
+would run; the reports are identical either way.
+
 Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
-error (including a value the library rejects), 3 I/O error.
+error (including a value the library rejects and a config too large for
+memory), 3 I/O error.
 
 Commands
 --------
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -215,6 +221,36 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
                for res, u in zip(results, u0))
 
 
+def _recovered_task(task) -> int:
+    # Pickled by name and ``_recovered`` looked up when called, so a
+    # worker runs whatever this module binds to it.
+    return _recovered(*task)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_recovered(tasks) -> list:
+    """``_recovered`` over the argument tuples ``tasks``, in order.  When
+    there is more than one task, more than one usable CPU and a fork start
+    method, they run in fork worker processes, one per CPU at most, joined
+    before this returns; a worker's exception is raised here.  Otherwise
+    they run in this process."""
+    workers = min(len(tasks), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_recovered_task, tasks))
+    return [_recovered_task(task) for task in tasks]
+
+
 def _run_recover_sweep(config: dict, out: Path, fmt: str):
     if config["trials"] < 1:
         raise ConfigError("trials must be at least 1")
@@ -226,19 +262,23 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
     s = config["sparsity"]
     if not 1 <= s <= n:
         raise ConfigError("need 1 <= sparsity <= n")
-    rows = []
+    # Every trial draws from its own stream; the trials of one m are then
+    # solved together, one lockstep stack per task, tasks in sweep order.
+    tasks, owners = [], []
     seq = np.random.SeedSequence(config["seed"])
-    for m, child in zip(config["m_values"],
-                        seq.spawn(len(config["m_values"]))):
-        # Every trial draws from its own stream; the trials of one m are
-        # then solved together, one lockstep stack at a time.
+    for row, (m, child) in enumerate(zip(config["m_values"],
+                                         seq.spawn(len(config["m_values"])))):
         seeds = child.spawn(config["trials"])
         chunk = recovery.stack_rows(m, n)
-        successes = sum(_recovered(seeds[lo:lo + chunk], m, n, s,
-                                   config["noise"])
-                        for lo in range(0, len(seeds), chunk))
-        rows.append({"m": m, "success_rate": successes / config["trials"],
-                     "trials": config["trials"], "seed": config["seed"]})
+        for lo in range(0, len(seeds), chunk):
+            tasks.append((seeds[lo:lo + chunk], m, n, s, config["noise"]))
+            owners.append(row)
+    successes = [0] * len(config["m_values"])
+    for row, count in zip(owners, _map_recovered(tasks)):
+        successes[row] += count
+    rows = [{"m": m, "success_rate": k / config["trials"],
+             "trials": config["trials"], "seed": config["seed"]}
+            for m, k in zip(config["m_values"], successes)]
     if fmt == "csv":
         lines = ["m,success_rate,trials,seed"]
         lines += ["{},{!r},{},{}".format(r["m"], r["success_rate"],
@@ -346,6 +386,9 @@ def main(argv=None) -> int:
         return _RUNNERS[config["command"]](config, out, args.format)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

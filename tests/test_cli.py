@@ -200,15 +200,20 @@ def _per_trial_sweep(config):
     return rates
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("noise,m_values", [(0.0, "5, 14"),
                                             (1e-3, "8, 14, 20")])
 def test_recover_sweep_matches_per_trial_solves(tmp_path, monkeypatch, noise,
-                                                m_values):
+                                                m_values, cpus):
+    import multiprocessing
+
     from bilinlab import recovery
     # stacks of 3 trials at m = 14, so 7 trials cross two stack boundaries;
     # the largest m recovers every trial, and at noise 1e-3 the smaller
-    # ones recover only some, which depends on the noise drawn
+    # ones recover only some, which depends on the noise drawn.  One usable
+    # CPU solves the stacks in this process, two in a pool of workers.
     monkeypatch.setattr(recovery, "STACK_ENTRIES", 3 * 14 * 24)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     cfg = _write_config(tmp_path, "command = recover-sweep\nn = 24\n"
                         f"sparsity = 2\nm_values = {m_values}\n"
                         f"trials = 7\nnoise = {noise}\nseed = 3\n")
@@ -216,8 +221,25 @@ def test_recover_sweep_matches_per_trial_solves(tmp_path, monkeypatch, noise,
     assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
     payload = json.loads((out / "recover-sweep.json").read_text())
     rates = [row["success_rate"] for row in payload["sweep"]]
+    assert multiprocessing.active_children() == []
     assert rates == _per_trial_sweep(payload["config"])
     assert rates[-1] == 1.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
+                                               cpus):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr(cli, "_recovered", exhausted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg = _write_config(tmp_path, "command = recover-sweep\nn = 10\n"
+                        "sparsity = 2\nm_values = 4, 6\ntrials = 2\n")
+    assert cli.main(["--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: Unable to allocate 14.9 GiB\n"
 
 
 def test_phase_stability_command(tmp_path):
