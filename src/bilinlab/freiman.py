@@ -82,11 +82,20 @@ def dimension_bound(m: int) -> int:
 
 def grynkiewicz_bound(m: int, d: int | None = None) -> float:
     """Diameter bound ``d!^2 (3/2)^(d-1) 2^(m-2) + (3^(d-1)-1)/2`` for an
-    m-set of Freiman dimension at most d (default ``dimension_bound(m)``)."""
+    m-set of Freiman dimension at most d (default ``dimension_bound(m)``).
+    Raises ``ValueError`` when the bound exceeds the float range (from
+    m = 89 at the default d)."""
     if d is None:
         d = dimension_bound(m)
-    return (math.factorial(d) ** 2 * 1.5 ** (d - 1) * 2.0 ** (m - 2)
-            + (3.0 ** (d - 1) - 1.0) / 2.0)
+    try:
+        bound = (math.factorial(d) ** 2 * 1.5 ** (d - 1) * 2.0 ** (m - 2)
+                 + (3.0 ** (d - 1) - 1.0) / 2.0)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the Grynkiewicz bound for m = {m} exceeds the "
+                         "float range")
+    return bound
 
 
 @dataclass(frozen=True)

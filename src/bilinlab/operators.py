@@ -256,15 +256,9 @@ def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
     Circular by default (output dimension n); with ``zero_padded`` the
     output lives in C^{2n-1} and circular equals ordinary convolution.
     """
-    if zero_padded:
-        n_out = 2 * n - 1
-
-        def pair(x, y):
-            return np.fft.ifft(np.fft.fft(x, n_out) * np.fft.fft(y, n_out))
-
-        return BilinearMap(n, n, n_out, pair)
+    n_out = 2 * n - 1 if zero_padded else n
 
     def pair(x, y):
-        return np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
+        return np.fft.ifft(np.fft.fft(x, n_out) * np.fft.fft(y, n_out))
 
-    return BilinearMap(n, n, n, pair)
+    return BilinearMap(n, n, n_out, pair)

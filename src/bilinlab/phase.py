@@ -151,7 +151,6 @@ class StabilityEstimate:
     worst_x1: tuple
     worst_x2: tuple
     trials: int
-    refined: bool
     seed: int
     variant: str
 
@@ -206,16 +205,15 @@ def _pattern_search(pairs: np.ndarray, variant: str,
 
 
 def stability_constant_estimate(n: int, trials: int, seed: int = 0,
-                                variant: str = VARIANT_S,
-                                refine: bool = True) -> StabilityEstimate:
+                                variant: str = VARIANT_S) -> StabilityEstimate:
     """Empirical minimum of the stability quotient over sampled pairs.
 
     Trials are drawn ``SAMPLE_CHUNK`` at a time by one ``standard_normal``
     call (the stream and final generator state of one draw per trial) and
     scored by one array kernel call; the five smallest quotients are kept,
-    ties in trial order.  Pure sampling overestimates the constant, so with
-    ``refine`` those pairs are then refined by pattern search, all of them
-    in lockstep; the lowest refined quotient, first in sampled order, wins.
+    ties in trial order.  Pure sampling overestimates the constant, so
+    pattern search then improves those pairs, all of them in lockstep; the
+    lowest quotient after the search, first in sampled order, wins.
     Variant S at n = 1 raises ``ValueError``: every pair is a sign flip.
     """
     if n <= 0:
@@ -245,11 +243,9 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
     if not ratios.size:
         raise RuntimeError("all sampled pairs were excluded")
     best_ratio, bx1, bx2 = float(ratios[0]), pairs[0, 0], pairs[0, 1]
-    if refine:
-        refined, r = _pattern_search(pairs, variant, rng)
-        i = int(np.argmin(r))
-        if r[i] < best_ratio:
-            best_ratio, bx1, bx2 = r[i], refined[i, 0], refined[i, 1]
+    pairs, r = _pattern_search(pairs, variant, rng)
+    i = int(np.argmin(r))
+    if r[i] < best_ratio:
+        best_ratio, bx1, bx2 = r[i], pairs[i, 0], pairs[i, 1]
     return StabilityEstimate(float(best_ratio), tuple(bx1.tolist()),
-                             tuple(bx2.tolist()), trials, refine, seed,
-                             variant)
+                             tuple(bx2.tolist()), trials, seed, variant)

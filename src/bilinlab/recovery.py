@@ -2,19 +2,21 @@
 
 ``bpdn_synthesis`` solves  min ||u||_1  s.t.  ||A u - b|| <= eps  by
 accelerated proximal gradient steps on the penalized problem with
-continuation on the penalty, followed by a least-squares polish on the
-detected support.  ``bpdn_synthesis_stack`` solves a stack of such
-problems with every problem's schedule run in lockstep on stacked
-matrices; a single problem is its one-row case.
+continuation on the penalty (bisection on it for eps > 0), followed for
+exact data by a least-squares polish on the detected support.
+``bpdn_synthesis_stack`` solves a stack of such problems with every
+problem's schedule run in lockstep on stacked matrices; a single problem
+is its one-row case.
 Complex l1 means the sum of magnitudes; the soft threshold shrinks the
-magnitude and preserves the phase.  At a fixed penalty the steps are
+magnitude and preserves the phase.  At each penalty the steps are
 monotone FISTA (Beck & Teboulle 2009): a step is kept only if it does not
 raise the penalized objective, and a rejected step restarts the momentum
 from the best point so far (O'Donoghue & Candes 2015), so the objective
 is monotonically nonincreasing.  A stage at one penalty ends when the
 proximal gradient residual at the extrapolated point y, ||z - y|| for the
-step z, falls below the tolerance relative to max(1, ||z||), or at the
-stage's step cap.
+step z, falls below ``TOLERANCE`` relative to max(1, ||z||), or after
+max(50, MAX_ITERATIONS // 20) steps; a solve ends once its stages have
+taken ``MAX_ITERATIONS`` steps.
 """
 
 from __future__ import annotations
@@ -24,21 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import LinearOperator
 from .signals import row_norms
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iterations: int = 5000
-    tolerance: float = 1e-8
-    penalty: float | None = None  # fixed l1 penalty; None = continuation
-
-    def __post_init__(self):
-        if self.max_iterations < 1 or self.tolerance <= 0:
-            raise ValueError("solver options must be positive")
-        if self.penalty is not None and not self.penalty >= 0:
-            raise ValueError("penalty must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -58,6 +46,10 @@ STACK_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).smallest_subnormal
 # Continuation stops lowering the penalty at this fraction of lam_max.
 PENALTY_FLOOR_REL = 1e-8
+# The step budget of one solve and the stopping tolerance of its stages
+# (see the module docstring), read at call time.
+MAX_ITERATIONS = 5000
+TOLERANCE = 1e-8
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
@@ -74,36 +66,24 @@ def stack_rows(m: int, n: int) -> int:
     return max(1, STACK_ENTRIES // max(1, m * n))
 
 
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, LinearOperator):
-        return a.materialize()
-    return np.asarray(a, dtype=complex)
-
-
-def _schedule(u, lam_max, eps: float, opts: SolverOptions):
+def _schedule(u, lam_max, eps: float, max_iterations: int):
     """Penalty schedule of one problem, as a generator.
 
-    Yields ``(start point, penalty, step cap)`` for each stage of monotone
+    Yields ``(start point, penalty)`` for each stage of monotone
     accelerated proximal gradient steps at a fixed penalty, and is sent
-    back the stage's ``(u, r, steps)``: a stage ends after ``step cap``
-    steps or at the first step whose proximal gradient residual is below
-    the tolerance (see the module docstring).  Returns the final point and
-    the total step count.
+    back the stage's ``(u, r, steps)`` (see the module docstring for where
+    a stage ends).  Returns the final point and the total step count.
     """
-    if opts.penalty is not None:
-        u, _, used = yield u, opts.penalty, opts.max_iterations
-        return u, used
     lam = 0.5 * lam_max
     lam_floor = PENALTY_FLOOR_REL * lam_max
-    stage_iters = max(50, opts.max_iterations // 20)
     total = 0
     while True:
-        u, r, used = yield u, lam, stage_iters
+        u, r, used = yield u, lam
         total += used
         res = np.linalg.norm(r)
         if eps > 0 and res <= eps:
             break
-        if lam <= lam_floor or total >= opts.max_iterations:
+        if lam <= lam_floor or total >= max_iterations:
             return u, total
         lam = max(lam * 0.25, lam_floor)
     # Bisection on the penalty so the residual lands just inside the
@@ -111,10 +91,10 @@ def _schedule(u, lam_max, eps: float, opts: SolverOptions):
     # constrained optimum.
     lo, hi = lam, lam * 4.0
     for _ in range(30):
-        if total >= opts.max_iterations:
+        if total >= max_iterations:
             break
         mid = 0.5 * (lo + hi)
-        u_mid, r_mid, used = yield u, mid, stage_iters
+        u_mid, r_mid, used = yield u, mid
         total += used
         if np.linalg.norm(r_mid) <= eps:
             lo = mid
@@ -126,17 +106,17 @@ def _schedule(u, lam_max, eps: float, opts: SolverOptions):
     return u, total
 
 
-def _finish(a, b, u, bnorm, history, total, eps, opts) -> SolverResult:
+def _finish(a, b, u, bnorm, history, total, eps) -> SolverResult:
     """Least-squares polish on the detected support, then the result."""
     m, n = a.shape
-    if opts.penalty is None and eps == 0.0:
+    if eps == 0.0:
         support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
         if 0 < support.size <= m:
             sub, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
             u_db = np.zeros(n, dtype=complex)
             u_db[support] = sub
             r_db = a @ u_db - b
-            if np.linalg.norm(r_db) <= max(eps, np.linalg.norm(a @ u - b)):
+            if np.linalg.norm(r_db) <= np.linalg.norm(a @ u - b):
                 u = u_db
     res = float(np.linalg.norm(a @ u - b))
     feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
@@ -157,8 +137,7 @@ def _momentum_weights(count: int) -> np.ndarray:
     return out
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
-                 opts: SolverOptions) -> list:
+def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     """Run every row's ``_schedule`` in lockstep on the stack (a, b).
 
     Each step is one monotone FISTA step of every live row, each at its own
@@ -186,8 +165,11 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     lam_max = np.abs(np.matvec(ah, b)).max(axis=1)
     ah /= lip[:, :, None]  # the gradient step's matrix A^H / L
     rows = ids.size
-    schedules = [_schedule(np.zeros(n, dtype=complex), lam_max[p], eps, opts)
-                 for p in range(rows)]
+    cap = max(50, MAX_ITERATIONS // 20)  # steps of one stage
+    betas = _momentum_weights(cap)
+    tol_sq = TOLERANCE ** 2
+    schedules = [_schedule(np.zeros(n, dtype=complex), lam_max[p], eps,
+                           MAX_ITERATIONS) for p in range(rows)]
     histories = [[] for _ in range(rows)]
     # A point and its residual share a row of n + m entries, so that one
     # call updates both: pts[0] is (y, r_y), pts[1] is (u, r_u) and zr is
@@ -199,18 +181,13 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     w = np.empty((2, rows, n), dtype=complex)
     fu = np.empty(rows)  # objective at u
     k = np.zeros(rows, dtype=np.int64)  # steps since the momentum restart
-    betas = np.empty(0)
     lam = np.empty(rows)
     tau = np.empty((rows, 1))
     start = np.zeros(rows, dtype=np.int64)  # step at which the stage began
     end = np.zeros(rows, dtype=np.int64)  # step at which its cap is hit
     step = 0
-    tol_sq = opts.tolerance ** 2
 
-    def begin(p, u0, penalty, cap):
-        nonlocal betas
-        if cap > betas.size:
-            betas = _momentum_weights(cap)
+    def begin(p, u0, penalty):
         rp = a[p] @ u0 - b[p]
         fp = float(penalty * np.sum(np.abs(u0)) + 0.5 * np.vdot(rp, rp).real)
         pts[:, p, :n], pts[:, p, n:], fu[p], k[p] = u0, rp, fp, 0
@@ -258,7 +235,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
             except StopIteration as stop:
                 u_p, total = stop.value
                 results[ids[p]] = _finish(a[p], b[p], u_p, bnorm[ids[p]],
-                                          histories[p], total, eps, opts)
+                                          histories[p], total, eps)
                 finished.append(p)
         if finished:
             keep = [p for p in range(rows) if p not in finished]
@@ -278,8 +255,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     return results
 
 
-def bpdn_synthesis_stack(a, b, eps: float = 0.0,
-                         opts: SolverOptions = SolverOptions()) -> list:
+def bpdn_synthesis_stack(a, b, eps: float = 0.0) -> list:
     """Basis pursuit denoising of a stack of problems, one per row.
 
     ``a`` has shape (T, m, n) and ``b`` shape (T, m); returns one
@@ -295,17 +271,12 @@ def bpdn_synthesis_stack(a, b, eps: float = 0.0,
     rows = stack_rows(*a.shape[1:])
     results = []
     for lo in range(0, len(a), rows):
-        results += _solve_stack(a[lo:lo + rows], b[lo:lo + rows], eps, opts)
+        results += _solve_stack(a[lo:lo + rows], b[lo:lo + rows], eps)
     return results
 
 
-def bpdn_synthesis(a, b, eps: float = 0.0,
-                   opts: SolverOptions = SolverOptions()) -> SolverResult:
-    """Basis pursuit denoising in synthesis form.
-
-    ``a`` may be a LinearOperator (materialized internally; instances here
-    are desk scale) or a dense matrix.  This is the one-row case of
-    ``bpdn_synthesis_stack``.
-    """
+def bpdn_synthesis(a, b, eps: float = 0.0) -> SolverResult:
+    """Basis pursuit denoising in synthesis form of one dense (m, n)
+    problem: the one-row case of ``bpdn_synthesis_stack``."""
     b = np.asarray(b, dtype=complex).ravel()
-    return bpdn_synthesis_stack(_as_matrix(a)[None], b[None], eps, opts)[0]
+    return bpdn_synthesis_stack(np.asarray(a)[None], b[None], eps)[0]

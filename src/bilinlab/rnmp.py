@@ -46,6 +46,10 @@ DET_CHUNK = 256
 # minimization, which bounds its memory.
 ALT_MIN_CHUNK = 256
 
+# Cap on the Toeplitz dimension of the determinant-chain lower bound, which
+# keeps its determinant search tractable; compute_bounds records the cap.
+MAX_TOEPLITZ_DIM = 16
+
 
 @dataclass(frozen=True)
 class HermitianToeplitz:
@@ -338,47 +342,41 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
 def compressed_dimension(s: int, f: int, n_ambient: int | None = None) -> int:
     """Toeplitz dimension ``n_tilde`` after Freiman support compression.
 
-    ``floor(2^(2(s+f-2) log2(s+f-2)))`` clipped by the ambient dimension;
-    when ``s+f-2 <= 1`` no compression is needed and the sumset dimension
-    ``s+f-1`` is returned (again clipped).
+    ``floor(2^(2 m2 log2 m2)) = m2^(2 m2)`` with m2 = s+f-2, in exact
+    integers, clipped by the ambient dimension; when ``m2 <= 1`` no
+    compression is needed and the sumset dimension ``s+f-1`` is returned
+    (again clipped).
     """
     if s < 1 or f < 1:
         raise ValueError("sparsities must be positive")
     m2 = s + f - 2
-    if m2 <= 1:
-        nt = s + f - 1
-    else:
-        # Relative nudge so exact powers (e.g. 3^6 for s+f-2 = 3) are not
-        # floored away by the last ulp of the exponential.
-        power = 2.0 ** (2.0 * m2 * math.log2(m2))
-        nt = int(math.floor(power * (1.0 + 1e-12)))
+    nt = s + f - 1 if m2 <= 1 else m2 ** (2 * m2)
     if n_ambient is not None:
         nt = min(nt, n_ambient)
     return nt
 
 
 def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
-                      seed: int = 0, max_toeplitz_dim: int = 16) -> float:
+                      seed: int = 0) -> float:
     """Determinant-chain search estimate of the lower bound on alpha(s, f).
 
     Evaluates ``alpha^2 >= D_{nt,k} / sqrt(nt * k^(nt-1))`` with
-    k = min(s, f) and nt the compressed dimension (capped at
-    ``max_toeplitz_dim`` to keep the determinant search tractable; the cap
-    is recorded by :func:`compute_bounds`).  min(s, f) = 1 returns the
-    exact value 1.  For k >= 3 the determinant is an upper estimate of
-    D_{nt,k} from a heuristic search, so the result is not a proven bound.
+    k = min(s, f) and nt the compressed dimension capped at
+    ``MAX_TOEPLITZ_DIM``.  min(s, f) = 1 returns the exact value 1.  For
+    k >= 3 the determinant is an upper estimate of D_{nt,k} from a
+    heuristic search, so the result is not a proven bound.
     """
-    return _alpha_lower(s, f, n, det_budget, seed, max_toeplitz_dim)[0]
+    return _alpha_lower(s, f, n, det_budget, seed)[0]
 
 
-def _alpha_lower(s: int, f: int, n: int, det_budget: int, seed: int,
-                 max_toeplitz_dim: int) -> tuple[float, bool]:
+def _alpha_lower(s: int, f: int, n: int, det_budget: int,
+                 seed: int) -> tuple[float, bool]:
     """``alpha_lower_bound`` and whether its determinant search covered
     every support (true when no search runs)."""
     k = min(s, f)
     if k == 1:
         return 1.0, True
-    nt = min(compressed_dimension(s, f, n), max_toeplitz_dim)
+    nt = min(compressed_dimension(s, f, n), MAX_TOEPLITZ_DIM)
     est = restricted_determinant(nt, k, det_budget, seed)
     alpha_sq = est.value / math.sqrt(nt * float(k) ** (nt - 1))
     return math.sqrt(max(alpha_sq, 0.0)), est.exhaustive_supports
@@ -521,15 +519,13 @@ class RnmpBounds:
 
 
 def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
-                   seed: int = 0, det_budget: int = 16,
-                   max_toeplitz_dim: int = 16) -> RnmpBounds:
+                   seed: int = 0, det_budget: int = 16) -> RnmpBounds:
     """Assemble RnmpBounds with certificates for each number."""
     # First, so that its size checks run before the determinant search.
     emp = alpha_empirical(s, f, n, trials, seed)
     nt = compressed_dimension(s, f, n)
-    nt_used = min(nt, max_toeplitz_dim)
-    lower, exhaustive_supports = _alpha_lower(s, f, n, det_budget, seed,
-                                              max_toeplitz_dim)
+    nt_used = min(nt, MAX_TOEPLITZ_DIM)
+    lower, exhaustive_supports = _alpha_lower(s, f, n, det_budget, seed)
     if min(s, f) == 1:
         # Both values are the exact 1 and neither search runs.
         exact = "exact (min(s, f) = 1)"

@@ -70,12 +70,28 @@ def test_main_config_error_exit_code(tmp_path):
     "command = rnmp-bound\ns = 5\nf = 1\nn = 2\n",      # s > n with f = 1
     "command = embed-verify\nm = 4\nn = 4\ndelta = 2\n",   # vacuous target
     "command = embed-verify\nm = 4\nn = 4\ndelta = -1\n",
+    # 98^196 as a float overflowed; k = 50 exceeds the capped dimension 16
+    "command = rnmp-bound\ns = 50\nf = 50\nn = 60\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)
     out = tmp_path / "out"
     assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("m", [89, 100])
+def test_freiman_search_bound_overflow_exit_code(tmp_path, capsys, m):
+    # The bound is inf at m = 89 and its arithmetic overflows at m = 100.
+    squares = ", ".join(str(i * i) for i in range(m))
+    cfg = _write_config(tmp_path,
+                        f"command = freiman-search\nset = {squares}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: the Grynkiewicz bound for m = {m} exceeds the float "
+        "range\n")
     assert not list(out.glob("*.json"))
 
 
@@ -168,6 +184,17 @@ def test_recover_sweep_csv(tmp_path):
     payload = json.loads((out / "recover-sweep.json").read_text())
     rates = [row["success_rate"] for row in payload["sweep"]]
     assert all(0.0 <= r <= 1.0 for r in rates)
+
+
+def test_recover_sweep_readme_rates(tmp_path):
+    cfg = _write_config(tmp_path, "command = recover-sweep\nn = 100\n"
+                        "sparsity = 3\nm_values = 8, 16, 24, 32\n"
+                        "trials = 20\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "recover-sweep.json").read_text())
+    assert [row["success_rate"] for row in payload["sweep"]] == [
+        0.15, 0.95, 1.0, 1.0]
 
 
 def _per_trial_sweep(config):

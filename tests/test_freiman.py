@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ def test_affine_maps_are_isomorphisms(elems, p, q):
     # and composing a found isomorphism with an affine map stays one
     comp = {e: 2 * phi[e] - 3 for e in elems}
     assert freiman.is_freiman_isomorphism(tuple(elems), comp)
+
+
+def test_grynkiewicz_bound_beyond_the_float_range():
+    assert math.isfinite(freiman.grynkiewicz_bound(88))
+    for m in (89, 100):  # inf, then OverflowError in the arithmetic
+        with pytest.raises(ValueError, match=f"m = {m} "):
+            freiman.grynkiewicz_bound(m)
 
 
 def test_grynkiewicz_bound():

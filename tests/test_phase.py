@@ -169,10 +169,8 @@ def test_stability_constant_estimate():
 
 def test_stability_estimate_prime_variant_runs():
     est = phase.stability_constant_estimate(2, trials=100, seed=1,
-                                            variant=phase.VARIANT_S_PRIME,
-                                            refine=False)
+                                            variant=phase.VARIANT_S_PRIME)
     assert est.c_hat > 0
-    assert not est.refined
 
 
 # Reference for the sampling stage: the per-trial loop with its own draws
@@ -260,8 +258,7 @@ def _reference_estimate(n, trials, seed, variant, refine):
             if r < best_ratio:
                 best_ratio, bx1, bx2 = r, rx1, rx2
     return phase.StabilityEstimate(float(best_ratio), tuple(bx1.tolist()),
-                                   tuple(bx2.tolist()), trials, refine, seed,
-                                   variant)
+                                   tuple(bx2.tolist()), trials, seed, variant)
 
 
 _ORACLE_CASES = [(variant, n) for variant in (phase.VARIANT_S,
@@ -272,11 +269,17 @@ _ORACLE_CASES = [(variant, n) for variant in (phase.VARIANT_S,
 
 @pytest.mark.parametrize("variant,n", _ORACLE_CASES)
 @pytest.mark.parametrize("refine", [True, False])
-def test_estimate_matches_per_trial_reference(variant, n, refine):
+def test_estimate_matches_per_trial_reference(monkeypatch, variant, n,
+                                             refine):
+    if not refine:
+        # A pattern search that improves no pair leaves the sampling
+        # stage's winner, which is checked on its own here.
+        monkeypatch.setattr(phase, "_pattern_search", lambda pairs, *_: (
+            pairs, np.full(len(pairs), np.inf)))
     for seed in (0, 1, 2):
         expected = _reference_estimate(n, 150, seed, variant, refine)
         assert phase.stability_constant_estimate(
-            n, 150, seed, variant, refine) == expected
+            n, 150, seed, variant) == expected
 
 
 @pytest.mark.parametrize("variant", [phase.VARIANT_S, phase.VARIANT_S_PRIME])

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bilinlab import operators, recovery
-from bilinlab.recovery import SolverOptions
+from bilinlab import recovery
 
 
 def _gaussian(m, n, rng):
@@ -30,24 +29,6 @@ def test_soft_threshold():
                        1.5 * np.exp(0.7j))
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(tolerance=0.0)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"penalty": -0.1}, {"penalty": float("nan")}])
-def test_options_reject_bad_penalties(kwargs):
-    with pytest.raises(ValueError):
-        SolverOptions(**kwargs)
-
-
-def test_options_accept_edge_penalties():
-    SolverOptions(penalty=0.0)
-
-
 def test_zero_data_shortcut():
     rng = np.random.default_rng(0)
     a = _gaussian(6, 12, rng)
@@ -64,13 +45,18 @@ def test_planted_recovery_noiseless():
     assert np.linalg.norm(res.solution - u0) <= 1e-3 * np.linalg.norm(u0)
 
 
-def test_objective_monotone_at_fixed_penalty():
-    rng = np.random.default_rng(2)
-    a, u0, b = _planted(20, 50, 3, rng)
-    res = recovery.bpdn_synthesis(
-        a, b, eps=0.0, opts=SolverOptions(penalty=0.05, max_iterations=400))
-    hist = np.asarray(res.objective_history)
-    assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, hist[:-1]))
+@pytest.mark.parametrize("m", [8, 16, 24])
+def test_objective_monotone_along_continuation(m):
+    # Steps at one penalty never raise the objective, and each stage
+    # restarts from the last point at a 4x smaller penalty, which lowers
+    # the objective there too: the whole history is nonincreasing.
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        a, u0, b = _planted(m, 50, 3, rng)
+        res = recovery.bpdn_synthesis(a, b, eps=0.0)
+        hist = np.asarray(res.objective_history)
+        assert len(res.objective_history) > res.iterations + 1  # stages
+        assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, hist[:-1]))
 
 
 def test_noisy_recovery_feasible():
@@ -94,19 +80,10 @@ def test_negative_eps_rejected():
         recovery.bpdn_synthesis(a, np.ones(5), eps=-1.0)
 
 
-def test_linear_operator_input_accepted():
-    rng = np.random.default_rng(11)
-    op = operators.gaussian_operator(20, 40, seed=1)
-    u0 = np.zeros(40, dtype=complex)
-    u0[[3, 17]] = [1.0, 2j]
-    b = op.apply(u0)
-    res = recovery.bpdn_synthesis(op, b)
-    assert np.linalg.norm(res.solution - u0) <= 1e-3 * np.linalg.norm(u0)
-
-
 # The per-problem solver, kept as the reference that bpdn_synthesis_stack
 # must match bit for bit: monotone FISTA with restart at each fixed penalty
-# (Beck & Teboulle 2009), inside the same continuation and bisection.
+# (Beck & Teboulle 2009), inside the same continuation and bisection.  It
+# takes the step budget and the tolerance as arguments.
 
 def _reference_soft_threshold(v, tau):
     mag = np.abs(v)
@@ -146,10 +123,8 @@ def _reference_mfista(a, b, u0, lam, lipschitz, max_iters, tol, history,
     return u, ru, used
 
 
-def _reference_bpdn_synthesis(amat, b, eps=0.0, opts=SolverOptions(),
-                              rejected=None):
-    if rejected is None:
-        rejected = []
+def _reference_bpdn_synthesis(amat, b, eps, max_iterations, tolerance,
+                              rejected):
     m, n = amat.shape
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -160,52 +135,46 @@ def _reference_bpdn_synthesis(amat, b, eps=0.0, opts=SolverOptions(),
     history = []
     u = np.zeros(n, dtype=complex)
     total_iters = 0
-    if opts.penalty is not None:
-        u, r, used = _reference_mfista(amat, b, u, opts.penalty, lipschitz,
-                                       opts.max_iterations, opts.tolerance,
-                                       history, rejected)
-        total_iters = used
-    else:
-        lam = 0.5 * lam_max
-        lam_floor = recovery.PENALTY_FLOOR_REL * lam_max
-        stage_iters = max(50, opts.max_iterations // 20)
-        res = bnorm
-        while total_iters < opts.max_iterations:
-            u, r, used = _reference_mfista(amat, b, u, lam, lipschitz,
-                                           stage_iters, opts.tolerance,
-                                           history, rejected)
-            total_iters += used
-            res = np.linalg.norm(r)
-            if eps > 0 and res <= eps:
-                break
-            if lam <= lam_floor:
-                break
-            lam = max(lam * 0.25, lam_floor)
+    lam = 0.5 * lam_max
+    lam_floor = recovery.PENALTY_FLOOR_REL * lam_max
+    stage_iters = max(50, max_iterations // 20)
+    res = bnorm
+    while total_iters < max_iterations:
+        u, r, used = _reference_mfista(amat, b, u, lam, lipschitz,
+                                       stage_iters, tolerance, history,
+                                       rejected)
+        total_iters += used
+        res = np.linalg.norm(r)
         if eps > 0 and res <= eps:
-            lo, hi = lam, lam * 4.0
-            for _ in range(30):
-                if total_iters >= opts.max_iterations:
-                    break
-                mid = 0.5 * (lo + hi)
-                u_mid, r_mid, used = _reference_mfista(
-                    amat, b, u, mid, lipschitz, stage_iters, opts.tolerance,
-                    history, rejected)
-                total_iters += used
-                if np.linalg.norm(r_mid) <= eps:
-                    lo = mid
-                    u, r = u_mid, r_mid
-                else:
-                    hi = mid
-                if (hi - lo) / hi < 1e-3:
-                    break
-    if opts.penalty is None and eps == 0.0:
+            break
+        if lam <= lam_floor:
+            break
+        lam = max(lam * 0.25, lam_floor)
+    if eps > 0 and res <= eps:
+        lo, hi = lam, lam * 4.0
+        for _ in range(30):
+            if total_iters >= max_iterations:
+                break
+            mid = 0.5 * (lo + hi)
+            u_mid, r_mid, used = _reference_mfista(
+                amat, b, u, mid, lipschitz, stage_iters, tolerance, history,
+                rejected)
+            total_iters += used
+            if np.linalg.norm(r_mid) <= eps:
+                lo = mid
+                u, r = u_mid, r_mid
+            else:
+                hi = mid
+            if (hi - lo) / hi < 1e-3:
+                break
+    if eps == 0.0:
         support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
         if 0 < support.size <= m:
             sub, *_ = np.linalg.lstsq(amat[:, support], b, rcond=None)
             u_db = np.zeros(n, dtype=complex)
             u_db[support] = sub
             r_db = amat @ u_db - b
-            if np.linalg.norm(r_db) <= max(eps, np.linalg.norm(amat @ u - b)):
+            if np.linalg.norm(r_db) <= np.linalg.norm(amat @ u - b):
                 u, r = u_db, r_db
     res = float(np.linalg.norm(amat @ u - b))
     feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
@@ -226,14 +195,16 @@ def _planted_stack(t, m, n, s, noise, seed):
     return a, b
 
 
-def _assert_matches_reference(a, b, eps, opts, rejected=None):
-    """Compare each row with the reference; ``rejected`` (a list) receives
-    each row's list of rejected steps."""
-    stacked = recovery.bpdn_synthesis_stack(a, b, eps, opts)
+def _assert_matches_reference(a, b, eps, rejected=None):
+    """Compare each row with the reference at the module's step budget and
+    tolerance; ``rejected`` (a list) receives each row's list of rejected
+    steps."""
+    stacked = recovery.bpdn_synthesis_stack(a, b, eps)
     assert len(stacked) == len(a)
     for ai, bi, got in zip(a, b, stacked):
         row_rejected = []
-        want = _reference_bpdn_synthesis(ai, bi, eps, opts, row_rejected)
+        want = _reference_bpdn_synthesis(ai, bi, eps, recovery.MAX_ITERATIONS,
+                                         recovery.TOLERANCE, row_rejected)
         if rejected is not None:
             rejected.append(row_rejected)
         assert np.array_equal(got.solution, want.solution)
@@ -255,31 +226,23 @@ def _stages(res):
                                       (40, 3, 3)])
 def test_stack_matches_reference_exact(m, s, seed):
     a, b = _planted_stack(6, m, 60, s, 0.0, seed)
-    _assert_matches_reference(a, b, 0.0, SolverOptions())
+    _assert_matches_reference(a, b, 0.0)
 
 
 @pytest.mark.parametrize("m,noise,eps,seed", [
     (16, 1e-4, 1e-4, 4), (24, 0.05, 0.05, 5), (30, 0.01, 0.02, 6)])
 def test_stack_matches_reference_noisy(m, noise, eps, seed):
     a, b = _planted_stack(6, m, 60, 3, noise, seed)
-    stacked = _assert_matches_reference(a, b, eps, SolverOptions())
+    stacked = _assert_matches_reference(a, b, eps)
     # the rows end their bisections at different rounds
     assert len({_stages(res) for res in stacked}) > 1
-
-
-def test_stack_matches_reference_fixed_penalty():
-    a, b = _planted_stack(5, 20, 50, 3, 0.0, 7)
-    _assert_matches_reference(a, b, 0.0,
-                              SolverOptions(penalty=0.05, max_iterations=400))
-    _assert_matches_reference(a, b, 0.01, SolverOptions(penalty=0.0,
-                                                        max_iterations=60))
 
 
 def test_stack_matches_reference_zero_row():
     a, b = _planted_stack(4, 12, 40, 2, 0.0, 8)
     b[1] = 0.0
     for eps in (0.0, 0.1):
-        stacked = _assert_matches_reference(a, b, eps, SolverOptions())
+        stacked = _assert_matches_reference(a, b, eps)
         assert np.array_equal(stacked[1].solution, np.zeros(40))
         assert stacked[1].iterations == 0
         assert all(res.iterations > 0 for i, res in enumerate(stacked)
@@ -288,17 +251,19 @@ def test_stack_matches_reference_zero_row():
 
 @pytest.mark.parametrize("max_iterations,eps", [(1, 0.0), (60, 0.0),
                                                 (120, 0.01), (500, 1e-3)])
-def test_stack_matches_reference_iteration_cap(max_iterations, eps):
+def test_stack_matches_reference_iteration_cap(monkeypatch, max_iterations,
+                                               eps):
+    monkeypatch.setattr(recovery, "MAX_ITERATIONS", max_iterations)
     a, b = _planted_stack(5, 16, 60, 3, eps / 2, 9)
-    opts = SolverOptions(max_iterations=max_iterations)
-    stacked = _assert_matches_reference(a, b, eps, opts)
+    stacked = _assert_matches_reference(a, b, eps)
     assert any(res.iterations >= max_iterations for res in stacked)
 
 
 def test_stack_matches_reference_single_row():
     a, b = _planted_stack(1, 20, 60, 3, 0.0, 10)
-    _assert_matches_reference(a, b, 0.0, SolverOptions())
-    want = _reference_bpdn_synthesis(a[0], b[0])
+    _assert_matches_reference(a, b, 0.0)
+    want = _reference_bpdn_synthesis(a[0], b[0], 0.0, recovery.MAX_ITERATIONS,
+                                     recovery.TOLERANCE, [])
     got = recovery.bpdn_synthesis(a[0], b[0])
     assert np.array_equal(got.solution, want.solution)
     assert got.objective_history == want.objective_history
@@ -309,7 +274,7 @@ def test_stack_matches_reference_across_chunks(monkeypatch):
     assert recovery.stack_rows(16, 50) == 3
     a, b = _planted_stack(7, 16, 50, 3, 1e-3, 11)
     b[4] = 0.0
-    _assert_matches_reference(a, b, 1e-3, SolverOptions())
+    _assert_matches_reference(a, b, 1e-3)
 
 
 def test_stack_matches_reference_through_restarts():
@@ -317,7 +282,7 @@ def test_stack_matches_reference_through_restarts():
     # a missing restart or a stale momentum in the stack shows here.
     a, b = _planted_stack(6, 16, 60, 3, 0.0, 1)
     rejected = []
-    _assert_matches_reference(a, b, 0.0, SolverOptions(), rejected)
+    _assert_matches_reference(a, b, 0.0, rejected)
     assert len({tuple(steps) for steps in rejected}) > 1
     assert all(rejected)
 
@@ -327,7 +292,8 @@ def _recovered(results, u0):
             for res, u in zip(results, u0)]
 
 
-def test_default_solve_recovers_the_trials_a_long_solve_recovers():
+def test_default_solve_recovers_the_trials_a_long_solve_recovers(
+        monkeypatch):
     """Near the l1 transition (m = 16, n = 100, s = 3) the default schedule
     recovers trial by trial what a long, tight solve recovers, so the
     recover-sweep rates measure l1 rather than the step budget."""
@@ -338,8 +304,9 @@ def test_default_solve_recovers_the_trials_a_long_solve_recovers():
     for i in range(10):
         a[i], u0[i], b[i] = _planted(16, 100, 3, rng)
     default = _recovered(recovery.bpdn_synthesis_stack(a, b), u0)
-    long = _recovered(recovery.bpdn_synthesis_stack(
-        a, b, opts=SolverOptions(max_iterations=40000, tolerance=1e-11)), u0)
+    monkeypatch.setattr(recovery, "MAX_ITERATIONS", 40000)
+    monkeypatch.setattr(recovery, "TOLERANCE", 1e-11)
+    long = _recovered(recovery.bpdn_synthesis_stack(a, b), u0)
     assert default == long
     assert 0 < sum(long) < 10
 

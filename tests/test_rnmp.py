@@ -406,6 +406,10 @@ def test_compressed_dimension():
     assert rnmp.compressed_dimension(1, 1, 8) == 1
     assert rnmp.compressed_dimension(1, 2, 64) == 2
     assert rnmp.compressed_dimension(2, 2, 10) == 10
+    # m2^(2 m2) in exact integers, m2 = s + f - 2
+    assert rnmp.compressed_dimension(5, 5) == 8 ** 16 == 281474976710656
+    assert rnmp.compressed_dimension(5, 6) == 9 ** 18
+    assert rnmp.compressed_dimension(50, 50, 60) == 60
     with pytest.raises(ValueError):
         rnmp.compressed_dimension(0, 2)
 
@@ -670,13 +674,19 @@ def test_compute_bounds_rejects_out_of_range_sizes(s, f, n):
         rnmp.compute_bounds(s, f, n, trials=1, det_budget=1)
 
 
-def test_compute_bounds_records_dimension_cap():
+def test_compute_bounds_records_dimension_cap(monkeypatch):
     bounds = rnmp.compute_bounds(2, 3, 729, trials=4, seed=0, det_budget=2)
     cert = bounds.certificates["alpha_lower"]
     assert cert["capped"]
     assert cert["toeplitz_dim"] == 16
     assert cert["toeplitz_dim_uncapped"] == 729
     assert cert["proven"] is False
+    # The cap is read at call time.
+    monkeypatch.setattr(rnmp, "MAX_TOEPLITZ_DIM", 6)
+    bounds = rnmp.compute_bounds(2, 3, 729, trials=4, seed=0, det_budget=2)
+    assert bounds.certificates["alpha_lower"]["toeplitz_dim"] == 6
+    assert bounds.n_effective == 6
+    assert bounds.alpha_lower == rnmp.alpha_lower_bound(2, 3, 729, 2, 0)
 
 
 def test_restricted_min_eigenvalue_heuristic_path():
