@@ -24,27 +24,19 @@ import numpy as np
 from . import eigh
 from .signals import SparseVector, row_norms
 
-# Supports are enumerated exhaustively while the candidate count stays
-# below this; beyond it searches fall back to seeded random restarts and
-# the result is flagged heuristic.
+# The restricted-eigenvalue search enumerates its supports while there are
+# at most this many and otherwise runs a seeded greedy descent; the
+# determinant search refuses more translation-normalized supports.
 EXHAUSTIVE_SUPPORT_LIMIT = 10 ** 5
 
 ALT_MIN_MAX_ITERS = 200
 ALT_MIN_STALL = 1e-10
 DEFAULT_RESTARTS = 32
 
-# Principal submatrices per stacked eigenvalue call in the exhaustive
-# restricted-eigenvalue search, which bounds its memory.
-EIG_CHUNK = 1024
-
-# Descents run in lockstep by the determinant search, which bounds its
-# memory (each step inverts one matrix per descent that moved and takes
-# one determinant per live descent).
-DET_CHUNK = 256
-
-# (support pair, start) rows run in lockstep by the alternating
-# minimization, which bounds its memory.
-ALT_MIN_CHUNK = 256
+# Rows (matrices, descents, alternating minimizations) that every search
+# stacks per call, which bounds its memory; each search takes the minimum
+# over its chunks, so no result depends on it.
+CHUNK = 256
 
 # Cap on the Toeplitz dimension of the determinant-chain lower bound, which
 # keeps its determinant search tractable; compute_bounds records the cap.
@@ -70,10 +62,35 @@ class HermitianToeplitz:
         object.__setattr__(self, "first_row", row)
 
     def to_matrix(self) -> np.ndarray:
-        b = np.asarray(self.first_row)
-        idx = np.subtract.outer(np.arange(self.n), np.arange(self.n))
-        out = np.where(idx <= 0, b[np.abs(idx)], np.conj(b[np.abs(idx)]))
-        return out.astype(complex)
+        return _toeplitz(_lag_row(self), np.arange(self.n)[None])[0]
+
+
+def _lag_row(t: HermitianToeplitz) -> np.ndarray:
+    """The one-row lag stack ``b_{-(n-1)} .. b_{n-1}`` of ``t``, lag 0 at
+    index n-1 (the layout of ``_autocorr_rows``)."""
+    b = np.asarray(t.first_row)
+    return np.concatenate([np.conj(b[:0:-1]), b])[None]
+
+
+def _toeplitz(lags: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Toeplitz matrices restricted to each row of ``supports``: entry
+    (r, i, j) is ``lags[r, n-1 + s_j - s_i]`` for the support s in row r,
+    where each row of ``lags`` holds the 2n-1 lags of one matrix (lag 0 at
+    n-1).  A single lag row is shared by every support, and a single
+    support by every lag row."""
+    n = (lags.shape[1] + 1) // 2
+    idx = n - 1 + supports[:, None, :] - supports[:, :, None]
+    if len(supports) == 1:  # a one-axis gather: several times faster
+        return lags[:, idx[0]]
+    rows = lags.shape[1] * np.arange(len(lags))[:, None, None]
+    return lags.reshape(-1)[rows + idx]
+
+
+def _anchored_supports(n: int, k: int) -> list:
+    """The k-subsets of range(n) containing 0, in lexicographic order: one
+    per translation class, which is all an autocorrelation sees."""
+    return [(0,) + rest
+            for rest in itertools.combinations(range(1, n), k - 1)]
 
 
 def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
@@ -100,12 +117,6 @@ def symbol_eval(t: HermitianToeplitz, omega):
     return out if out.ndim else float(out)
 
 
-def _principal_submatrices(mat: np.ndarray, supports) -> np.ndarray:
-    """Stack of ``mat[np.ix_(idx, idx)]`` for each index tuple in supports."""
-    idx = np.asarray(supports)
-    return mat[idx[:, :, None], idx[:, None, :]]
-
-
 def min_eigenvalue(t: HermitianToeplitz) -> float:
     """Smallest eigenvalue."""
     return float(eigh.eigvalsh(t.to_matrix())[0])
@@ -120,24 +131,26 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
     """
     if not 1 <= s <= t.n:
         raise ValueError("need 1 <= s <= n")
-    mat = t.to_matrix()
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
+    lags = _lag_row(t)
     best = math.inf
     if math.comb(t.n, s) <= EXHAUSTIVE_SUPPORT_LIMIT:
         supports = itertools.combinations(range(t.n), s)
-        while chunk := list(itertools.islice(supports, EIG_CHUNK)):
-            vals = eigh.eigvalsh(_principal_submatrices(mat, chunk))
+        while chunk := list(itertools.islice(supports, CHUNK)):
+            vals = eigh.eigvalsh(_toeplitz(lags, np.array(chunk)))
             best = min(best, float(vals[:, 0].min()))
         return best
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(restarts):
         idx = sorted(rng.choice(t.n, size=s, replace=False).tolist())
-        val = float(eigh.eigvalsh(mat[np.ix_(idx, idx)])[0])
+        val = float(eigh.eigvalsh(_toeplitz(lags, np.array([idx])))[0, 0])
         while True:
             # Every single swap of the sweep in one call; the first
             # improving one in scan order (out, then inc ascending) wins.
             swaps = [sorted(set(idx) - {out} | {inc})
                      for out in idx for inc in range(t.n) if inc not in idx]
-            vals = eigh.eigvalsh(_principal_submatrices(mat, swaps))[:, 0]
+            vals = eigh.eigvalsh(_toeplitz(lags, np.array(swaps)))[:, 0]
             better = np.flatnonzero(vals < val - 1e-15)
             if better.size == 0:
                 break
@@ -167,7 +180,6 @@ class DeterminantEstimate:
     value: float
     argmin_support: tuple
     argmin_values: tuple
-    exhaustive_supports: bool
     seed: int
 
 
@@ -203,8 +215,7 @@ def _det_matrices(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         total = total + squares[:, j]
     t /= np.sqrt(total)[:, None]
-    lags = np.subtract.outer(np.arange(n), np.arange(n))
-    return _autocorr_rows(t)[:, n - 1 - lags]
+    return _toeplitz(_autocorr_rows(t), np.arange(n)[None])
 
 
 def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
@@ -236,8 +247,7 @@ def _det_gradient(n: int, supports: np.ndarray, c: np.ndarray,
     for i in range(n):
         diag[:, i:i + n] += inv[:, i, ::-1]
     # pair[:, p, q] = S_{q-p} for support positions p, q of the row.
-    lags = n - 1 + supports[:, None, :] - supports[:, :, None]
-    pair = diag[np.arange(r)[:, None, None], lags]
+    pair = _toeplitz(diag, supports)
     g = pair[:, :, 0] * c[:, None, 0]
     for q in range(1, k):
         g = g + pair[:, :, q] * c[:, None, q]
@@ -290,40 +300,36 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
     minimum.
 
     The descents, in (support, restart) order, run in lockstep
-    ``DET_CHUNK`` at a time, each step scoring the trial points of every
+    ``CHUNK`` at a time, each step scoring the trial points of every
     live descent with one stacked determinant and taking the new gradients
     of the descents that moved with one stacked inverse (Jacobi's formula,
     ``_det_gradient``).
     A chunk's start points come from one ``standard_normal((m, 2, k))``
     call, real parts then imaginary parts per descent: the stream of one
     start per restart.  The first strict minimum in (support, restart)
-    order wins.  With more than ``EXHAUSTIVE_SUPPORT_LIMIT`` supports a
-    random subset of that size is searched, drawn before the start points.
+    order wins.  More than ``EXHAUSTIVE_SUPPORT_LIMIT`` supports raise
+    ``ValueError``.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if math.comb(n - 1, k - 1) > EXHAUSTIVE_SUPPORT_LIMIT:
+        raise ValueError(f"C({n - 1}, {k - 1}) supports exceed "
+                         "EXHAUSTIVE_SUPPORT_LIMIT = "
+                         f"{EXHAUSTIVE_SUPPORT_LIMIT}")
     if k == 1:
-        return DeterminantEstimate(n, 1, 1.0, (0,), (1.0 + 0j,), True, seed)
-    # The autocorrelation is translation invariant, so supports may be
-    # normalized to contain index 0.
-    supports = [(0,) + rest
-                for rest in itertools.combinations(range(1, n), k - 1)]
-    exhaustive = len(supports) <= EXHAUSTIVE_SUPPORT_LIMIT
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if not exhaustive:
-        keep = rng.choice(len(supports), size=EXHAUSTIVE_SUPPORT_LIMIT,
-                          replace=False)
-        supports = [supports[i] for i in sorted(keep)]
+        return DeterminantEstimate(n, 1, 1.0, (0,), (1.0 + 0j,), seed)
+    supports = _anchored_supports(n, k)
     support_rows = np.array(supports)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
-    restarts = max(1, min(search_budget, 64))
+    restarts = min(search_budget, 64)
     descents = len(supports) * restarts
-    for start in range(0, descents, DET_CHUNK):
-        stop = min(start + DET_CHUNK, descents)
+    for start in range(0, descents, CHUNK):
+        stop = min(start + CHUNK, descents)
         # axes (descent, real/imaginary part, coefficient): the draw order
         draws = rng.standard_normal((stop - start, 2, k))
         c = draws[:, 0] + 1j * draws[:, 1]
@@ -336,7 +342,7 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
             best_support = supports[owner[i]]
             best_coeffs = c[i] / np.linalg.norm(c[i])
     return DeterminantEstimate(n, k, float(best), tuple(best_support),
-                               tuple(best_coeffs.tolist()), exhaustive, seed)
+                               tuple(best_coeffs.tolist()), seed)
 
 
 def compressed_dimension(s: int, f: int, n_ambient: int | None = None) -> int:
@@ -366,29 +372,20 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     k >= 3 the determinant is an upper estimate of D_{nt,k} from a
     heuristic search, so the result is not a proven bound.
     """
-    return _alpha_lower(s, f, n, det_budget, seed)[0]
-
-
-def _alpha_lower(s: int, f: int, n: int, det_budget: int,
-                 seed: int) -> tuple[float, bool]:
-    """``alpha_lower_bound`` and whether its determinant search covered
-    every support (true when no search runs)."""
+    if not (1 <= s <= n and 1 <= f <= n):
+        raise ValueError("need n >= 1 and 1 <= s, f <= n")
+    if det_budget < 1:
+        raise ValueError("det_budget must be positive")
     k = min(s, f)
+    if k > MAX_TOEPLITZ_DIM:
+        raise ValueError(f"min(s, f) = {k} exceeds the Toeplitz dimension "
+                         f"cap MAX_TOEPLITZ_DIM = {MAX_TOEPLITZ_DIM}")
     if k == 1:
-        return 1.0, True
+        return 1.0
     nt = min(compressed_dimension(s, f, n), MAX_TOEPLITZ_DIM)
     est = restricted_determinant(nt, k, det_budget, seed)
     alpha_sq = est.value / math.sqrt(nt * float(k) ** (nt - 1))
-    return math.sqrt(max(alpha_sq, 0.0)), est.exhaustive_supports
-
-
-def _restricted_toeplitz(v: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Autocorrelation Toeplitz matrix of each row of ``v`` restricted to the
-    same row of ``supports`` (indices into the row): entry (r, i, j) is
-    ``b_{j-i}`` of row r, so ``<x, B x> = ||x * v||^2`` for x on it."""
-    lags = supports[:, :, None] - supports[:, None, :]
-    rows = np.arange(len(v))[:, None, None]
-    return _autocorr_rows(v)[rows, v.shape[1] - 1 - lags]
+    return math.sqrt(max(alpha_sq, 0.0))
 
 
 def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray,
@@ -405,7 +402,7 @@ def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray,
         for on, other in ((sy, sx), (sx, sy)):
             dense = np.zeros((live.size, n), dtype=complex)
             dense[np.arange(live.size)[:, None], on] = y
-            w, vecs = np.linalg.eigh(_restricted_toeplitz(dense, other))
+            w, vecs = np.linalg.eigh(_toeplitz(_autocorr_rows(dense), other))
             y = vecs[..., 0]
         old = val[live]
         val[live] = w[:, 0]
@@ -418,13 +415,13 @@ def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray,
 
 def _min_norm(n: int, pairs, f: int, rng, starts: int) -> float:
     """Least ``||x * y||`` that ``_alt_min`` reaches from ``starts`` random
-    unit y per support pair, ``ALT_MIN_CHUNK`` (pair, start) rows at a
+    unit y per support pair, ``CHUNK`` (pair, start) rows at a
     time.  One ``rng`` call per pair, as the pair is reached, draws the
     real then the imaginary parts of one start after another."""
     rows = ((sx, sy, draws) for sx, sy in pairs
             for draws in rng.standard_normal((starts, 2, f)))
     best = math.inf
-    while chunk := list(itertools.islice(rows, ALT_MIN_CHUNK)):
+    while chunk := list(itertools.islice(rows, CHUNK)):
         sx, sy, draws = (np.array(part) for part in zip(*chunk))
         y = draws[:, 0] + 1j * draws[:, 1]
         y /= row_norms(y)[:, None]
@@ -446,15 +443,16 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
     support_y = [int(j) for j in support_y]
     if not all(0 <= i < n for i in support_x + support_y):
         raise ValueError("support indices must lie in [0, n)")
+    if any(len(set(sup)) < len(sup) for sup in (support_x, support_y)):
+        raise ValueError("support indices must be distinct")
     return _min_norm(n, [(support_x, support_y)], len(support_y), rng, starts)
 
 
 def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
     """Whether ``alpha_empirical`` enumerates every translation-normalized
     support pair (at most 2000 of them) instead of sampling ``trials``
-    pairs; also true for min(s, f) = 1, whose value is exact."""
-    return (min(s, f) == 1
-            or math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000)
+    pairs."""
+    return math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000
 
 
 def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
@@ -476,13 +474,8 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         return 1.0
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if _exhaustive_pairs(s, f, n):
-        # Translation invariance: fix the smallest index of each support
-        # to 0.
-        sx_list = [(0,) + r
-                   for r in itertools.combinations(range(1, n), s - 1)]
-        sy_list = [(0,) + r
-                   for r in itertools.combinations(range(1, n), f - 1)]
-        pairs = itertools.product(sx_list, sy_list)
+        pairs = itertools.product(_anchored_supports(n, s),
+                                  _anchored_supports(n, f))
     else:
         pairs = ((rng.choice(n, size=s, replace=False),
                   rng.choice(n, size=f, replace=False))
@@ -521,11 +514,13 @@ class RnmpBounds:
 def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
                    seed: int = 0, det_budget: int = 16) -> RnmpBounds:
     """Assemble RnmpBounds with certificates for each number."""
-    # First, so that its size checks run before the determinant search.
+    # alpha_lower_bound checks every other argument before its search.
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    lower = alpha_lower_bound(s, f, n, det_budget, seed)
     emp = alpha_empirical(s, f, n, trials, seed)
     nt = compressed_dimension(s, f, n)
     nt_used = min(nt, MAX_TOEPLITZ_DIM)
-    lower, exhaustive_supports = _alpha_lower(s, f, n, det_budget, seed)
     if min(s, f) == 1:
         # Both values are the exact 1 and neither search runs.
         exact = "exact (min(s, f) = 1)"
@@ -541,7 +536,7 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
             "capped": nt_used < nt,
             "det_budget": det_budget,
             "seed": seed,
-            "exhaustive_supports": exhaustive_supports,
+            "exhaustive_supports": True,
             # A search value is an upper estimate of D_{nt,k}, possibly
             # in a capped dimension.
             "proven": False,

@@ -72,6 +72,8 @@ def test_main_config_error_exit_code(tmp_path):
     "command = embed-verify\nm = 4\nn = 4\ndelta = -1\n",
     # 98^196 as a float overflowed; k = 50 exceeds the capped dimension 16
     "command = rnmp-bound\ns = 50\nf = 50\nn = 60\n",
+    "command = rnmp-bound\ns = 17\nf = 17\nn = 40\n",  # k = 17 > 16
+    "command = rnmp-bound\ns = 1\nf = 3\nn = 8\ndet_budget = 0\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)
@@ -93,6 +95,54 @@ def test_freiman_search_bound_overflow_exit_code(tmp_path, capsys, m):
         f"config error: the Grynkiewicz bound for m = {m} exceeds the float "
         "range\n")
     assert not list(out.glob("*.json"))
+
+
+def test_rnmp_bound_names_the_dimension_cap(tmp_path, capsys, monkeypatch):
+    # Rejected before the empirical search, which would otherwise run first.
+    from bilinlab import rnmp
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(rnmp, "alpha_empirical", no_search)
+    cfg = _write_config(tmp_path,
+                        "command = rnmp-bound\ns = 17\nf = 17\nn = 40\n")
+    assert cli.main(["--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: min(s, f) = 17 exceeds the Toeplitz dimension cap "
+        "MAX_TOEPLITZ_DIM = 16\n")
+
+
+def _readme_configs():
+    """The README's ```ini block, one config per ``command =`` line."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    configs = []
+    for line in block.splitlines():
+        if line.startswith("command ="):
+            configs.append([])
+        if configs:
+            configs[-1].append(line)
+    return ["\n".join(lines) + "\n" for lines in configs]
+
+
+def test_readme_has_one_config_per_command():
+    assert [cfg.split()[2] for cfg in _readme_configs()] == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("body", _readme_configs(),
+                         ids=lambda body: body.split()[2])
+def test_readme_config_runs(tmp_path, body):
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    reports = list(out.glob("*.json"))
+    assert len(reports) == 1
+    json.loads(reports[0].read_text(), parse_constant=reject)
 
 
 def test_main_io_error_exit_code(tmp_path):

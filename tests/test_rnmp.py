@@ -64,7 +64,8 @@ def test_restricted_toeplitz_matches_definition():
 
     for rows in ([0, 2, 3], [1, 4, 8], list(range(9))):
         want = np.array([[b(j - i) for j in rows] for i in rows])
-        got = rnmp._restricted_toeplitz(padded[None], np.array([rows]))
+        got = rnmp._toeplitz(rnmp._autocorr_rows(padded[None]),
+                             np.array([rows]))
         assert got.shape == (1, len(rows), len(rows))
         assert np.allclose(got[0], want, atol=1e-12)
 
@@ -73,9 +74,10 @@ def test_restricted_toeplitz_stack_equals_one_by_one():
     rng = np.random.default_rng(12)
     v = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
     supports = np.array([[0, 2, 6], [1, 2, 3], [0, 5, 6], [4, 5, 6]])
-    got = rnmp._restricted_toeplitz(v, supports)
+    got = rnmp._toeplitz(rnmp._autocorr_rows(v), supports)
     for r in range(4):
-        one = rnmp._restricted_toeplitz(v[r:r + 1], supports[r:r + 1])
+        one = rnmp._toeplitz(rnmp._autocorr_rows(v[r:r + 1]),
+                             supports[r:r + 1])
         assert np.array_equal(got[r], one[0])
 
 
@@ -205,6 +207,30 @@ def test_restricted_min_eigenvalue():
         rnmp.restricted_min_eigenvalue(t, 0)
 
 
+def test_restricted_min_eigenvalue_rejects_no_restarts():
+    # C(30, 8) > 1e5 takes the greedy path, where no restart leaves no
+    # value to return; the exhaustive path rejects it alike.
+    t = HermitianToeplitz(30, (1.0, 0.5) + (0.0,) * 28)
+    for s in (8, 2):
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            rnmp.restricted_min_eigenvalue(t, s, restarts=0)
+
+
+def test_restricted_min_eigenvalue_independent_of_chunk(monkeypatch):
+    # The minimum over chunks of 7 and 256 submatrices is the brute-force
+    # minimum over all C(10, 4) = 210 of them.
+    rng = np.random.default_rng(14)
+    t = rnmp.autocorrelation_toeplitz(
+        signals.random_sparse_vector(10, 3, rng), 10)
+    mat = t.to_matrix()
+    idx = np.array(list(itertools.combinations(range(10), 4)))
+    want = float(np.linalg.eigvalsh(
+        mat[idx[:, :, None], idx[:, None, :]])[:, 0].min())
+    for chunk in (7, 256):
+        monkeypatch.setattr(rnmp, "CHUNK", chunk)
+        assert rnmp.restricted_min_eigenvalue(t, 4) == want
+
+
 def test_restricted_eigenvalue_monotonicity():
     rng = np.random.default_rng(3)
     t = rnmp.autocorrelation_toeplitz(
@@ -245,7 +271,6 @@ def test_eigen_det_bound_below_min_eigenvalue():
 def test_restricted_determinant_singleton():
     est = rnmp.restricted_determinant(5, 1)
     assert est.value == 1.0
-    assert est.exhaustive_supports
 
 
 def test_restricted_determinant_two_by_two():
@@ -290,12 +315,7 @@ def _reference_determinant(n, k, search_budget, seed,
                            objective=_reference_objective):
     supports = [(0,) + rest
                 for rest in itertools.combinations(range(1, n), k - 1)]
-    exhaustive = len(supports) <= rnmp.EXHAUSTIVE_SUPPORT_LIMIT
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if not exhaustive:
-        keep = rng.choice(len(supports), size=rnmp.EXHAUSTIVE_SUPPORT_LIMIT,
-                          replace=False)
-        supports = [supports[i] for i in sorted(keep)]
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
@@ -328,8 +348,7 @@ def _reference_determinant(n, k, search_budget, seed,
                 best_support = support
                 best_coeffs = c / np.linalg.norm(c)
     return rnmp.DeterminantEstimate(n, k, float(best), tuple(best_support),
-                                    tuple(best_coeffs.tolist()), exhaustive,
-                                    seed)
+                                    tuple(best_coeffs.tolist()), seed)
 
 
 # (n, budget, seed) per k: one support with many restarts, more supports
@@ -353,21 +372,10 @@ def test_restricted_determinant_matches_reference_across_chunks(monkeypatch):
     # Chunks of 3 and 7 descents split the restarts of one support and
     # leave a short last chunk.
     for chunk in (3, 7):
-        monkeypatch.setattr(rnmp, "DET_CHUNK", chunk)
+        monkeypatch.setattr(rnmp, "CHUNK", chunk)
         for n, k, budget, seed in ((5, 3, 2, 0), (6, 2, 5, 1), (4, 4, 4, 2)):
             assert rnmp.restricted_determinant(n, k, budget, seed) == \
                 _reference_determinant(n, k, budget, seed)
-
-
-def test_restricted_determinant_matches_reference_sampled(monkeypatch):
-    # C(6, 2) = 15 supports over a limit of 4: a sampled subset is drawn
-    # from the generator before the start points.
-    monkeypatch.setattr(rnmp, "EXHAUSTIVE_SUPPORT_LIMIT", 4)
-    monkeypatch.setattr(rnmp, "DET_CHUNK", 5)
-    for seed in (0, 1):
-        est = rnmp.restricted_determinant(7, 3, 3, seed)
-        assert not est.exhaustive_supports
-        assert est == _reference_determinant(7, 3, 3, seed)
 
 
 def test_restricted_determinant_matches_reference_on_ties(monkeypatch):
@@ -377,7 +385,7 @@ def test_restricted_determinant_matches_reference_on_ties(monkeypatch):
     kernel = rnmp._det_objective
     monkeypatch.setattr(rnmp, "_det_objective", lambda n, supports, coeffs:
                         np.round(kernel(n, supports, coeffs), 1))
-    monkeypatch.setattr(rnmp, "DET_CHUNK", 4)
+    monkeypatch.setattr(rnmp, "CHUNK", 4)
 
     def rounded(n, support, coeffs):
         return np.round(_reference_objective(n, support, coeffs), 1)
@@ -531,7 +539,7 @@ def test_alpha_empirical_matches_reference_across_chunks(monkeypatch):
 
     monkeypatch.setattr(rnmp, "_alt_min", recording)
     for chunk in (3, 7):
-        monkeypatch.setattr(rnmp, "ALT_MIN_CHUNK", chunk)
+        monkeypatch.setattr(rnmp, "CHUNK", chunk)
         for s, f, n, trials, seed in ((2, 2, 5, 1, 0), (2, 3, 6, 1, 2),
                                       (2, 4, 16, 1, 1), (2, 4, 16, 3, 3),
                                       (3, 3, 12, 7, 4), (2, 4, 16, 10, 0)):
@@ -560,14 +568,14 @@ def test_alpha_empirical_stacks_at_most_one_chunk(monkeypatch):
     monkeypatch.setattr(rnmp, "_alt_min", lambda n, sx, sy, y: (
         stacked.append(len(y)) or engine(n, sx, sy, y)))
     rnmp.alpha_empirical(2, 4, 16, trials=1500, seed=0)
-    chunk = rnmp.ALT_MIN_CHUNK
+    chunk = rnmp.CHUNK
     assert stacked == [chunk] * (3000 // chunk) + [3000 % chunk]
 
 
 @pytest.mark.parametrize("starts", [1, 2, 5])
 def test_pair_min_norm_matches_reference_and_leaves_rng_state(monkeypatch,
                                                               starts):
-    monkeypatch.setattr(rnmp, "ALT_MIN_CHUNK", 3)
+    monkeypatch.setattr(rnmp, "CHUNK", 3)
     for sx, sy, n in (((5, 0, 2), (1, 3, 4, 9), 12), ((3, 4), (1, 3), 8),
                       ((0, 1, 2), (0, 2), 4), ((1, 6), (0, 1, 2, 3, 4), 7)):
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
@@ -581,6 +589,14 @@ def test_pair_min_norm_matches_reference_and_leaves_rng_state(monkeypatch,
 def test_pair_min_norm_rejects_indices_outside_dimension():
     for sx, sy in (((0, 4), (0, 1)), ((0, 1), (-1, 2))):
         with pytest.raises(ValueError, match=r"\[0, n\)"):
+            rnmp.pair_min_norm(sx, sy, 4)
+
+
+def test_pair_min_norm_rejects_repeated_indices():
+    # A repeated index would stand for the support {0} (minimum 1.0) and
+    # place two coefficients on one entry.
+    for sx, sy in (((0, 0), (0, 1)), ((0, 1), (2, 1, 2))):
+        with pytest.raises(ValueError, match="distinct"):
             rnmp.pair_min_norm(sx, sy, 4)
 
 
@@ -652,10 +668,7 @@ def test_compute_bounds_proven_only_for_singleton_sparsity(s, f, n):
 def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
     # C(15, 1) * C(15, 3) = 6825 support pairs at (2, 4, 16) are sampled,
     # so trials count; the C(8, 2)^2 = 784 pairs at (3, 3, 9) are all
-    # enumerated, so they do not.  A support limit of 20 lies between the
-    # C(15, 1) = 15 determinant supports of the first and the C(8, 2) = 28
-    # of the second.
-    monkeypatch.setattr(rnmp, "EXHAUSTIVE_SUPPORT_LIMIT", 20)
+    # enumerated, so they do not.
     cert = rnmp.compute_bounds(2, 4, 16, trials=3, det_budget=1).certificates
     assert not cert["alpha_empirical"]["exhaustive_pairs"]
     assert cert["alpha_lower"]["exhaustive_supports"]
@@ -663,8 +676,12 @@ def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
     assert cert["alpha_empirical"]["exhaustive_pairs"]
     assert rnmp.alpha_empirical(3, 3, 9, 1) == rnmp.alpha_empirical(3, 3, 9,
                                                                      500)
-    assert not cert["alpha_lower"]["exhaustive_supports"]
     assert cert["alpha_lower"]["proven"] is False
+    # The determinant search covers every support or refuses: a limit of
+    # 20 lies below the C(8, 2) = 28 determinant supports at (3, 3, 9).
+    monkeypatch.setattr(rnmp, "EXHAUSTIVE_SUPPORT_LIMIT", 20)
+    with pytest.raises(ValueError, match="EXHAUSTIVE_SUPPORT_LIMIT = 20"):
+        rnmp.compute_bounds(3, 3, 9, trials=3, det_budget=1)
 
 
 @pytest.mark.parametrize("s,f,n", [(1, 1, 0), (5, 1, 2), (1, 5, 2),
@@ -672,6 +689,25 @@ def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
 def test_compute_bounds_rejects_out_of_range_sizes(s, f, n):
     with pytest.raises(ValueError):
         rnmp.compute_bounds(s, f, n, trials=1, det_budget=1)
+
+
+@pytest.mark.parametrize("s,f,n,det_budget,match", [
+    (17, 17, 40, 1, r"min\(s, f\) = 17 exceeds .* MAX_TOEPLITZ_DIM = 16"),
+    (3, 3, 2, 1, "1 <= s, f <= n"),
+    (1, 3, 8, 0, "det_budget must be positive"),
+    (3, 3, 12, 0, "det_budget must be positive"),
+], ids=["cap", "sizes", "budget-exact", "budget-search"])
+def test_bounds_reject_before_any_search(monkeypatch, s, f, n, det_budget,
+                                         match):
+    def no_search(*args):
+        raise AssertionError("a search ran before the arguments were checked")
+
+    monkeypatch.setattr(rnmp, "alpha_empirical", no_search)
+    monkeypatch.setattr(rnmp, "restricted_determinant", no_search)
+    with pytest.raises(ValueError, match=match):
+        rnmp.compute_bounds(s, f, n, trials=1, det_budget=det_budget)
+    with pytest.raises(ValueError, match=match):
+        rnmp.alpha_lower_bound(s, f, n, det_budget)
 
 
 def test_compute_bounds_records_dimension_cap(monkeypatch):
