@@ -48,19 +48,6 @@ def _sum_pattern(values):
     return pattern
 
 
-def is_freiman_homomorphism(a, phi: dict) -> bool:
-    """a1+a2 = a1'+a2'  implies  phi(a1)+phi(a2) = phi(a1')+phi(a2')."""
-    elems = _elements(a)
-    if any(e not in phi for e in elems):
-        raise ValueError("map must be defined on every element")
-    images = [phi[e] for e in elems]
-    for group in _sum_pattern(elems).values():
-        image_sums = {images[i] + images[j] for i, j in group}
-        if len(image_sums) > 1:
-            return False
-    return True
-
-
 def is_freiman_isomorphism(a, phi: dict) -> bool:
     """Sum-coincidence patterns match in both directions."""
     elems = _elements(a)

@@ -2,9 +2,9 @@
 
 Provides :class:`LinearOperator` (apply/adjoint pairs with a descriptor for
 deterministic reconstruction) for the Gaussian ensemble, random sign
-diagonal, partial circulant demodulator, their composition (the universal
-random demodulator) and the finite Weyl-Heisenberg dictionary, plus
-:class:`BilinearMap` and the convolution as one.
+diagonal, partial circulant demodulator and their composition (the
+universal random demodulator), plus :class:`BilinearMap` and the
+convolution as one.
 
 Randomness is drawn from numpy's PCG64 generator seeded through
 ``np.random.SeedSequence``; the descriptor of every operator records the
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .signals import SparseVector
 
 
 @dataclass
@@ -173,49 +171,6 @@ def operator_from_descriptor(desc: dict) -> LinearOperator:
             desc["m"], desc["n"], desc["seed_eta"], desc["seed_xi"],
             desc["omega"])
     raise ValueError(f"unknown ensemble {kind!r}")
-
-
-def weyl_heisenberg(j1: int, j2: int, n: int) -> LinearOperator:
-    """Time-frequency shift ``Psi_j`` on C^n (unitary).
-
-    ``(Psi_j y)_k = exp(2j*pi*j1*(k-j2)/n) * y_{(k-j2) mod n}``; the pair
-    ``j = (0, j2)`` is the plain cyclic shift by ``j2``, so a channel
-    spreading profile supported on ``j1 = 0`` acts by circular convolution.
-    Indices are reduced mod n.
-    """
-    j1 %= n
-    j2 %= n
-    k = np.arange(n)
-    phase = np.exp(2j * np.pi * j1 * ((k - j2) % n) / n)
-
-    def apply(y):
-        return phase * np.roll(np.asarray(y, dtype=complex), j2, axis=-1)
-
-    def adjoint(w):
-        return np.roll(np.conj(phase) * np.asarray(w, dtype=complex), -j2,
-                       axis=-1)
-
-    return LinearOperator(
-        rows=n, cols=n, apply=apply, adjoint=adjoint,
-        descriptor={"ensemble": "weyl_heisenberg", "j1": j1, "j2": j2, "n": n},
-    )
-
-
-def spreading_channel(x: SparseVector, y: np.ndarray) -> np.ndarray:
-    """Apply the spreading channel ``sum_j x_j Psi_j`` to the data y.
-
-    ``x`` lives on the n^2 time-frequency grid with flat index
-    ``j = j1*n + j2``.
-    """
-    y = np.asarray(y, dtype=complex)
-    n = y.size
-    if x.n != n * n:
-        raise ValueError("spreading profile must live on the n^2 grid")
-    out = np.zeros(n, dtype=complex)
-    for j, v in zip(x.support, x.values):
-        j1, j2 = divmod(j, n)
-        out += v * weyl_heisenberg(j1, j2, n).apply(y)
-    return out
 
 
 @dataclass

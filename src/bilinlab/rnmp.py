@@ -107,16 +107,6 @@ def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     return HermitianToeplitz(n, tuple(b.tolist()))
 
 
-def symbol_eval(t: HermitianToeplitz, omega):
-    """Trigonometric symbol ``b(omega) = sum_{|k|<n} b_k e^{ik omega}``."""
-    omega = np.asarray(omega, dtype=float)
-    b = np.asarray(t.first_row)
-    k = np.arange(1, t.n)
-    phases = np.exp(1j * np.multiply.outer(omega, k))
-    out = b[0].real + 2.0 * np.real(phases @ b[1:])
-    return out if out.ndim else float(out)
-
-
 def min_eigenvalue(t: HermitianToeplitz) -> float:
     """Smallest eigenvalue."""
     return float(eigh.eigvalsh(t.to_matrix())[0])
@@ -445,6 +435,11 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
         raise ValueError("support indices must lie in [0, n)")
     if any(len(set(sup)) < len(sup) for sup in (support_x, support_y)):
         raise ValueError("support indices must be distinct")
+    for name, sup in (("support_x", support_x), ("support_y", support_y)):
+        if not sup:
+            raise ValueError(f"{name} is empty")
+    if starts < 1:
+        raise ValueError("starts must be positive")
     return _min_norm(n, [(support_x, support_y)], len(support_y), rng, starts)
 
 

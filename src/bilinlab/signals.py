@@ -3,16 +3,10 @@
 A :class:`SparseVector` stores a complex vector of ambient dimension ``n``
 as a strictly increasing support index list plus the values on the support.
 On top of that the module provides one exact array kernel for sparse
-convolution (:func:`sparse_convolve`), which serves linear and circular
-convolution and circular correlation, plus time reversal and the unitary
-DFT.  All operations are pure functions; vectors are immutable after
-construction and safe to share between concurrent trial workers.
-
-Conventions
------------
-The DFT is unitary with forward kernel ``exp(-2j*pi*k*l/n)/sqrt(n)``.
-Under this normalization ``F(x circ y) = sqrt(n) * (Fx * Fy)`` for the
-circular convolution on Z_n.
+convolution (:func:`sparse_convolve`), which serves circular convolution
+on Z_n; with supports in ``[0, n')`` and ``n >= 2n' - 1`` that is linear
+convolution.  All operations are pure functions; vectors are immutable
+after construction and safe to share between concurrent trial workers.
 """
 
 from __future__ import annotations
@@ -91,10 +85,6 @@ class SparseVector:
             total += abs(v) ** 2
         return math.sqrt(total)
 
-    def conj(self) -> "SparseVector":
-        return SparseVector(self.n, self.support,
-                            tuple(v.conjugate() for v in self.values))
-
 
 def sparse_convolve(support_x, values_x, support_y, values_y,
                     modulus: int | None = None):
@@ -117,24 +107,6 @@ def sparse_convolve(support_x, values_x, support_y, values_y,
     return keys, acc
 
 
-def _convolve(x: SparseVector, y: SparseVector, n_out: int,
-              modulus: int | None) -> SparseVector:
-    keys, values = sparse_convolve(x.support, x.values, y.support, y.values,
-                                   modulus)
-    kept = np.abs(values) > PRUNE_REL * x.norm() * y.norm()
-    return SparseVector(n_out, tuple(keys[kept].tolist()),
-                        tuple(values[kept].tolist()))
-
-
-def linear_convolve(x: SparseVector, y: SparseVector) -> SparseVector:
-    """Convolution on Z: ``z_k = sum_i x_i y_{k-i}``.
-
-    Supports are read as absolute positions starting at 0; the output
-    ambient dimension is ``x.n + y.n - 1``.
-    """
-    return _convolve(x, y, x.n + y.n - 1, None)
-
-
 def circular_convolve(x: SparseVector, y: SparseVector,
                       n: int | None = None) -> SparseVector:
     """Circular convolution on Z_n: ``z_k = sum_i x_i y_{(k-i) mod n}``."""
@@ -142,27 +114,11 @@ def circular_convolve(x: SparseVector, y: SparseVector,
         n = x.n
     if x.n != n or y.n != n:
         raise ValueError("ambient dimensions must equal n")
-    return _convolve(x, y, n, n)
-
-
-def circular_correlate(x: SparseVector, y: SparseVector,
-                       n: int | None = None) -> SparseVector:
-    """Circular correlation ``x (corr) y = x (circ) Gamma(conj(y))``.
-
-    Equivalently ``sqrt(n) * F^*(Fx . conj(Fy))`` under the unitary DFT.
-    """
-    if n is None:
-        n = x.n
-    if x.n != n or y.n != n:
-        raise ValueError("ambient dimensions must equal n")
-    return circular_convolve(x, time_reverse(y.conj()), n)
-
-
-def time_reverse(x: SparseVector) -> SparseVector:
-    """Time reversal ``(Gamma x)_k = x_{(-k) mod n}`` (an involution)."""
-    pairs = sorted(((-k) % x.n, v) for k, v in zip(x.support, x.values))
-    return SparseVector(x.n, tuple(k for k, _ in pairs),
-                        tuple(v for _, v in pairs))
+    keys, values = sparse_convolve(x.support, x.values, y.support, y.values,
+                                   n)
+    kept = np.abs(values) > PRUNE_REL * x.norm() * y.norm()
+    return SparseVector(n, tuple(keys[kept].tolist()),
+                        tuple(values[kept].tolist()))
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -170,18 +126,6 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     ``vecdot`` makes the same BLAS dot calls, ``einsum`` and ``sum(axis)``
     do not."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def dft(x) -> np.ndarray:
-    """Unitary DFT with forward kernel ``exp(-2j*pi*k*l/n)``."""
-    v = x.dense() if isinstance(x, SparseVector) else np.asarray(x, dtype=complex)
-    return np.fft.fft(v) / math.sqrt(v.size)
-
-
-def idft(x) -> np.ndarray:
-    """Inverse of :func:`dft`."""
-    v = x.dense() if isinstance(x, SparseVector) else np.asarray(x, dtype=complex)
-    return np.fft.ifft(v) * math.sqrt(v.size)
 
 
 def random_sparse_vector(n: int, s: int, rng: np.random.Generator,

@@ -27,8 +27,7 @@ def test_symmetrize_conjugate_symmetry_and_norm_bounds():
     for n in (2, 5, 9):
         x = _random_real_head(n, rng)
         s = phase.symmetrize(x)
-        rev = signals.time_reverse(SparseVector.from_dense(s)).dense()
-        assert np.allclose(s, np.conj(rev), atol=1e-12)
+        assert np.allclose(s, np.conj(np.roll(s[::-1], 1)), atol=1e-12)
         nx2 = np.linalg.norm(x) ** 2
         ns2 = np.linalg.norm(s) ** 2
         assert nx2 - 1e-10 <= ns2 <= 2 * nx2 + 1e-10
@@ -50,8 +49,7 @@ def test_symmetrize_prime():
     assert sp.size == 4 * 4 - 1
     assert np.linalg.norm(sp) ** 2 == pytest.approx(
         2 * np.linalg.norm(x) ** 2, rel=1e-12)
-    rev = signals.time_reverse(SparseVector.from_dense(sp)).dense()
-    assert np.allclose(sp, np.conj(rev), atol=1e-12)
+    assert np.allclose(sp, np.conj(np.roll(sp[::-1], 1)), atol=1e-12)
 
 
 def test_intensity_sign_invariance_exact():
@@ -80,14 +78,16 @@ def test_fourier_identity_for_symmetrized_autocorrelation():
     x = _random_real_head(n, rng)
     s = phase.zero_pad_symmetrize(x)
     big_n = s.size
-    sv = SparseVector.from_dense(s)
-    conv = signals.circular_convolve(sv, signals.time_reverse(sv.conj()))
-    lhs = signals.dft(conv)
-    rhs = math.sqrt(big_n) * np.abs(signals.dft(s)) ** 2
+    conv = signals.circular_convolve(
+        SparseVector.from_dense(s),
+        SparseVector.from_dense(np.roll(np.conj(s)[::-1], 1)))
+    lhs = np.fft.fft(conv.dense(), norm="ortho")
+    fs = np.fft.fft(s, norm="ortho")
+    rhs = math.sqrt(big_n) * np.abs(fs) ** 2
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
     # and the intensity map is exactly those squared magnitudes
-    assert np.allclose(phase.intensity_measurements(x),
-                       np.abs(signals.dft(s)) ** 2, atol=1e-14)
+    assert np.allclose(phase.intensity_measurements(x), np.abs(fs) ** 2,
+                       atol=1e-14)
 
 
 def test_binomial_identity_for_convolution():

@@ -154,26 +154,6 @@ def test_autocorr_rows_match_correlate(n):
         assert np.array_equal(out, np.correlate(v, v, "full"))
 
 
-def test_symbol_eval():
-    ident = rnmp.autocorrelation_toeplitz(SparseVector.basis(4, 0), 4)
-    assert rnmp.symbol_eval(ident, 0.3) == pytest.approx(1.0)
-    v = SparseVector(2, (0, 1), (1 / math.sqrt(2), 1 / math.sqrt(2)))
-    t = rnmp.autocorrelation_toeplitz(v, 2)
-    grid = np.linspace(-np.pi, np.pi, 64)
-    assert np.allclose(rnmp.symbol_eval(t, grid), 1.0 + np.cos(grid),
-                       atol=1e-12)
-
-
-def test_symbol_nonnegative_for_autocorrelations():
-    rng = np.random.default_rng(1)
-    grid = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
-    for _ in range(100):
-        s = int(rng.integers(1, 6))
-        t = signals.random_sparse_vector(10, s, rng)
-        toep = rnmp.autocorrelation_toeplitz(t, 10)
-        assert rnmp.symbol_eval(toep, grid).min() >= -1e-10
-
-
 def test_min_eigenvalue_closed_forms():
     two = HermitianToeplitz(2, (1.0, 0.5))
     assert rnmp.min_eigenvalue(two) == pytest.approx(0.5, abs=1e-12)
@@ -600,6 +580,39 @@ def test_pair_min_norm_rejects_repeated_indices():
             rnmp.pair_min_norm(sx, sy, 4)
 
 
+@pytest.mark.parametrize("sx, sy, starts, message", [
+    ((), (0,), 4, "support_x is empty"),
+    ((0,), (), 4, "support_y is empty"),
+    ((0, 1), (0, 2), 0, "starts must be positive"),
+], ids=["empty_x", "empty_y", "no_starts"])
+def test_pair_min_norm_rejects_empty_supports_and_no_starts(sx, sy, starts,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        rnmp.pair_min_norm(sx, sy, 4, starts=starts)
+
+
+def _alpha_two(f):
+    """Least eigenvalue 1 - cos(pi/(f+1)) of the f x f tridiagonal Toeplitz
+    matrix (1, 1/2), attained with x = (1, 1)/sqrt(2) on adjacent indices;
+    alpha(2, f) is its square root."""
+    return math.sqrt(1.0 - math.cos(math.pi / (f + 1)))
+
+
+@pytest.mark.parametrize("f, n", [(2, 8), (3, 8), (4, 8), (5, 8),
+                                  (2, 10), (3, 10), (4, 10)])
+def test_alpha_empirical_meets_closed_form_for_s_two(f, n):
+    # Only exhaustively enumerated support pairs: the sampled branch need
+    # not draw an adjacent pair.
+    assert rnmp._exhaustive_pairs(2, f, n)
+    assert abs(rnmp.alpha_empirical(2, f, n) - _alpha_two(f)) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [2, 3, 4, 5])
+def test_pair_min_norm_meets_closed_form_on_adjacent_pair(f):
+    assert abs(rnmp.pair_min_norm([0, 1], range(f), 12)
+               - _alpha_two(f)) <= 1e-12
+
+
 @pytest.mark.parametrize("s,f,n", [(1, 5, 4), (5, 1, 4), (0, 2, 4),
                                    (2, 0, 4), (1, 1, 0)])
 def test_alpha_empirical_rejects_out_of_range_sizes(s, f, n):
@@ -620,7 +633,7 @@ def test_norm_between_bounds_for_random_pairs():
     for _ in range(50):
         x = signals.random_sparse_vector(6, 2, rng)
         y = signals.random_sparse_vector(6, 2, rng)
-        norm = signals.linear_convolve(x, y).norm()
+        norm = np.linalg.norm(np.convolve(x.dense(), y.dense()))
         assert emp - 1e-9 <= norm <= math.sqrt(2) + 1e-9
 
 
