@@ -177,18 +177,38 @@ class _Draws(NamedTuple):
         return self.u[t]
 
 
-def _sparse_factors(rngs, n: int, s: int):
-    """One unit s-sparse factor per generator: a (T, n) stack and its
-    sorted (T, s) supports.  Each generator draws ``choice(n, s)`` and then
-    ``standard_normal((2, s))``, the real and the imaginary parts."""
-    picks = [(rng.choice(n, size=s, replace=False),
-              rng.standard_normal((2, s))) for rng in rngs]
-    support = np.sort([p for p, _ in picks], axis=1)
-    parts = np.array([g for _, g in picks])
-    vals = parts[:, 0] + 1j * parts[:, 1]
-    v = np.zeros((len(rngs), n), dtype=complex)
+def _roles(spec: StructuredSetSpec) -> tuple:
+    """The factor roles of one member, in draw order: per role the
+    dimension n, the support size and the number w of complex
+    coefficients."""
+    n1, n2, s, f = spec.n1, spec.n2, spec.s, spec.f
+    if spec.kind == "sparse_vectors":
+        return ((n1, s, s),)
+    if spec.kind == "sparse_rank_one":
+        return ((n1, s, s), (n2, f, f))
+    if spec.kind == "sparse_rank_one_diff":
+        return ((n1, s, s), (n2, f, f)) * 2
+    if spec.kind == "sparse_lowrank":
+        return ((n1, s, s * spec.kappa), (n2, f, spec.kappa * f))
+    return ((n1, s, s), (n1, s, s))  # symmetric_quadratic: x and y
+
+
+def _role_draw(rng, t: int, n: int, s: int, w: int):
+    """t draws of one role from one ``standard_normal((t, n + 2w))`` call:
+    per row n keys, then the real and then the imaginary parts of the w
+    coefficients.  The support, the sorted indices of the s smallest keys,
+    is a uniform s-subset.  Returns the (t, s) supports and (t, w)
+    coefficients."""
+    g = rng.standard_normal((t, n + 2 * w))
+    support = np.sort(np.argpartition(g[:, :n], s - 1, axis=1)[:, :s], axis=1)
+    return support, g[:, n:n + w] + 1j * g[:, n + w:]
+
+
+def _unit_factor(n: int, support, vals):
+    """The (t, n) stack of unit vectors with ``vals`` on ``support``."""
+    v = np.zeros((len(vals), n), dtype=complex)
     np.put_along_axis(v, support, vals / row_norms(vals)[:, None], axis=1)
-    return v, support
+    return v
 
 
 def _outer(x, y):
@@ -209,49 +229,50 @@ def _unions(a, b):
     return [tuple(np.union1d(p, q).tolist()) for p, q in zip(a, b)]
 
 
-def _sample_stack(spec: StructuredSetSpec, rngs) -> _Draws:
-    """Draw one unit-norm member of the structured set per generator.
+def _sample_stack(spec: StructuredSetSpec, rngs, t: int) -> _Draws:
+    """Draw t unit-norm members of the structured set.
 
-    Each generator's stream is consumed in the order of one draw; the
-    sorting, normalizing and scattering run over the whole stack.
+    ``rngs`` holds one generator per factor role of ``_roles(spec)``, and
+    each role takes one ``_role_draw`` call, in role order.  So one stream
+    per role yields the same member for a trial whatever the stack sizes.
     """
-    if spec.kind == "sparse_vectors":
-        v, sx = _sparse_factors(rngs, spec.n1, spec.s)
-        return _Draws(None, None, v, _tuples(sx), [()] * len(rngs))
-    if spec.kind in ("sparse_rank_one", "sparse_rank_one_diff"):
-        x, sx = _sparse_factors(rngs, spec.n1, spec.s)
-        y, sy = _sparse_factors(rngs, spec.n2, spec.f)
-        if spec.kind == "sparse_rank_one":
-            return _Draws(x, y, None, _tuples(sx), _tuples(sy))
-        x2, sx2 = _sparse_factors(rngs, spec.n1, spec.s)
-        y2, sy2 = _sparse_factors(rngs, spec.n2, spec.f)
-        diff = _normalized(_outer(x, y) - _outer(x2, y2))
-        return _Draws(None, None, diff, _unions(sx, sx2), _unions(sy, sy2))
+    roles = _roles(spec)
+    draws = [_role_draw(rng, t, *role) for rng, role in zip(rngs, roles)]
     if spec.kind == "sparse_lowrank":
-        rows, cols, left, right = (np.array(a) for a in zip(*[
-            (rng.choice(spec.n1, size=spec.s, replace=False),
-             rng.choice(spec.n2, size=spec.f, replace=False),
-             rng.standard_normal((2, spec.s, spec.kappa)),
-             rng.standard_normal((2, spec.kappa, spec.f))) for rng in rngs]))
-        rows.sort(axis=1)
-        cols.sort(axis=1)
-        core = ((left[:, 0] + 1j * left[:, 1])
-                @ (right[:, 0] + 1j * right[:, 1]))
-        m = np.zeros((len(rngs), spec.n1, spec.n2), dtype=complex)
-        m[np.arange(len(rngs))[:, None, None], rows[:, :, None],
+        (rows, left), (cols, right) = draws
+        core = (left.reshape(t, spec.s, spec.kappa)
+                @ right.reshape(t, spec.kappa, spec.f))
+        m = np.zeros((t, spec.n1, spec.n2), dtype=complex)
+        m[np.arange(t)[:, None, None], rows[:, :, None],
           cols[:, None, :]] = _normalized(core)
         return _Draws(None, None, m, _tuples(rows), _tuples(cols))
+    factors = [_unit_factor(n, support, vals)
+               for (n, _, _), (support, vals) in zip(roles, draws)]
+    supports = [support for support, _ in draws]
+    if spec.kind == "sparse_vectors":
+        return _Draws(None, None, factors[0], _tuples(supports[0]), [()] * t)
+    if spec.kind == "sparse_rank_one":
+        x, y = factors
+        return _Draws(x, y, None, _tuples(supports[0]), _tuples(supports[1]))
+    if spec.kind == "sparse_rank_one_diff":
+        x, y, x2, y2 = factors
+        sx, sy, sx2, sy2 = supports
+        diff = _normalized(_outer(x, y) - _outer(x2, y2))
+        return _Draws(None, None, diff, _unions(sx, sx2), _unions(sy, sy2))
     # symmetric_quadratic: difference-style rank-two set (x+y) (x-y)^T
-    x, sx = _sparse_factors(rngs, spec.n1, spec.s)
-    y, sy = _sparse_factors(rngs, spec.n1, spec.s)
-    supp = _unions(sx, sy)
+    x, y = factors
+    supp = _unions(*supports)
     return _Draws(x + y, x - y, _normalized(_outer(x + y, x - y)), supp, supp)
 
 
 def sample_structured(spec: StructuredSetSpec,
                       rng: np.random.Generator) -> StructuredSample:
-    """Draw one unit-norm member of the structured set."""
-    d = _sample_stack(spec, [rng])
+    """Draw one unit-norm member of the structured set.
+
+    The one-row case of ``verify_embedding``'s sampler, with ``rng``
+    serving every factor role in turn.
+    """
+    d = _sample_stack(spec, [rng] * len(_roles(spec)), 1)
     return StructuredSample(spec.kind, d.dense(0), d.support_x[0],
                             d.support_y[0], None if d.x is None else d.x[0],
                             None if d.y is None else d.y[0])
@@ -274,20 +295,23 @@ def verify_embedding(phi: LinearOperator, b: BilinearMap,
 
     Draws with ``||B(u)|| < 1e-12 ||u||`` are excluded from the ratio
     statistics (near-kernel events of B) and counted separately.  Every
-    trial draws from its own stream; a stack of trials is then lifted,
+    factor role (x and y of a rank-one pair, say) draws from its own
+    stream, spawned from ``SeedSequence(seed)``, one generator call per
+    stack; trial i takes the i-th draw of each role, so the report does
+    not depend on the stack size.  A stack of trials is then lifted,
     measured and normed by one stacked call each.
     """
     if phi.cols != b.n:
         raise ValueError("operator input dimension must match B output")
     if trials < 1:
         raise ValueError("trials must be positive")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+    rngs = [np.random.default_rng(s) for s in
+            np.random.SeedSequence(seed).spawn(len(_roles(spec)))]
     step = stack_trials(phi, b, spec)
     records = []
     skipped = 0
     for first in range(0, trials, step):
-        d = _sample_stack(spec, [np.random.default_rng(s)
-                                 for s in seeds[first:first + step]])
+        d = _sample_stack(spec, rngs, min(step, trials - first))
         if d.x is not None:
             v = b.apply_pair(d.x, d.y)
         elif d.u.ndim == 3:

@@ -37,6 +37,8 @@ DEFAULT_RESTARTS = 32
 # stacks per call, which bounds its memory; each search takes the minimum
 # over its chunks, so no result depends on it.
 CHUNK = 256
+# Most restarts per support that restricted_determinant's search runs.
+MAX_RESTARTS = 64
 
 # Cap on the Toeplitz dimension of the determinant-chain lower bound, which
 # keeps its determinant search tractable; compute_bounds records the cap.
@@ -279,15 +281,15 @@ def _descend(n: int, supports: np.ndarray, c: np.ndarray):
     return c, val
 
 
-def restricted_determinant(n: int, k: int, search_budget: int = 64,
+def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
                            seed: int = 0) -> DeterminantEstimate:
     """Search estimate of ``D_{n,k} = min |det B_t|`` over unit k-sparse t.
 
     Exhaustive over translation-normalized supports (smallest index 0)
     combined with multi-start projected gradient descent on the unit
     sphere of the support coefficients.  ``search_budget`` counts restarts
-    per support (at most 64).  The value is an upper estimate of the true
-    minimum.
+    per support, 1 to ``MAX_RESTARTS``.  The value is an upper estimate of
+    the true minimum.
 
     The descents, in (support, restart) order, run in lockstep
     ``CHUNK`` at a time, each step scoring the trial points of every
@@ -302,6 +304,9 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
+    if search_budget > MAX_RESTARTS:
+        raise ValueError(f"search budget {search_budget} exceeds "
+                         f"MAX_RESTARTS = {MAX_RESTARTS}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if math.comb(n - 1, k - 1) > EXHAUSTIVE_SUPPORT_LIMIT:
@@ -316,15 +321,14 @@ def restricted_determinant(n: int, k: int, search_budget: int = 64,
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
-    restarts = min(search_budget, 64)
-    descents = len(supports) * restarts
+    descents = len(supports) * search_budget
     for start in range(0, descents, CHUNK):
         stop = min(start + CHUNK, descents)
         # axes (descent, real/imaginary part, coefficient): the draw order
         draws = rng.standard_normal((stop - start, 2, k))
         c = draws[:, 0] + 1j * draws[:, 1]
         c /= row_norms(c)[:, None]
-        owner = np.arange(start, stop) // restarts
+        owner = np.arange(start, stop) // search_budget
         c, val = _descend(n, support_rows[owner], c)
         i = int(np.argmin(val))
         if val[i] < best:
@@ -366,6 +370,9 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
         raise ValueError("need n >= 1 and 1 <= s, f <= n")
     if det_budget < 1:
         raise ValueError("det_budget must be positive")
+    if det_budget > MAX_RESTARTS:
+        raise ValueError(f"det_budget = {det_budget} exceeds the restarts "
+                         f"per support MAX_RESTARTS = {MAX_RESTARTS}")
     k = min(s, f)
     if k > MAX_TOEPLITZ_DIM:
         raise ValueError(f"min(s, f) = {k} exceeds the Toeplitz dimension "

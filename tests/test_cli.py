@@ -74,6 +74,8 @@ def test_main_config_error_exit_code(tmp_path):
     "command = rnmp-bound\ns = 50\nf = 50\nn = 60\n",
     "command = rnmp-bound\ns = 17\nf = 17\nn = 40\n",  # k = 17 > 16
     "command = rnmp-bound\ns = 1\nf = 3\nn = 8\ndet_budget = 0\n",
+    # at most 64 restarts per support run, so 36 of these never would
+    "command = rnmp-bound\ns = 2\nf = 2\nn = 8\ndet_budget = 100\n",
 ])
 def test_main_rejected_value_exit_code(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, body)
@@ -194,6 +196,23 @@ def test_embed_verify_identity(tmp_path):
     csv_text = (out / "embed-verify-trials.csv").read_text()
     assert csv_text.startswith("trial_id,ratio,support_x,support_y")
     assert len(csv_text.strip().splitlines()) == 41
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000])
+@pytest.mark.parametrize("ensemble", ["gaussian", "demodulator"])
+def test_embed_verify_benchmark_configs(tmp_path, ensemble, seed):
+    # The benchmark's embed-gauss and embed-demod jobs and their check.
+    cfg = _write_config(tmp_path, f"command = embed-verify\nensemble = "
+                        f"{ensemble}\nm = 56\nn = 64\ntrials = 2500\n"
+                        f"seed = {seed}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "embed-verify.json").read_text())
+    summary = payload["summary"]
+    assert payload["within_target"]
+    assert summary["min_ratio"] <= 1.0 <= summary["max_ratio"]
+    assert (summary["valid_trials"] + summary["skipped_near_kernel"]
+            == summary["trials"] == 2500)
 
 
 def test_freiman_search_command(tmp_path):

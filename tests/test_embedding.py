@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,33 +162,52 @@ def test_report_serialization():
     assert summary["operator"]["ensemble"] == "identity"
 
 
-# The per-trial sampler and loop that verify_embedding replaced, kept as
-# the reference: one dataclass sample, one lift, one Phi and three norms
-# per trial.
+# The per-trial sampler and loop as the reference: one trial at a time,
+# each factor role drawing standard_normal(n + 2w) from its own stream (n
+# keys, then the real and the imaginary parts of w coefficients), then one
+# dataclass sample, one lift, one Phi and three norms per trial.
 
-def _reference_sparse_factor(n, s, rng):
-    support = np.sort(rng.choice(n, size=s, replace=False))
+def _reference_roles(spec):
+    """(n, support size, coefficient count) per factor role, in draw order."""
+    x = (spec.n1, spec.s, spec.s)
+    y = (spec.n2, spec.f, spec.f)
+    return {"sparse_vectors": [x],
+            "sparse_rank_one": [x, y],
+            "sparse_rank_one_diff": [x, y, x, y],
+            "sparse_lowrank": [(spec.n1, spec.s, spec.s * spec.kappa),
+                               (spec.n2, spec.f, spec.kappa * spec.f)],
+            "symmetric_quadratic": [x, x]}[spec.kind]
+
+
+def _reference_role(rng, n, s, w):
+    g = rng.standard_normal(n + 2 * w)
+    support = np.sort(np.argsort(g[:n], kind="stable")[:s])
+    return support, g[n:n + w] + 1j * g[n + w:]
+
+
+def _reference_sparse_factor(rng, n, s):
+    support, vals = _reference_role(rng, n, s, s)
     v = np.zeros(n, dtype=complex)
-    vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
     v[support] = vals / np.linalg.norm(vals)
     return v, tuple(int(i) for i in support)
 
 
-def _reference_sample_structured(spec, rng):
+def _reference_sample_structured(spec, rngs):
+    """One member; ``rngs`` holds one generator per role of the kind."""
     Sample = embedding.StructuredSample
     if spec.kind == "sparse_vectors":
-        v, supp = _reference_sparse_factor(spec.n1, spec.s, rng)
+        v, supp = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
         return Sample("sparse_vectors", v, support_x=supp)
     if spec.kind == "sparse_rank_one":
-        x, sx = _reference_sparse_factor(spec.n1, spec.s, rng)
-        y, sy = _reference_sparse_factor(spec.n2, spec.f, rng)
+        x, sx = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
+        y, sy = _reference_sparse_factor(rngs[1], spec.n2, spec.f)
         return Sample("sparse_rank_one", np.outer(x, y), support_x=sx,
                       support_y=sy, x=x, y=y)
     if spec.kind == "sparse_rank_one_diff":
         one = StructuredSetSpec("sparse_rank_one", spec.n1, spec.n2,
                                 spec.s, spec.f)
-        a = _reference_sample_structured(one, rng)
-        b = _reference_sample_structured(one, rng)
+        a = _reference_sample_structured(one, rngs[:2])
+        b = _reference_sample_structured(one, rngs[2:])
         diff = a.array - b.array
         nrm = np.linalg.norm(diff)
         if nrm > 0:
@@ -197,20 +218,19 @@ def _reference_sample_structured(spec, rng):
                       support_y=tuple(sorted(set(a.support_y)
                                              | set(b.support_y))))
     if spec.kind == "sparse_lowrank":
-        rows = np.sort(rng.choice(spec.n1, size=spec.s, replace=False))
-        cols = np.sort(rng.choice(spec.n2, size=spec.f, replace=False))
-        left = (rng.standard_normal((spec.s, spec.kappa))
-                + 1j * rng.standard_normal((spec.s, spec.kappa)))
-        right = (rng.standard_normal((spec.kappa, spec.f))
-                 + 1j * rng.standard_normal((spec.kappa, spec.f)))
-        core = left @ right
+        rows, left = _reference_role(rngs[0], spec.n1, spec.s,
+                                     spec.s * spec.kappa)
+        cols, right = _reference_role(rngs[1], spec.n2, spec.f,
+                                      spec.kappa * spec.f)
+        core = left.reshape(spec.s, spec.kappa) @ right.reshape(spec.kappa,
+                                                                spec.f)
         m = np.zeros((spec.n1, spec.n2), dtype=complex)
         m[np.ix_(rows, cols)] = core / np.linalg.norm(core)
         return Sample("sparse_lowrank", m,
                       support_x=tuple(int(i) for i in rows),
                       support_y=tuple(int(j) for j in cols))
-    x, sx = _reference_sparse_factor(spec.n1, spec.s, rng)
-    y, sy = _reference_sparse_factor(spec.n1, spec.s, rng)
+    x, sx = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
+    y, sy = _reference_sparse_factor(rngs[1], spec.n1, spec.s)
     m = np.outer(x + y, x - y)
     nrm = np.linalg.norm(m)
     if nrm > 0:
@@ -221,12 +241,13 @@ def _reference_sample_structured(spec, rng):
 
 
 def _reference_verify_embedding(phi, b, spec, trials, seed):
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+    roles = len(_reference_roles(spec))
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(roles)]
     records = []
     skipped = 0
     for trial_id in range(trials):
-        rng = np.random.default_rng(seeds[trial_id])
-        u = _reference_sample_structured(spec, rng)
+        u = _reference_sample_structured(spec, rngs)
         if u.x is not None and u.y is not None:
             v = b.apply_pair(u.x, u.y)
         elif u.array.ndim == 2:
@@ -261,8 +282,10 @@ SPECS = [
 def test_stacked_sampler_matches_reference(spec):
     for seed in range(20):
         got = embedding.sample_structured(spec, np.random.default_rng(seed))
-        want = _reference_sample_structured(spec,
-                                            np.random.default_rng(seed))
+        # the caller's generator serves every role in turn
+        rng = np.random.default_rng(seed)
+        want = _reference_sample_structured(
+            spec, [rng] * len(_reference_roles(spec)))
         assert got.kind == want.kind
         assert np.array_equal(got.array, want.array)
         assert (got.support_x, got.support_y) == (want.support_x,
@@ -338,3 +361,40 @@ def test_near_kernel_skips_inside_a_stack(monkeypatch):
     report = embedding.verify_embedding(phi, b, spec, 40, 3)
     assert 0 < report.skipped < 40
     assert report == _reference_verify_embedding(phi, b, spec, 40, 3)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_stack_size_does_not_change_the_report(monkeypatch, spec):
+    # Trial i takes the i-th draw of every role stream, so neither the
+    # stack size nor the trial count moves a trial's member.
+    phi, b = OPERATORS["gaussian_wide"](8)
+    reports = []
+    steps = []
+    for entries in (64, 256):
+        monkeypatch.setattr(embedding, "STACK_ENTRIES", entries)
+        steps.append(embedding.stack_trials(phi, b, spec))
+        reports.append(embedding.verify_embedding(phi, b, spec, 37, 5))
+    assert steps[0] < steps[1] < 37
+    assert reports[0] == reports[1]
+    fewer = embedding.verify_embedding(phi, b, spec, 20, 5)
+    assert fewer.records == tuple(r for r in reports[1].records if r[0] < 20)
+
+
+def test_sampling_law_uniform_supports_unit_factors():
+    # Every s-subset is equally likely and every factor has unit norm:
+    # the law the Monte Carlo distortion estimates assume.
+    n, s, t = 6, 2, 3000
+    spec = StructuredSetSpec("sparse_rank_one", n, n, s=s, f=s)
+    rngs = [np.random.default_rng(g)
+            for g in np.random.SeedSequence(2024).spawn(2)]
+    d = embedding._sample_stack(spec, rngs, t)
+    subsets = list(itertools.combinations(range(n), s))
+    expected = t / len(subsets)
+    for factor, supports in ((d.x, d.support_x), (d.y, d.support_y)):
+        assert np.max(np.abs(np.linalg.norm(factor, axis=1) - 1.0)) <= 1e-12
+        for row, support in zip(factor, supports):
+            assert tuple(np.flatnonzero(row).tolist()) == support
+        counts = Counter(supports)
+        assert sorted(counts) == subsets
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 36.12  # the 0.999 quantile of chi-square, 14 dof

@@ -299,9 +299,8 @@ def _reference_determinant(n, k, search_budget, seed,
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
-    restarts = max(1, min(search_budget, 64))
     for support in supports:
-        for _ in range(restarts):
+        for _ in range(search_budget):
             c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             c /= np.linalg.norm(c)
             val = objective(n, support, c[None])[0]
@@ -332,13 +331,13 @@ def _reference_determinant(n, k, search_budget, seed,
 
 
 # (n, budget, seed) per k: one support with many restarts, more supports
-# with few; budgets above 64 are capped at 64 restarts per support.
+# with few; MAX_RESTARTS (64) is the largest budget.
 _DETERMINANT_CASES = [(k, n, budget, seed)
                       for k in (2, 3, 4, 5)
                       for n, budget, seed in ((k, 16, 0), (k + 1, 3, 1),
                                               (k + 2, 1, 2), (k + 1, 5, 4),
                                               (k + 3, 1, 5))]
-_DETERMINANT_CASES += [(2, 2, 70, 3), (3, 3, 70, 3)]
+_DETERMINANT_CASES += [(2, 2, 64, 3), (3, 3, 64, 3)]
 
 
 @pytest.mark.parametrize("k,n,budget,seed", _DETERMINANT_CASES)
@@ -384,6 +383,8 @@ def test_restricted_determinant_monotone_in_n():
 def test_restricted_determinant_validation():
     with pytest.raises(ValueError):
         rnmp.restricted_determinant(4, 2, search_budget=0)
+    with pytest.raises(ValueError, match="MAX_RESTARTS = 64"):
+        rnmp.restricted_determinant(4, 2, search_budget=rnmp.MAX_RESTARTS + 1)
     with pytest.raises(ValueError):
         rnmp.restricted_determinant(2, 3)
 
@@ -709,7 +710,10 @@ def test_compute_bounds_rejects_out_of_range_sizes(s, f, n):
     (3, 3, 2, 1, "1 <= s, f <= n"),
     (1, 3, 8, 0, "det_budget must be positive"),
     (3, 3, 12, 0, "det_budget must be positive"),
-], ids=["cap", "sizes", "budget-exact", "budget-search"])
+    (1, 3, 8, 65, "det_budget = 65 exceeds .* MAX_RESTARTS = 64"),
+    (2, 2, 8, 100, "det_budget = 100 exceeds .* MAX_RESTARTS = 64"),
+], ids=["cap", "sizes", "budget-exact", "budget-search", "restarts-exact",
+        "restarts-search"])
 def test_bounds_reject_before_any_search(monkeypatch, s, f, n, det_budget,
                                          match):
     def no_search(*args):
