@@ -182,8 +182,7 @@ def _run_embed_verify(config: dict, out: Path, fmt: str):
     m = n if config["ensemble"] == "identity" else config["m"]
     phi = _make_operator(config["ensemble"], m, n, config["seed"])
     bmap = operators.convolution_lift(n)
-    spec = embedding.StructuredSetSpec("sparse_rank_one", n, n,
-                                       config["s"], config["f"])
+    spec = embedding.StructuredSetSpec(n, n, config["s"], config["f"])
     report = embedding.verify_embedding(phi, bmap, spec, config["trials"],
                                         config["seed"])
     if fmt == "csv":

@@ -190,20 +190,6 @@ class BilinearMap:
         return self.pair_apply(np.asarray(x, dtype=complex),
                                np.asarray(y, dtype=complex))
 
-    def apply_matrix(self, m) -> np.ndarray:
-        """Lifted action on an n1 x n2 matrix, or a stack of them, via
-        linearity in each slot."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape[-2:] != (self.n1, self.n2):
-            raise ValueError("matrix shape mismatch")
-        out = np.zeros(m.shape[:-2] + (self.n,), dtype=complex)
-        basis = np.eye(self.n2, dtype=complex)
-        for j in range(self.n2):
-            col = m[..., j]
-            if np.any(col):
-                out += self.pair_apply(col, basis[j])
-        return out
-
 
 def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
     """Convolution as a bilinear map on C^n x C^n.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigh
-from .signals import SparseVector, row_norms
+from .signals import SparseVector, row_norms, sparse_draws
 
 # The restricted-eigenvalue search enumerates its supports while there are
 # at most this many and otherwise runs a seeded greedy descent; the
@@ -457,15 +457,27 @@ def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
     return math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000
 
 
+def _sampled_pairs(s: int, f: int, n: int, trials: int, seed: int):
+    """``trials`` uniform support pairs, x and y from their own streams
+    spawned from ``SeedSequence(seed)``, one ``sparse_draws`` per CHUNK."""
+    rng_x, rng_y = (np.random.default_rng(g)
+                    for g in np.random.SeedSequence(seed).spawn(2))
+    for first in range(0, trials, CHUNK):
+        t = min(CHUNK, trials - first)
+        yield from zip(sparse_draws(rng_x, t, n, s)[0],
+                       sparse_draws(rng_y, t, n, f)[0])
+
+
 def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
                     seed: int = 0) -> float:
     """Empirical minimum of ||x * y|| over unit sparse pairs.
 
     Convolutions are zero padded, so circular equals ordinary convolution.
     Support pairs are enumerated exhaustively when few enough (see
-    ``_exhaustive_pairs``), otherwise ``trials`` pairs are sampled; an
-    enumeration does not use ``trials``.  Every pair gets two
-    starts, and all (pair, start) alternating minimizations run in
+    ``_exhaustive_pairs``), otherwise ``trials`` pairs are sampled (see
+    ``_sampled_pairs``); an enumeration does not use ``trials``.  Every
+    pair gets two starts, drawn from the root generator of ``seed`` in
+    pair order, and all (pair, start) alternating minimizations run in
     lockstep (see ``_min_norm``).  min(s, f) = 1 returns exactly 1.
     """
     if trials <= 0:
@@ -479,9 +491,7 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         pairs = itertools.product(_anchored_supports(n, s),
                                   _anchored_supports(n, f))
     else:
-        pairs = ((rng.choice(n, size=s, replace=False),
-                  rng.choice(n, size=f, replace=False))
-                 for _ in range(trials))
+        pairs = _sampled_pairs(s, f, n, trials, seed)
     return min(_min_norm(n, pairs, f, rng, starts=2), math.sqrt(min(s, f)))
 
 

@@ -128,6 +128,18 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+def sparse_draws(rng: np.random.Generator, t: int, n: int, s: int,
+                 w: int = 0):
+    """t uniform s-subsets of ``range(n)`` (sorted, as (t, s) indices) and
+    t rows of w complex Gaussian coefficients, from one
+    ``standard_normal((t, n + 2w))`` call: per row n keys, whose s smallest
+    give the support, then the real and the imaginary parts.  t one-row
+    calls draw the same as one t-row call."""
+    g = rng.standard_normal((t, n + 2 * w))
+    support = np.sort(np.argpartition(g[:, :n], s - 1, axis=1)[:, :s], axis=1)
+    return support, g[:, n:n + w] + 1j * g[:, n + w:]
+
+
 def random_sparse_vector(n: int, s: int, rng: np.random.Generator,
                          unit: bool = True) -> SparseVector:
     """Random s-sparse vector: uniform support, complex Gaussian values."""

@@ -120,7 +120,7 @@ def test_acceptance_04_alpha_empirical_vs_grid():
 def _distortion_run(m, n, trials, seed):
     phi = operators.gaussian_operator(m, n, seed=seed)
     bmap = operators.convolution_lift(n)
-    spec = embedding.StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = embedding.StructuredSetSpec(n, n, s=2, f=2)
     return embedding.verify_embedding(phi, bmap, spec, trials, seed).delta_hat
 
 
@@ -153,7 +153,7 @@ def test_acceptance_06_universal_demodulator():
     # cloud of M_{2,2} images, averaged over 8 independent operator draws
     n, m = 64, 16
     bmap = operators.convolution_lift(n)
-    spec = embedding.StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = embedding.StructuredSetSpec(n, n, s=2, f=2)
     cloud_rng = np.random.default_rng(1060)
     cloud = []
     while len(cloud) < 100:

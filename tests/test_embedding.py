@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bilinlab import embedding, operators
+from bilinlab import embedding, operators, signals
 from bilinlab.embedding import StructuredSetSpec
 
 
@@ -29,6 +29,10 @@ def test_entropy_sparse_lowrank():
     # doubling kappa doubles the dimension term only
     v2 = embedding.entropy_sparse_lowrank(2, 2, 2, 256, 0.1)
     assert v2 - val == pytest.approx(18 * math.log(90.0), rel=1e-12)
+    # the rank lies in 1..min(s, f)
+    for kappa in (0, 3):
+        with pytest.raises(ValueError):
+            embedding.entropy_sparse_lowrank(2, 3, kappa, 256, 0.1)
 
 
 def test_sample_complexity_bilinear():
@@ -41,6 +45,13 @@ def test_sample_complexity_bilinear():
     assert embedding.sample_complexity_bilinear(2, 2, 2, 256, 0.5) < m
     with pytest.raises(ValueError):
         embedding.sample_complexity_bilinear(2, 2, 1, 256, 1.5)
+    # log(n / (kappa min(s, f))) <= 0 gave counts 0, -11 and -19; a rank
+    # outside 1..min(s, f) is no sparse rank-kappa set
+    for s, f, kappa, n in ((2, 2, 1, 2), (2, 2, 2, 2), (3, 3, 3, 4),
+                           (2, 2, 1, 1), (2, 2, 0, 256), (2, 3, 3, 256)):
+        with pytest.raises(ValueError):
+            embedding.sample_complexity_bilinear(s, f, kappa, n, 0.5)
+    assert embedding.sample_complexity_bilinear(2, 2, 1, 3, 0.5) == 7
 
 
 def test_jl_sparsity_requirement():
@@ -76,50 +87,27 @@ def test_epsilon_hat():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        StructuredSetSpec("mystery", 8)
-    with pytest.raises(ValueError):
-        StructuredSetSpec("sparse_vectors", 8, s=9)
-    with pytest.raises(ValueError):
-        StructuredSetSpec("sparse_lowrank", 8, 8, s=2, f=2, kappa=3)
-    StructuredSetSpec("sparse_rank_one", 8, 8, s=2, f=3)
+    for args in ((8, 8, 9, 2), (8, 8, 2, 9), (0, 8, 1, 1), (8, 8, 0, 2)):
+        with pytest.raises(ValueError):
+            StructuredSetSpec(*args)
+    StructuredSetSpec(8, 8, 2, 3)
 
 
 def test_sample_structured_shapes():
     rng = np.random.default_rng(0)
-    vec = embedding.sample_structured(
-        StructuredSetSpec("sparse_vectors", 16, s=3), rng)
-    assert np.count_nonzero(vec.array) == 3
-    assert np.linalg.norm(vec.array) == pytest.approx(1.0)
-
-    r1 = embedding.sample_structured(
-        StructuredSetSpec("sparse_rank_one", 10, 10, s=2, f=3), rng)
-    assert np.linalg.matrix_rank(r1.array) == 1
-    assert np.count_nonzero(np.linalg.norm(r1.array, axis=1)) == 2
-    assert np.count_nonzero(np.linalg.norm(r1.array, axis=0)) == 3
-    assert np.allclose(r1.array, np.outer(r1.x, r1.y), atol=1e-12)
-
-    diff = embedding.sample_structured(
-        StructuredSetSpec("sparse_rank_one_diff", 10, 10, s=2, f=2), rng)
-    assert np.linalg.matrix_rank(diff.array) <= 2
-    assert np.count_nonzero(np.linalg.norm(diff.array, axis=1)) <= 4
-    assert np.linalg.norm(diff.array) == pytest.approx(1.0)
-
-    low = embedding.sample_structured(
-        StructuredSetSpec("sparse_lowrank", 12, 12, s=3, f=3, kappa=2), rng)
-    assert np.linalg.matrix_rank(low.array) <= 2
-    assert np.linalg.norm(low.array) == pytest.approx(1.0)
-
-    quad = embedding.sample_structured(
-        StructuredSetSpec("symmetric_quadratic", 8, s=2), rng)
-    assert np.linalg.matrix_rank(quad.array) <= 2
+    u = embedding.sample_structured(StructuredSetSpec(10, 12, 2, 3), rng)
+    assert (u.x.shape, u.y.shape) == ((10,), (12,))
+    for v, support, s in ((u.x, u.support_x, 2), (u.y, u.support_y, 3)):
+        assert tuple(np.flatnonzero(v).tolist()) == support
+        assert len(support) == s
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 def test_verify_embedding_identity():
     n = 12
     phi = operators.identity_operator(n)
     bmap = operators.convolution_lift(n)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = StructuredSetSpec(n, n, s=2, f=2)
     report = embedding.verify_embedding(phi, bmap, spec, trials=50, seed=0)
     assert report.delta_hat <= 1e-10
 
@@ -129,7 +117,7 @@ def test_verify_embedding_unitary_demodulator():
     phi = operators.partial_circulant_demodulator(n, n, seed_eta=3,
                                                   omega=list(range(n)))
     bmap = operators.convolution_lift(n)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = StructuredSetSpec(n, n, s=2, f=2)
     report = embedding.verify_embedding(phi, bmap, spec, trials=50, seed=1)
     assert report.delta_hat <= 1e-10
 
@@ -138,7 +126,7 @@ def test_verify_embedding_determinism_and_mismatch():
     n = 10
     phi = operators.gaussian_operator(8, n, seed=5)
     bmap = operators.convolution_lift(n)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = StructuredSetSpec(n, n, s=2, f=2)
     r1 = embedding.verify_embedding(phi, bmap, spec, trials=30, seed=7)
     r2 = embedding.verify_embedding(phi, bmap, spec, trials=30, seed=7)
     assert r1 == r2
@@ -151,7 +139,7 @@ def test_report_serialization():
     n = 8
     report = embedding.verify_embedding(
         operators.identity_operator(n), operators.convolution_lift(n),
-        StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2),
+        StructuredSetSpec(n, n, s=2, f=2),
         trials=5, seed=0)
     rows = list(report.to_csv_rows())
     assert rows[0] == "trial_id,ratio,support_x,support_y"
@@ -163,99 +151,36 @@ def test_report_serialization():
 
 
 # The per-trial sampler and loop as the reference: one trial at a time,
-# each factor role drawing standard_normal(n + 2w) from its own stream (n
-# keys, then the real and the imaginary parts of w coefficients), then one
-# dataclass sample, one lift, one Phi and three norms per trial.
-
-def _reference_roles(spec):
-    """(n, support size, coefficient count) per factor role, in draw order."""
-    x = (spec.n1, spec.s, spec.s)
-    y = (spec.n2, spec.f, spec.f)
-    return {"sparse_vectors": [x],
-            "sparse_rank_one": [x, y],
-            "sparse_rank_one_diff": [x, y, x, y],
-            "sparse_lowrank": [(spec.n1, spec.s, spec.s * spec.kappa),
-                               (spec.n2, spec.f, spec.kappa * spec.f)],
-            "symmetric_quadratic": [x, x]}[spec.kind]
-
-
-def _reference_role(rng, n, s, w):
-    g = rng.standard_normal(n + 2 * w)
-    support = np.sort(np.argsort(g[:n], kind="stable")[:s])
-    return support, g[n:n + w] + 1j * g[n + w:]
-
+# x and y each drawing standard_normal(n + 2w) from its own stream (n keys,
+# then the real and the imaginary parts of w coefficients), then one
+# sample, one lift, one Phi and three norms per trial.
 
 def _reference_sparse_factor(rng, n, s):
-    support, vals = _reference_role(rng, n, s, s)
+    g = rng.standard_normal(n + 2 * s)
+    support = np.sort(np.argsort(g[:n], kind="stable")[:s])
+    vals = g[n:n + s] + 1j * g[n + s:]
     v = np.zeros(n, dtype=complex)
     v[support] = vals / np.linalg.norm(vals)
     return v, tuple(int(i) for i in support)
 
 
-def _reference_sample_structured(spec, rngs):
-    """One member; ``rngs`` holds one generator per role of the kind."""
-    Sample = embedding.StructuredSample
-    if spec.kind == "sparse_vectors":
-        v, supp = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
-        return Sample("sparse_vectors", v, support_x=supp)
-    if spec.kind == "sparse_rank_one":
-        x, sx = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
-        y, sy = _reference_sparse_factor(rngs[1], spec.n2, spec.f)
-        return Sample("sparse_rank_one", np.outer(x, y), support_x=sx,
-                      support_y=sy, x=x, y=y)
-    if spec.kind == "sparse_rank_one_diff":
-        one = StructuredSetSpec("sparse_rank_one", spec.n1, spec.n2,
-                                spec.s, spec.f)
-        a = _reference_sample_structured(one, rngs[:2])
-        b = _reference_sample_structured(one, rngs[2:])
-        diff = a.array - b.array
-        nrm = np.linalg.norm(diff)
-        if nrm > 0:
-            diff = diff / nrm
-        return Sample("sparse_rank_one_diff", diff,
-                      support_x=tuple(sorted(set(a.support_x)
-                                             | set(b.support_x))),
-                      support_y=tuple(sorted(set(a.support_y)
-                                             | set(b.support_y))))
-    if spec.kind == "sparse_lowrank":
-        rows, left = _reference_role(rngs[0], spec.n1, spec.s,
-                                     spec.s * spec.kappa)
-        cols, right = _reference_role(rngs[1], spec.n2, spec.f,
-                                      spec.kappa * spec.f)
-        core = left.reshape(spec.s, spec.kappa) @ right.reshape(spec.kappa,
-                                                                spec.f)
-        m = np.zeros((spec.n1, spec.n2), dtype=complex)
-        m[np.ix_(rows, cols)] = core / np.linalg.norm(core)
-        return Sample("sparse_lowrank", m,
-                      support_x=tuple(int(i) for i in rows),
-                      support_y=tuple(int(j) for j in cols))
-    x, sx = _reference_sparse_factor(rngs[0], spec.n1, spec.s)
-    y, sy = _reference_sparse_factor(rngs[1], spec.n1, spec.s)
-    m = np.outer(x + y, x - y)
-    nrm = np.linalg.norm(m)
-    if nrm > 0:
-        m = m / nrm
-    supp = tuple(sorted(set(sx) | set(sy)))
-    return Sample("symmetric_quadratic", m, support_x=supp, support_y=supp,
-                  x=x + y, y=x - y)
+def _reference_sample_structured(spec, rng_x, rng_y):
+    x, sx = _reference_sparse_factor(rng_x, spec.n1, spec.s)
+    y, sy = _reference_sparse_factor(rng_y, spec.n2, spec.f)
+    return embedding.StructuredSample(x, y, sx, sy)
 
 
 def _reference_verify_embedding(phi, b, spec, trials, seed):
-    roles = len(_reference_roles(spec))
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(roles)]
+    rng_x, rng_y = (np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(2))
     records = []
     skipped = 0
     for trial_id in range(trials):
-        u = _reference_sample_structured(spec, rngs)
-        if u.x is not None and u.y is not None:
-            v = b.apply_pair(u.x, u.y)
-        elif u.array.ndim == 2:
-            v = b.apply_matrix(u.array)
-        else:
-            v = np.asarray(u.array, dtype=complex)
+        u = _reference_sample_structured(spec, rng_x, rng_y)
+        v = b.apply_pair(u.x, u.y)
         vn = np.linalg.norm(v)
-        if vn < embedding.NEAR_KERNEL_REL * np.linalg.norm(u.array):
+        un = np.linalg.norm(np.outer(u.x, u.y))
+        if vn < embedding.NEAR_KERNEL_REL * un:
             skipped += 1
             continue
         ratio = float(np.linalg.norm(phi.apply(v)) / vn)
@@ -269,30 +194,25 @@ def _reference_verify_embedding(phi, b, spec, trials, seed):
                                       seed, dict(phi.descriptor))
 
 
-SPECS = [
-    StructuredSetSpec("sparse_vectors", 8, s=3),
-    StructuredSetSpec("sparse_rank_one", 8, 8, s=2, f=3),
-    StructuredSetSpec("sparse_rank_one_diff", 8, 8, s=2, f=2),
-    StructuredSetSpec("sparse_lowrank", 8, 8, s=3, f=3, kappa=2),
-    StructuredSetSpec("symmetric_quadratic", 8, s=2),
-]
+# Two (s, f) shapes, so that a mix-up of the x and y draws shows.
+SPECS = [StructuredSetSpec(8, 8, 2, 3), StructuredSetSpec(8, 8, 3, 2)]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def _shape(spec):
+    return f"s{spec.s}-f{spec.f}"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_shape)
 def test_stacked_sampler_matches_reference(spec):
     for seed in range(20):
         got = embedding.sample_structured(spec, np.random.default_rng(seed))
-        # the caller's generator serves every role in turn
+        # the caller's generator draws x and then y
         rng = np.random.default_rng(seed)
-        want = _reference_sample_structured(
-            spec, [rng] * len(_reference_roles(spec)))
-        assert got.kind == want.kind
-        assert np.array_equal(got.array, want.array)
+        want = _reference_sample_structured(spec, rng, rng)
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.y, want.y)
         assert (got.support_x, got.support_y) == (want.support_x,
                                                   want.support_y)
-        for a, b in ((got.x, want.x), (got.y, want.y)):
-            assert (a is None) == (b is None)
-            assert a is None or np.array_equal(a, b)
 
 
 OPERATORS = {
@@ -319,35 +239,25 @@ def test_verify_embedding_matches_reference_across_stacks(monkeypatch, name):
     # Small stacks, so that every trial count below crosses a boundary.
     monkeypatch.setattr(embedding, "STACK_ENTRIES", 64)
     phi, b = OPERATORS[name](8)
-    spec = StructuredSetSpec("sparse_rank_one", 8, 8, s=2, f=3)
-    step = embedding.stack_trials(phi, b, spec)
-    assert 2 <= step < 10
-    for trials in (1, step - 1, step, step + 1, 5 * step // 2):
-        for seed in (0, 7):
-            assert embedding.verify_embedding(phi, b, spec, trials, seed) \
-                == _reference_verify_embedding(phi, b, spec, trials, seed)
+    for spec in SPECS:
+        step = embedding.stack_trials(phi, b, spec)
+        assert 2 <= step < 10
+        for trials in (1, step - 1, step, step + 1, 5 * step // 2):
+            for seed in (0, 7):
+                got = embedding.verify_embedding(phi, b, spec, trials, seed)
+                want = _reference_verify_embedding(phi, b, spec, trials, seed)
+                assert got == want
 
 
 def test_verify_embedding_matches_reference_at_default_stack():
     n = 64
     phi = operators.gaussian_operator(56, n, 0)
     b = operators.convolution_lift(n)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=2, f=2)
+    spec = StructuredSetSpec(n, n, s=2, f=2)
     step = embedding.stack_trials(phi, b, spec)
     assert step == 64
     assert embedding.verify_embedding(phi, b, spec, 2 * step + 1, 1) \
         == _reference_verify_embedding(phi, b, spec, 2 * step + 1, 1)
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
-def test_every_kind_matches_reference(monkeypatch, spec):
-    monkeypatch.setattr(embedding, "STACK_ENTRIES", 256)
-    phi, b = OPERATORS["gaussian_wide"](8)
-    step = embedding.stack_trials(phi, b, spec)
-    trials = 5 * step // 2
-    assert trials > step
-    assert embedding.verify_embedding(phi, b, spec, trials, 2) \
-        == _reference_verify_embedding(phi, b, spec, trials, 2)
 
 
 def test_near_kernel_skips_inside_a_stack(monkeypatch):
@@ -357,15 +267,15 @@ def test_near_kernel_skips_inside_a_stack(monkeypatch):
     n = 8
     b = operators.BilinearMap(n, n, n, lambda x, y: x * y)
     phi = operators.gaussian_operator(6, n, 1)
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=3, f=3)
+    spec = StructuredSetSpec(n, n, s=3, f=3)
     report = embedding.verify_embedding(phi, b, spec, 40, 3)
     assert 0 < report.skipped < 40
     assert report == _reference_verify_embedding(phi, b, spec, 40, 3)
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", SPECS, ids=_shape)
 def test_stack_size_does_not_change_the_report(monkeypatch, spec):
-    # Trial i takes the i-th draw of every role stream, so neither the
+    # Trial i takes the i-th draw of the x and y streams, so neither the
     # stack size nor the trial count moves a trial's member.
     phi, b = OPERATORS["gaussian_wide"](8)
     reports = []
@@ -380,21 +290,32 @@ def test_stack_size_does_not_change_the_report(monkeypatch, spec):
     assert fewer.records == tuple(r for r in reports[1].records if r[0] < 20)
 
 
+def _chi2_uniform_subsets(supports, n, s):
+    """Chi-square statistic of the support counts against the uniform law
+    on the s-subsets of range(n), all of which must appear."""
+    subsets = list(itertools.combinations(range(n), s))
+    counts = Counter(supports)
+    assert sorted(counts) == subsets
+    expected = len(supports) / len(subsets)
+    return sum((c - expected) ** 2 / expected for c in counts.values())
+
+
 def test_sampling_law_uniform_supports_unit_factors():
     # Every s-subset is equally likely and every factor has unit norm:
     # the law the Monte Carlo distortion estimates assume.
     n, s, t = 6, 2, 3000
-    spec = StructuredSetSpec("sparse_rank_one", n, n, s=s, f=s)
+    spec = StructuredSetSpec(n, n, s, s)
     rngs = [np.random.default_rng(g)
             for g in np.random.SeedSequence(2024).spawn(2)]
-    d = embedding._sample_stack(spec, rngs, t)
-    subsets = list(itertools.combinations(range(n), s))
-    expected = t / len(subsets)
-    for factor, supports in ((d.x, d.support_x), (d.y, d.support_y)):
+    x, sx, y, sy = embedding._sample_pairs(spec, *rngs, t)
+    for factor, supports in ((x, sx), (y, sy)):
         assert np.max(np.abs(np.linalg.norm(factor, axis=1) - 1.0)) <= 1e-12
         for row, support in zip(factor, supports):
             assert tuple(np.flatnonzero(row).tolist()) == support
-        counts = Counter(supports)
-        assert sorted(counts) == subsets
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert chi2 < 36.12  # the 0.999 quantile of chi-square, 14 dof
+        # 36.12 is the 0.999 quantile of chi-square, 14 dof
+        assert _chi2_uniform_subsets(supports, n, s) < 36.12
+    # The w = 0 draw of the sampled alpha_empirical pairs: supports only.
+    supports, coeffs = signals.sparse_draws(rngs[0], t, n, s)
+    assert coeffs.shape == (t, 0)
+    assert _chi2_uniform_subsets(list(map(tuple, supports.tolist())), n,
+                                 s) < 36.12

@@ -153,23 +153,6 @@ def test_universal_demodulator_matches_dense():
         assert np.linalg.norm(dense @ x - op.apply(x)) <= 1e-10 * np.linalg.norm(x)
 
 
-def test_bilinear_lift_consistency():
-    rng = np.random.default_rng(12)
-    n = 6
-    b = operators.convolution_lift(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    pair = b.apply_pair(x, y)
-    assert np.allclose(pair, b.apply_matrix(np.outer(x, y)), atol=1e-12)
-    assert np.allclose(b.apply_matrix(np.zeros((n, n))), 0.0)
-    # rank-two matrix = sum of its rank-one parts
-    x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    m2 = np.outer(x, y) + np.outer(x2, y2)
-    assert np.allclose(b.apply_matrix(m2),
-                       b.apply_pair(x, y) + b.apply_pair(x2, y2), atol=1e-12)
-
-
 def test_zero_padded_lift_equals_linear_convolution():
     rng = np.random.default_rng(14)
     n = 5
@@ -243,12 +226,3 @@ def test_stacked_pair_apply_equals_row_by_row(n, zero_padded):
     rows = np.array([[b.pair_apply(u, v) for u, v in zip(xs, ys)]
                      for xs, ys in zip(x, y)])
     assert np.array_equal(b.pair_apply(x, y), rows)
-
-
-def test_stacked_apply_matrix_equals_one_by_one():
-    b = operators.convolution_lift(5)
-    rng = np.random.default_rng(12)
-    mats = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
-    mats[1, :, 2] = 0.0
-    assert np.array_equal(b.apply_matrix(mats),
-                          np.array([b.apply_matrix(m) for m in mats]))

@@ -483,9 +483,15 @@ def _reference_alpha_empirical(s, f, n, trials, seed):
             for sy in sy_list:
                 best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
     else:
+        # supports from their own x and y streams, one pair at a time: the
+        # s smallest of n keys; the starts stay on the root generator
+        rng_x, rng_y = (np.random.default_rng(g)
+                        for g in np.random.SeedSequence(seed).spawn(2))
         for _ in range(trials):
-            sx = np.sort(rng.choice(n, size=s, replace=False))
-            sy = np.sort(rng.choice(n, size=f, replace=False))
+            sx = np.sort(np.argsort(rng_x.standard_normal(n),
+                                    kind="stable")[:s])
+            sy = np.sort(np.argsort(rng_y.standard_normal(n),
+                                    kind="stable")[:f])
             best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
     return min(best, math.sqrt(min(s, f)))
 

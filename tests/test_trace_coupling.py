@@ -56,7 +56,7 @@ def test_traced_embed_verify_stacks(tmp_path):
     n, m = 64, 56
     step = embedding.stack_trials(
         operators.gaussian_operator(m, n, 0), operators.convolution_lift(n),
-        embedding.StructuredSetSpec("sparse_rank_one", n, n, 2, 2))
+        embedding.StructuredSetSpec(n, n, 2, 2))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = embed-verify\nensemble = gaussian\nm = {m}\n"
                    f"n = {n}\ntrials = {2 * step + 1}\n")
