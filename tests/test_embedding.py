@@ -249,6 +249,20 @@ def test_verify_embedding_matches_reference_across_stacks(monkeypatch, name):
                 assert got == want
 
 
+# The sparse rank-one set is the one kind left; this checks it at a stack
+# four times the size used above, so that a partial last stack shows.
+@pytest.mark.parametrize("spec", [StructuredSetSpec(8, 8, s=2, f=3)],
+                         ids=["sparse_rank_one"])
+def test_every_kind_matches_reference(monkeypatch, spec):
+    monkeypatch.setattr(embedding, "STACK_ENTRIES", 256)
+    phi, b = OPERATORS["gaussian_wide"](8)
+    step = embedding.stack_trials(phi, b, spec)
+    trials = 5 * step // 2
+    assert trials > step
+    assert embedding.verify_embedding(phi, b, spec, trials, 2) \
+        == _reference_verify_embedding(phi, b, spec, trials, 2)
+
+
 def test_verify_embedding_matches_reference_at_default_stack():
     n = 64
     phi = operators.gaussian_operator(56, n, 0)
