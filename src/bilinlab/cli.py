@@ -1,9 +1,13 @@
 """Reproducible experiment driver.
 
 Configs are flat ``key = value`` text files with a typed schema per
-command; unknown and repeated keys are rejected.  Reports embed the
-resolved config and the artifact version and are byte-identical for a
-fixed (config, seed).
+command; unknown and repeated keys are rejected.  ``COMMANDS`` gives each
+command its schema, its runner and its CSV file, if any.  A runner
+returns report fields and CSV lines; ``main`` alone writes files.  It
+adds the artifact version and the resolved config, serializes the JSON
+before writing anything (a failed run writes no file), then writes
+``<command>.json`` and, under ``--format csv``, the CSV file.  Reports
+are byte-identical for a fixed (config, seed).
 
 ``recover-sweep`` solves its trial stacks, which share nothing, in fork
 worker processes, one per usable CPU, and in this process when only one
@@ -30,14 +34,12 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, embedding, freiman, phase, recovery, rnmp
 from . import operators
-
-COMMANDS = ("rnmp-bound", "embed-verify", "recover-sweep",
-            "phase-stability", "freiman-search", "demod-selftest")
 
 
 class ConfigError(ValueError):
@@ -51,53 +53,7 @@ def _parse_int_list(text: str):
         raise ConfigError(f"bad integer list {text!r}") from exc
 
 
-# command -> {key: (type converter, default or REQUIRED)}
 _REQUIRED = object()
-
-SCHEMAS = {
-    "rnmp-bound": {
-        "s": (int, _REQUIRED),
-        "f": (int, _REQUIRED),
-        "n": (int, _REQUIRED),
-        "trials": (int, 32),
-        "det_budget": (int, 8),
-        "seed": (int, 0),
-    },
-    "embed-verify": {
-        "ensemble": (str, "gaussian"),
-        "m": (int, _REQUIRED),
-        "n": (int, _REQUIRED),
-        "s": (int, 2),
-        "f": (int, 2),
-        "trials": (int, 200),
-        "delta": (float, 0.5),
-        "seed": (int, 0),
-    },
-    "recover-sweep": {
-        "n": (int, 100),
-        "sparsity": (int, 3),
-        "m_values": (_parse_int_list, _REQUIRED),
-        "trials": (int, 20),
-        "noise": (float, 0.0),
-        "seed": (int, 0),
-    },
-    "phase-stability": {
-        "n": (int, _REQUIRED),
-        "trials": (int, 1000),
-        "variant": (str, phase.VARIANT_S),
-        "seed": (int, 0),
-    },
-    "freiman-search": {
-        "set": (_parse_int_list, _REQUIRED),
-        "budget": (int, 10 ** 6),
-        "seed": (int, 0),
-    },
-    "demod-selftest": {
-        "n": (int, 16),
-        "m": (int, 0),  # 0 means n // 2 + 1
-        "seed": (int, 0),
-    },
-}
 
 
 def parse_config(path: Path) -> dict:
@@ -119,8 +75,9 @@ def parse_config(path: Path) -> dict:
         raw[key] = value.strip()
     command = raw.pop("command", None)
     if command not in COMMANDS:
-        raise ConfigError(f"config must set command to one of {COMMANDS}")
-    schema = SCHEMAS[command]
+        raise ConfigError(
+            f"config must set command to one of {tuple(COMMANDS)}")
+    schema = {**COMMANDS[command].schema, "seed": (int, 0)}
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
@@ -138,12 +95,13 @@ def parse_config(path: Path) -> dict:
     return config
 
 
-def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-            + "\n").encode()
+def _csv_lines(rows: list) -> list:
+    """A header of the first row's keys, then each row's values by repr."""
+    return [",".join(rows[0])] + [",".join(map(repr, row.values()))
+                                  for row in rows]
 
 
-def _run_rnmp_bound(config: dict, out: Path, fmt: str):
+def _run_rnmp_bound(config: dict):
     bounds = rnmp.compute_bounds(config["s"], config["f"], config["n"],
                                  trials=config["trials"],
                                  seed=config["seed"],
@@ -155,13 +113,8 @@ def _run_rnmp_bound(config: dict, out: Path, fmt: str):
         "alpha_empirical": bounds.alpha_empirical,
         "beta": bounds.beta,
     }
-    if fmt == "csv":
-        lines = [",".join(row), ",".join(repr(v) for v in row.values())]
-        (out / "rnmp-bound.csv").write_bytes(("\n".join(lines) + "\n").encode())
-    payload = {"artifact_version": __version__, "config": config,
-               "result": row, "certificates": bounds.certificates}
-    (out / "rnmp-bound.json").write_bytes(_json_bytes(payload))
-    return 0
+    return ({"result": row, "certificates": bounds.certificates},
+            _csv_lines([row]))
 
 
 def _make_operator(kind: str, m: int, n: int, seed: int):
@@ -175,7 +128,7 @@ def _make_operator(kind: str, m: int, n: int, seed: int):
     raise ConfigError(f"unknown ensemble {kind!r}")
 
 
-def _run_embed_verify(config: dict, out: Path, fmt: str):
+def _run_embed_verify(config: dict):
     if not 0 < config["delta"] < 1:
         raise ConfigError("delta must lie in (0, 1)")
     n = config["n"]
@@ -185,15 +138,10 @@ def _run_embed_verify(config: dict, out: Path, fmt: str):
     spec = embedding.StructuredSetSpec(n, n, config["s"], config["f"])
     report = embedding.verify_embedding(phi, bmap, spec, config["trials"],
                                         config["seed"])
-    if fmt == "csv":
-        rows = "\n".join(report.to_csv_rows()) + "\n"
-        (out / "embed-verify-trials.csv").write_bytes(rows.encode())
-    payload = {"artifact_version": __version__, "config": config,
-               "summary": report.summary(),
-               "delta_target": config["delta"],
-               "within_target": bool(report.delta_hat <= config["delta"])}
-    (out / "embed-verify.json").write_bytes(_json_bytes(payload))
-    return 0
+    return ({"summary": report.summary(),
+             "delta_target": config["delta"],
+             "within_target": bool(report.delta_hat <= config["delta"])},
+            report.to_csv_rows())
 
 
 def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
@@ -250,7 +198,7 @@ def _map_recovered(tasks) -> list:
     return [_recovered_task(task) for task in tasks]
 
 
-def _run_recover_sweep(config: dict, out: Path, fmt: str):
+def _run_recover_sweep(config: dict):
     if config["trials"] < 1:
         raise ConfigError("trials must be at least 1")
     if not config["m_values"] or min(config["m_values"]) < 1:
@@ -278,45 +226,31 @@ def _run_recover_sweep(config: dict, out: Path, fmt: str):
     rows = [{"m": m, "success_rate": k / config["trials"],
              "trials": config["trials"], "seed": config["seed"]}
             for m, k in zip(config["m_values"], successes)]
-    if fmt == "csv":
-        lines = ["m,success_rate,trials,seed"]
-        lines += ["{},{!r},{},{}".format(r["m"], r["success_rate"],
-                                         r["trials"], r["seed"])
-                  for r in rows]
-        (out / "recover-sweep.csv").write_bytes(("\n".join(lines) + "\n").encode())
-    payload = {"artifact_version": __version__, "config": config,
-               "sweep": rows}
-    (out / "recover-sweep.json").write_bytes(_json_bytes(payload))
-    return 0
+    return {"sweep": rows}, _csv_lines(rows)
 
 
-def _run_phase_stability(config: dict, out: Path, fmt: str):
+def _run_phase_stability(config: dict):
     est = phase.stability_constant_estimate(config["n"], config["trials"],
                                             seed=config["seed"],
                                             variant=config["variant"])
-    payload = {"artifact_version": __version__, "config": config,
-               "c_hat": est.c_hat,
-               "positive": bool(est.c_hat > 1e-8),
-               "worst_pair": est.worst_pair_json()}
-    (out / "phase-stability.json").write_bytes(_json_bytes(payload))
-    return 0
+    return {"c_hat": est.c_hat, "positive": bool(est.c_hat > 1e-8),
+            "worst_pair": est.worst_pair_json()}, None
 
 
-def _run_freiman_search(config: dict, out: Path, fmt: str):
-    result = freiman.min_diameter_isomorphic_image(config["set"],
-                                                   budget=config["budget"])
-    m = len(result.source)
+def _run_freiman_search(config: dict):
+    # The bound first: it rejects sets too large for the float range
+    # before a search that would spend its whole budget on them.
+    m = len(freiman.IndexSet(config["set"]).elements)
     d = freiman.dimension_bound(m)
     bound = freiman.grynkiewicz_bound(m, d)
-    payload = {"artifact_version": __version__, "config": config,
-               "result": result.to_json(),
-               "grynkiewicz_bound": bound, "grynkiewicz_d": d,
-               "within_bound": bool(result.diameter <= bound)}
-    (out / "freiman-search.json").write_bytes(_json_bytes(payload))
-    return 0
+    result = freiman.min_diameter_isomorphic_image(config["set"],
+                                                   budget=config["budget"])
+    return {"result": result.to_json(),
+            "grynkiewicz_bound": bound, "grynkiewicz_d": d,
+            "within_bound": bool(result.diameter <= bound)}, None
 
 
-def _run_demod_selftest(config: dict, out: Path, fmt: str):
+def _run_demod_selftest(config: dict):
     n = config["n"]
     m = config["m"] or n // 2 + 1
     seed = config["seed"]
@@ -343,19 +277,41 @@ def _run_demod_selftest(config: dict, out: Path, fmt: str):
         "descriptor_determinism_ok": determinism_ok,
     }
     all_ok = all(v for k, v in checks.items() if k.endswith("_ok"))
-    payload = {"artifact_version": __version__, "config": config,
-               "checks": checks, "all_ok": bool(all_ok)}
-    (out / "demod-selftest.json").write_bytes(_json_bytes(payload))
-    return 0 if all_ok else 1
+    return {"checks": checks, "all_ok": bool(all_ok)}, None
 
 
-_RUNNERS = {
-    "rnmp-bound": _run_rnmp_bound,
-    "embed-verify": _run_embed_verify,
-    "recover-sweep": _run_recover_sweep,
-    "phase-stability": _run_phase_stability,
-    "freiman-search": _run_freiman_search,
-    "demod-selftest": _run_demod_selftest,
+class Command(NamedTuple):
+    schema: dict  # key -> (type converter, default or _REQUIRED)
+    run: Callable  # config -> (report fields, CSV lines or None)
+    csv: str | None = None  # the file that --format csv adds
+
+
+# In README order; every command also takes ``seed`` (default 0).
+COMMANDS = {
+    "rnmp-bound": Command(
+        {"s": (int, _REQUIRED), "f": (int, _REQUIRED), "n": (int, _REQUIRED),
+         "trials": (int, 32), "det_budget": (int, 8)},
+        _run_rnmp_bound, "rnmp-bound.csv"),
+    "embed-verify": Command(
+        {"ensemble": (str, "gaussian"), "m": (int, _REQUIRED),
+         "n": (int, _REQUIRED), "s": (int, 2), "f": (int, 2),
+         "trials": (int, 200), "delta": (float, 0.5)},
+        _run_embed_verify, "embed-verify-trials.csv"),
+    "recover-sweep": Command(
+        {"n": (int, 100), "sparsity": (int, 3),
+         "m_values": (_parse_int_list, _REQUIRED), "trials": (int, 20),
+         "noise": (float, 0.0)},
+        _run_recover_sweep, "recover-sweep.csv"),
+    "phase-stability": Command(
+        {"n": (int, _REQUIRED), "trials": (int, 1000),
+         "variant": (str, phase.VARIANT_S)},
+        _run_phase_stability),
+    "freiman-search": Command(
+        {"set": (_parse_int_list, _REQUIRED), "budget": (int, 10 ** 6)},
+        _run_freiman_search),
+    "demod-selftest": Command(
+        {"n": (int, 16), "m": (int, 0)},  # m = 0 means n // 2 + 1
+        _run_demod_selftest),
 }
 
 
@@ -377,12 +333,26 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    name = config["command"]
+    command = COMMANDS[name]
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         if not out.is_dir():
             raise OSError("not a directory")
-        return _RUNNERS[config["command"]](config, out, args.format)
+        fields, lines = command.run(config)
+        payload = {"artifact_version": __version__, "config": config,
+                   **fields}
+        # Serialized first: a report that would hold NaN writes no file.
+        files = {f"{name}.json": (json.dumps(payload, sort_keys=True,
+                                             indent=2, allow_nan=False)
+                                  + "\n").encode()}
+        if args.format == "csv" and command.csv:
+            files[command.csv] = ("\n".join(lines) + "\n").encode()
+        for file_name, data in files.items():
+            (out / file_name).write_bytes(data)
+        # Only demod-selftest reports all_ok; a failed check exits 1.
+        return 0 if fields.get("all_ok", True) else 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

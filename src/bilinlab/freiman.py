@@ -113,16 +113,17 @@ def _class_sizes(values) -> list:
     return sorted(map(len, _sum_pattern(values).values()))
 
 
-def _matching_orders(elems, image_set):
+def _matching_orders(elems, image_set, steps: list, budget: int):
     """Depth-first walk over the orderings of ``image_set`` as images of
-    ``elems``, in ``itertools.permutations`` order.
+    ``elems``, in ``itertools.permutations`` order; yields the images of
+    each full match.
 
-    Position k takes each unused value in turn and adds the pairs (i, k),
-    i <= k, to a two-way map between source and image pair-sums.  A sum
-    already paired with a different partner means the two sum patterns
-    differ for every completion, so the subtree is cut.  Yields
-    ``(count, images)``: ``count`` candidate maps ruled out by a cut with
-    ``images`` None, or 1 with the images of a full match.
+    Position k takes each unused value in turn: one partial map visited,
+    which adds one to ``steps[0]``, and the walk ends once that exceeds
+    ``budget``.  The value adds the pairs (i, k), i <= k, to a two-way map
+    between source and image pair-sums.  A sum already paired with a
+    different partner means the two sum patterns differ for every
+    completion, so the subtree is cut.
     """
     m = len(elems)
     images = [0] * m
@@ -134,6 +135,9 @@ def _matching_orders(elems, image_set):
         for slot, value in enumerate(image_set):
             if used[slot]:
                 continue
+            steps[0] += 1
+            if steps[0] > budget:
+                return
             images[k] = value
             added = []
             consistent = True
@@ -147,11 +151,9 @@ def _matching_orders(elems, image_set):
                 elif partner != t:
                     consistent = False
                     break
-            if not consistent:
-                yield math.factorial(m - k - 1), None
-            elif k == m - 1:
-                yield 1, tuple(images)
-            else:
+            if consistent and k == m - 1:
+                yield tuple(images)
+            elif consistent:
                 used[slot] = True
                 yield from extend(k + 1)
                 used[slot] = False
@@ -174,12 +176,12 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
     creates; the first match is the first matching permutation in
     ``itertools.permutations`` order.
 
-    ``budget`` bounds the number of candidate maps (orderings of an image
-    set) examined: the match found counts one, a skipped image set counts
-    all m! of its orderings and a cut subtree counts every completion it
-    rules out.  Once the count exceeds ``budget`` the identity image is
-    returned with ``search_exhaustive`` False, so a result is always
-    returned.  A negative ``budget`` raises ``ValueError``.
+    ``budget`` bounds the steps the search takes: one per candidate image
+    set that passes the reflection test and one per partial map visited
+    (each value tried at a source position, cut or not).  Once the steps
+    exceed ``budget`` the identity image is returned with
+    ``search_exhaustive`` False, so a result is always returned.  A
+    negative ``budget`` raises ``ValueError``.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -191,8 +193,7 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
         return RemapResult(elems, (0,), 0, True, True)
     src_classes = _class_sizes(elems)
     diam_a = elems[-1] - elems[0]
-    checks = 0
-    exhausted_below = True
+    steps = [0]
     for diameter in range(m - 1, diam_a):
         for interior in itertools.combinations(range(1, diameter), m - 2):
             image_set = (0,) + interior + (diameter,)
@@ -201,24 +202,21 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
             gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
             if gaps[::-1] < gaps:
                 continue
-            if _class_sizes(image_set) != src_classes:
-                steps = [(math.factorial(m), None)]
-            else:
-                steps = _matching_orders(elems, image_set)
-            for count, images in steps:
-                checks += count
-                if checks > budget:
-                    identity = RemapResult(elems, elems, diam_a, True, False)
-                    return identity
-                if images is not None:
-                    phi = dict(zip(elems, images))
-                    verified = is_freiman_isomorphism(elems, phi)
-                    return RemapResult(elems, images, diameter,
-                                       verified, exhausted_below)
+            steps[0] += 1
+            images = None
+            if _class_sizes(image_set) == src_classes:
+                images = next(_matching_orders(elems, image_set, steps,
+                                               budget), None)
+            if steps[0] > budget:
+                return RemapResult(elems, elems, diam_a, True, False)
+            if images is not None:
+                phi = dict(zip(elems, images))
+                verified = is_freiman_isomorphism(elems, phi)
+                return RemapResult(elems, images, diameter, verified, True)
     # No strictly smaller image: the set itself (translated to start at 0)
     # is minimal.
     shifted = tuple(e - elems[0] for e in elems)
-    return RemapResult(elems, shifted, diam_a, True, exhausted_below)
+    return RemapResult(elems, shifted, diam_a, True, True)
 
 
 def _conv_norm(support, values, support2, values2) -> float:

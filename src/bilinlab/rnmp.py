@@ -474,10 +474,12 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
 
     Convolutions are zero padded, so circular equals ordinary convolution.
     Support pairs are enumerated exhaustively when few enough (see
-    ``_exhaustive_pairs``), otherwise ``trials`` pairs are sampled (see
-    ``_sampled_pairs``); an enumeration does not use ``trials``.  Every
-    pair gets two starts, drawn from the root generator of ``seed`` in
-    pair order, and all (pair, start) alternating minimizations run in
+    ``_exhaustive_pairs``); an enumeration does not use ``trials``.
+    Otherwise ``trials`` pairs are sampled (see ``_sampled_pairs``) and one
+    fixed pair is scored after them, x on {0..s-1} and y on {0..f-1}: the
+    shape of the s = 2 minimizer, which an enumeration already holds.
+    Every pair gets two starts, drawn from the root generator of ``seed``
+    in pair order, and all (pair, start) alternating minimizations run in
     lockstep (see ``_min_norm``).  min(s, f) = 1 returns exactly 1.
     """
     if trials <= 0:
@@ -491,7 +493,8 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         pairs = itertools.product(_anchored_supports(n, s),
                                   _anchored_supports(n, f))
     else:
-        pairs = _sampled_pairs(s, f, n, trials, seed)
+        pairs = itertools.chain(_sampled_pairs(s, f, n, trials, seed),
+                                [(np.arange(s), np.arange(f))])
     return min(_min_norm(n, pairs, f, rng, starts=2), math.sqrt(min(s, f)))
 
 

@@ -165,6 +165,25 @@ README_REPORT_SHA256 = {
 }
 
 
+# sha256 of the CSV file that --format csv adds for the README configs of
+# the three commands with a CSV form, at seeds 0 and 1, recorded with
+# numpy 2.4.6 before the runners stopped writing their own files.
+README_CSV_SHA256 = {
+    "rnmp-bound.csv": (
+        "664a77557dd58aa940c31971519eb466aa0a7e385d5b9f6a7772bf8b5fd6443c",
+        "c872ad5adfaacfac15f3461aae4dcd5994cca0ee41d3259ff734083772f56a84",
+    ),
+    "embed-verify-trials.csv": (
+        "6ea4114ec9f0c09a4352aec84b9a182fdc2fa7304334a8502f3b69f8d55c35f5",
+        "b52d9b7351aabe4f9cde9c25b0812c50270596a34c2ad38437a405bf6a386509",
+    ),
+    "recover-sweep.csv": (
+        "464e4dccc9c1026eb213f0ec745ed3e2b60a7b96af1282422490917fbfbea5e2",
+        "0e8c472d6a0d9fd969c3ade4924d56be6c97282256948bb56f1e41376207ce2f",
+    ),
+}
+
+
 @pytest.mark.parametrize("body", _readme_configs(),
                          ids=lambda body: body.split()[2])
 def test_readme_config_runs(tmp_path, body):
@@ -172,14 +191,45 @@ def test_readme_config_runs(tmp_path, body):
         raise ValueError(f"report holds {constant}")
 
     cfg = _write_config(tmp_path, body)
-    for seed, want in enumerate(README_REPORT_SHA256[body.split()[2]]):
-        out = tmp_path / f"out{seed}"
-        assert cli.main(["--config", str(cfg), "--out", str(out),
-                         "--seed", str(seed)]) == 0
-        reports = list(out.glob("*.json"))
-        assert len(reports) == 1
-        json.loads(reports[0].read_text(), parse_constant=reject)
-        assert hashlib.sha256(reports[0].read_bytes()).hexdigest() == want
+    command = body.split()[2]
+    csv = cli.COMMANDS[command].csv
+    for seed, want in enumerate(README_REPORT_SHA256[command]):
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{fmt}{seed}"
+            assert cli.main(["--config", str(cfg), "--out", str(out),
+                             "--seed", str(seed), "--format", fmt]) == 0
+            report = out / f"{command}.json"
+            written = {report.name}
+            if fmt == "csv" and csv is not None:
+                written.add(csv)
+                assert hashlib.sha256((out / csv).read_bytes()).hexdigest() \
+                    == README_CSV_SHA256[csv][seed]
+            assert {p.name for p in out.iterdir()} == written
+            json.loads(report.read_text(), parse_constant=reject)
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == want
+
+
+def test_every_csv_file_is_pinned():
+    assert sorted(c.csv for c in cli.COMMANDS.values() if c.csv) == \
+        sorted(README_CSV_SHA256)
+
+
+def test_nan_report_writes_no_file(tmp_path, capsys, monkeypatch):
+    # The CSV lines are ready before the JSON, which is serialized first.
+    import dataclasses
+
+    from bilinlab import embedding
+    verify = embedding.verify_embedding
+    monkeypatch.setattr(embedding, "verify_embedding", lambda *args: (
+        dataclasses.replace(verify(*args), delta_hat=math.nan)))
+    cfg = _write_config(tmp_path, "command = embed-verify\nm = 8\nn = 8\n"
+                        "trials = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_main_io_error_exit_code(tmp_path):
@@ -199,6 +249,20 @@ def test_demod_selftest(tmp_path):
     assert payload["checks"]["adjoint_ok"]
     assert payload["checks"]["fft_vs_dense_ok"]
     assert payload["config"]["m"] == 0  # config echo keeps the raw value
+
+
+def test_demod_selftest_failed_check_exits_one(tmp_path, monkeypatch):
+    from bilinlab import operators
+    monkeypatch.setattr(operators, "operator_from_descriptor",
+                        lambda descriptor: operators.identity_operator(16))
+    cfg = _write_config(tmp_path, "command = demod-selftest\nn = 16\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out),
+                     "--format", "csv"]) == 1
+    assert [p.name for p in out.iterdir()] == ["demod-selftest.json"]
+    payload = json.loads((out / "demod-selftest.json").read_text())
+    assert not payload["all_ok"]
+    assert not payload["checks"]["descriptor_determinism_ok"]
 
 
 def test_rnmp_bound_equality_row(tmp_path):

@@ -93,49 +93,97 @@ def test_min_diameter_budget_exhaustion():
     assert result.verified_isomorphism
 
 
-def _enumerated_min_diameter_image(elems, budget):
+def _image_sets(elems):
+    """Candidate images in search order: every set with minimum 0 and a
+    diameter below the source's, kept when its first gap is at most its
+    last (reflection symmetry)."""
+    m = len(elems)
+    for diameter in range(m - 1, elems[-1] - elems[0]):
+        for interior in itertools.combinations(range(1, diameter), m - 2):
+            image_set = (0,) + interior + (diameter,)
+            gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
+            if gaps[::-1] >= gaps:
+                yield diameter, image_set
+
+
+def _pattern(values):
+    return set(map(frozenset, freiman._sum_pattern(values).values()))
+
+
+def _enumerated_min_diameter_image(elems):
     """Reference search: every permutation of every candidate image, in
     order, each compared by its full sum pattern."""
     m = len(elems)
     if m == 1:
         return RemapResult(elems, (0,), 0, True, True)
-
-    def pattern(values):
-        return set(map(frozenset, freiman._sum_pattern(values).values()))
-
-    src = pattern(elems)
-    diam_a = elems[-1] - elems[0]
-    checks = 0
-    for diameter in range(m - 1, diam_a):
-        for interior in itertools.combinations(range(1, diameter), m - 2):
-            image_set = (0,) + interior + (diameter,)
-            gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
-            if gaps[::-1] < gaps:
-                continue
-            for perm in itertools.permutations(image_set):
-                checks += 1
-                if checks > budget:
-                    return RemapResult(elems, elems, diam_a, True, False)
-                if pattern(perm) == src:
-                    verified = freiman.is_freiman_isomorphism(
-                        elems, dict(zip(elems, perm)))
-                    return RemapResult(elems, perm, diameter, verified, True)
+    src = _pattern(elems)
+    for diameter, image_set in _image_sets(elems):
+        for perm in itertools.permutations(image_set):
+            if _pattern(perm) == src:
+                verified = freiman.is_freiman_isomorphism(
+                    elems, dict(zip(elems, perm)))
+                return RemapResult(elems, perm, diameter, verified, True)
     shifted = tuple(e - elems[0] for e in elems)
-    return RemapResult(elems, shifted, diam_a, True, True)
+    return RemapResult(elems, shifted, elems[-1] - elems[0], True, True)
+
+
+def _enumerated_steps(elems):
+    """Steps of the whole search, counted by brute force: one per candidate
+    image set, and for a set with the source's sum-class sizes one per
+    prefix of its orderings whose parent prefix keeps the sum pattern of
+    the source's first elements, up to the first full match in
+    permutation order."""
+    m = len(elems)
+    sizes = sorted(map(len, _pattern(elems)))
+    steps = 0
+    for _, image_set in _image_sets(elems):
+        steps += 1
+        if sorted(map(len, _pattern(image_set))) != sizes:
+            continue
+        orders = list(itertools.permutations(range(m)))
+        match = next((p for p in orders
+                      if _pattern([image_set[i] for i in p])
+                      == _pattern(elems)), None)
+        for k in range(1, m + 1):
+            for prefix in itertools.permutations(range(m), k):
+                parent = [image_set[i] for i in prefix[:-1]]
+                steps += ((match is None or prefix <= match[:k])
+                          and _pattern(parent) == _pattern(elems[:k - 1]))
+        if match is not None:
+            break
+    return steps
 
 
 def test_min_diameter_matches_enumeration():
-    # Budgets 7 and 100 run out on many of these sets, so the identity
-    # fallback must fire at the same candidate as under enumeration.
-    exhausted = 0
     for m in range(1, 6):
         for elems in itertools.combinations(range(8), m):
-            for budget in (10 ** 6, 7, 100):
-                expected = _enumerated_min_diameter_image(elems, budget)
-                assert freiman.min_diameter_isomorphic_image(
-                    elems, budget) == expected, (elems, budget)
-                exhausted += not expected.search_exhaustive
-    assert exhausted > 0
+            assert freiman.min_diameter_isomorphic_image(elems) == \
+                _enumerated_min_diameter_image(elems), elems
+
+
+@pytest.mark.parametrize("elems", [(0, 1, 10), (0, 1, 5, 13), (0, 2, 3, 7),
+                                   (0, 1, 3, 4, 9)])
+def test_min_diameter_budget_counts_steps(elems):
+    # The search takes exactly k steps: budget k - 1 runs out, k finishes.
+    k = _enumerated_steps(elems)
+    full = freiman.min_diameter_isomorphic_image(elems, budget=k)
+    assert full == _enumerated_min_diameter_image(elems)
+    assert freiman.min_diameter_isomorphic_image(elems, budget=k - 1) == \
+        RemapResult(elems, elems, elems[-1] - elems[0], True, False)
+
+
+@pytest.mark.parametrize("elems,image", [
+    ((0, 1, 3, 7, 12, 20, 30), (0, 1, 4, 10, 18, 23, 25)),
+    ((0, 2, 3, 9, 10, 16, 30), (14, 0, 1, 4, 5, 8, 16)),
+])
+def test_min_diameter_seven_elements(elems, image):
+    # At the default budget; these ran out when the budget counted the
+    # orderings a cut rules out.
+    result = freiman.min_diameter_isomorphic_image(elems)
+    assert result.image == image
+    assert result.diameter == max(image) - min(image)
+    assert result.verified_isomorphism
+    assert result.search_exhaustive
 
 
 def test_min_diameter_six_elements():

@@ -493,6 +493,9 @@ def _reference_alpha_empirical(s, f, n, trials, seed):
             sy = np.sort(np.argsort(rng_y.standard_normal(n),
                                     kind="stable")[:f])
             best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
+        # then the consecutive pair, x on {0..s-1} and y on {0..f-1}
+        best = min(best, _reference_pair_min_norm(range(s), range(f), n,
+                                                  rng, 2))
     return min(best, math.sqrt(min(s, f)))
 
 
@@ -548,15 +551,15 @@ def test_alpha_empirical_matches_reference_at_iteration_cap(monkeypatch):
 
 
 def test_alpha_empirical_stacks_at_most_one_chunk(monkeypatch):
-    # 1500 sampled pairs, two starts each: five full default chunks of
-    # rows and a short one.
+    # 1500 sampled pairs and the consecutive pair, two starts each: eleven
+    # full default chunks of rows and a short one.
     engine = rnmp._alt_min
     stacked = []
     monkeypatch.setattr(rnmp, "_alt_min", lambda n, sx, sy, y: (
         stacked.append(len(y)) or engine(n, sx, sy, y)))
     rnmp.alpha_empirical(2, 4, 16, trials=1500, seed=0)
     chunk = rnmp.CHUNK
-    assert stacked == [chunk] * (3000 // chunk) + [3000 % chunk]
+    assert stacked == [chunk] * (3002 // chunk) + [3002 % chunk]
 
 
 @pytest.mark.parametrize("starts", [1, 2, 5])
@@ -608,10 +611,20 @@ def _alpha_two(f):
 @pytest.mark.parametrize("f, n", [(2, 8), (3, 8), (4, 8), (5, 8),
                                   (2, 10), (3, 10), (4, 10)])
 def test_alpha_empirical_meets_closed_form_for_s_two(f, n):
-    # Only exhaustively enumerated support pairs: the sampled branch need
-    # not draw an adjacent pair.
     assert rnmp._exhaustive_pairs(2, f, n)
     assert abs(rnmp.alpha_empirical(2, f, n) - _alpha_two(f)) <= 1e-12
+
+
+# The benchmark's rnmp-altmin config first; sampled support pairs need not
+# hold an adjacent pair, the consecutive pair scored after them does.
+@pytest.mark.parametrize("f, n, trials", [(4, 16, 500), (5, 12, 200),
+                                          (3, 20, 100)])
+@pytest.mark.parametrize("seed", [0, 1, 1000])
+def test_sampled_alpha_empirical_meets_closed_form_for_s_two(f, n, trials,
+                                                             seed):
+    assert not rnmp._exhaustive_pairs(2, f, n)
+    assert abs(rnmp.alpha_empirical(2, f, n, trials, seed)
+               - _alpha_two(f)) <= 1e-12
 
 
 @pytest.mark.parametrize("f", [2, 3, 4, 5])
