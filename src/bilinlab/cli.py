@@ -2,12 +2,13 @@
 
 Configs are flat ``key = value`` text files with a typed schema per
 command; unknown and repeated keys are rejected.  ``COMMANDS`` gives each
-command its schema, its runner and its CSV file, if any.  A runner
-returns report fields and CSV lines; ``main`` alone writes files.  It
+command its schema and its runner.  A runner returns a ``Report``: the
+report fields, the CSV file name and lines of the three commands with a
+CSV form, and whether the run passed; ``main`` alone writes files.  It
 adds the artifact version and the resolved config, serializes the JSON
-before writing anything (a failed run writes no file), then writes
-``<command>.json`` and, under ``--format csv``, the CSV file.  Reports
-are byte-identical for a fixed (config, seed).
+before writing anything (a config error, exit 2, writes no file), then
+writes ``<command>.json`` and, under ``--format csv``, the CSV file.
+Reports are byte-identical for a fixed (config, seed).
 
 ``recover-sweep`` solves its trial stacks, which share nothing, in fork
 worker processes, one per usable CPU, and in this process when only one
@@ -95,10 +96,20 @@ def parse_config(path: Path) -> dict:
     return config
 
 
-def _csv_lines(rows: list) -> list:
-    """A header of the first row's keys, then each row's values by repr."""
-    return [",".join(rows[0])] + [",".join(map(repr, row.values()))
-                                  for row in rows]
+class Report(NamedTuple):
+    """What a runner returns; ``main`` writes it."""
+
+    fields: dict  # the JSON report, less artifact_version and config
+    csv: tuple | None = None  # (file name, lines) that --format csv adds
+    ok: bool = True  # False exits 1, the report still written
+
+
+def _csv_lines(rows: list):
+    """A header of the first row's keys, then each row's values by repr,
+    built only when written."""
+    yield ",".join(rows[0])
+    for row in rows:
+        yield ",".join(map(repr, row.values()))
 
 
 def _run_rnmp_bound(config: dict):
@@ -113,8 +124,8 @@ def _run_rnmp_bound(config: dict):
         "alpha_empirical": bounds.alpha_empirical,
         "beta": bounds.beta,
     }
-    return ({"result": row, "certificates": bounds.certificates},
-            _csv_lines([row]))
+    return Report({"result": row, "certificates": bounds.certificates},
+                  ("rnmp-bound.csv", _csv_lines([row])))
 
 
 def _make_operator(kind: str, m: int, n: int, seed: int):
@@ -138,10 +149,10 @@ def _run_embed_verify(config: dict):
     spec = embedding.StructuredSetSpec(n, n, config["s"], config["f"])
     report = embedding.verify_embedding(phi, bmap, spec, config["trials"],
                                         config["seed"])
-    return ({"summary": report.summary(),
-             "delta_target": config["delta"],
-             "within_target": bool(report.delta_hat <= config["delta"])},
-            report.to_csv_rows())
+    return Report({"summary": report.summary(),
+                   "delta_target": config["delta"],
+                   "within_target": bool(report.delta_hat <= config["delta"])},
+                  ("embed-verify-trials.csv", report.to_csv_rows()))
 
 
 def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
@@ -226,15 +237,15 @@ def _run_recover_sweep(config: dict):
     rows = [{"m": m, "success_rate": k / config["trials"],
              "trials": config["trials"], "seed": config["seed"]}
             for m, k in zip(config["m_values"], successes)]
-    return {"sweep": rows}, _csv_lines(rows)
+    return Report({"sweep": rows}, ("recover-sweep.csv", _csv_lines(rows)))
 
 
 def _run_phase_stability(config: dict):
     est = phase.stability_constant_estimate(config["n"], config["trials"],
                                             seed=config["seed"],
                                             variant=config["variant"])
-    return {"c_hat": est.c_hat, "positive": bool(est.c_hat > 1e-8),
-            "worst_pair": est.worst_pair_json()}, None
+    return Report({"c_hat": est.c_hat, "positive": bool(est.c_hat > 1e-8),
+                   "worst_pair": est.worst_pair_json()})
 
 
 def _run_freiman_search(config: dict):
@@ -245,9 +256,9 @@ def _run_freiman_search(config: dict):
     bound = freiman.grynkiewicz_bound(m, d)
     result = freiman.min_diameter_isomorphic_image(config["set"],
                                                    budget=config["budget"])
-    return {"result": result.to_json(),
-            "grynkiewicz_bound": bound, "grynkiewicz_d": d,
-            "within_bound": bool(result.diameter <= bound)}, None
+    return Report({"result": result.to_json(),
+                   "grynkiewicz_bound": bound, "grynkiewicz_d": d,
+                   "within_bound": bool(result.diameter <= bound)})
 
 
 def _run_demod_selftest(config: dict):
@@ -277,13 +288,12 @@ def _run_demod_selftest(config: dict):
         "descriptor_determinism_ok": determinism_ok,
     }
     all_ok = all(v for k, v in checks.items() if k.endswith("_ok"))
-    return {"checks": checks, "all_ok": bool(all_ok)}, None
+    return Report({"checks": checks, "all_ok": all_ok}, ok=all_ok)
 
 
 class Command(NamedTuple):
     schema: dict  # key -> (type converter, default or _REQUIRED)
-    run: Callable  # config -> (report fields, CSV lines or None)
-    csv: str | None = None  # the file that --format csv adds
+    run: Callable  # config -> Report
 
 
 # In README order; every command also takes ``seed`` (default 0).
@@ -291,23 +301,23 @@ COMMANDS = {
     "rnmp-bound": Command(
         {"s": (int, _REQUIRED), "f": (int, _REQUIRED), "n": (int, _REQUIRED),
          "trials": (int, 32), "det_budget": (int, 8)},
-        _run_rnmp_bound, "rnmp-bound.csv"),
+        _run_rnmp_bound),
     "embed-verify": Command(
         {"ensemble": (str, "gaussian"), "m": (int, _REQUIRED),
          "n": (int, _REQUIRED), "s": (int, 2), "f": (int, 2),
          "trials": (int, 200), "delta": (float, 0.5)},
-        _run_embed_verify, "embed-verify-trials.csv"),
+        _run_embed_verify),
     "recover-sweep": Command(
         {"n": (int, 100), "sparsity": (int, 3),
          "m_values": (_parse_int_list, _REQUIRED), "trials": (int, 20),
          "noise": (float, 0.0)},
-        _run_recover_sweep, "recover-sweep.csv"),
+        _run_recover_sweep),
     "phase-stability": Command(
         {"n": (int, _REQUIRED), "trials": (int, 1000),
          "variant": (str, phase.VARIANT_S)},
         _run_phase_stability),
     "freiman-search": Command(
-        {"set": (_parse_int_list, _REQUIRED), "budget": (int, 10 ** 6)},
+        {"set": (_parse_int_list, _REQUIRED), "budget": (int, freiman.BUDGET)},
         _run_freiman_search),
     "demod-selftest": Command(
         {"n": (int, 16), "m": (int, 0)},  # m = 0 means n // 2 + 1
@@ -334,25 +344,24 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     name = config["command"]
-    command = COMMANDS[name]
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         if not out.is_dir():
             raise OSError("not a directory")
-        fields, lines = command.run(config)
+        report = COMMANDS[name].run(config)
         payload = {"artifact_version": __version__, "config": config,
-                   **fields}
+                   **report.fields}
         # Serialized first: a report that would hold NaN writes no file.
         files = {f"{name}.json": (json.dumps(payload, sort_keys=True,
                                              indent=2, allow_nan=False)
                                   + "\n").encode()}
-        if args.format == "csv" and command.csv:
-            files[command.csv] = ("\n".join(lines) + "\n").encode()
+        if args.format == "csv" and report.csv:
+            csv_name, lines = report.csv
+            files[csv_name] = ("\n".join(lines) + "\n").encode()
         for file_name, data in files.items():
             (out / file_name).write_bytes(data)
-        # Only demod-selftest reports all_ok; a failed check exits 1.
-        return 0 if fields.get("all_ok", True) else 1
+        return 0 if report.ok else 1
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

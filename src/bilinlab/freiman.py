@@ -113,16 +113,22 @@ def _class_sizes(values) -> list:
     return sorted(map(len, _sum_pattern(values).values()))
 
 
-def _matching_orders(elems, image_set, steps: list, budget: int):
+# Default search budget in index pairs examined: about 2 s of search at
+# any m on a 2-core VM, and twice what the m = 7 set {0,1,3,7,12,20,30}
+# needs.
+BUDGET = 4 * 10 ** 6
+
+
+def _matching_orders(elems, image_set, cost: list, budget: int):
     """Depth-first walk over the orderings of ``image_set`` as images of
     ``elems``, in ``itertools.permutations`` order; yields the images of
     each full match.
 
     Position k takes each unused value in turn: one partial map visited,
-    which adds one to ``steps[0]``, and the walk ends once that exceeds
-    ``budget``.  The value adds the pairs (i, k), i <= k, to a two-way map
-    between source and image pair-sums.  A sum already paired with a
-    different partner means the two sum patterns differ for every
+    which adds its k + 1 pairs to ``cost[0]``; the walk ends once that
+    exceeds ``budget``.  The value adds the pairs (i, k), i <= k, to a
+    two-way map between source and image pair-sums.  A sum already paired
+    with a different partner means the two sum patterns differ for every
     completion, so the subtree is cut.
     """
     m = len(elems)
@@ -135,8 +141,8 @@ def _matching_orders(elems, image_set, steps: list, budget: int):
         for slot, value in enumerate(image_set):
             if used[slot]:
                 continue
-            steps[0] += 1
-            if steps[0] > budget:
+            cost[0] += k + 1
+            if cost[0] > budget:
                 return
             images[k] = value
             added = []
@@ -163,7 +169,7 @@ def _matching_orders(elems, image_set, steps: list, budget: int):
     return extend(0)
 
 
-def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
+def min_diameter_isomorphic_image(a, budget: int = BUDGET) -> RemapResult:
     """Smallest-diameter Freiman-isomorphic image found by backtracking.
 
     Candidate images are normalized to minimum 0 and first gap at most
@@ -176,12 +182,14 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
     creates; the first match is the first matching permutation in
     ``itertools.permutations`` order.
 
-    ``budget`` bounds the steps the search takes: one per candidate image
-    set that passes the reflection test and one per partial map visited
-    (each value tried at a source position, cut or not).  Once the steps
-    exceed ``budget`` the identity image is returned with
-    ``search_exhaustive`` False, so a result is always returned.  A
-    negative ``budget`` raises ``ValueError``.
+    ``budget`` bounds the index pairs the search examines, so one unit
+    costs about the same time at any m: m(m+1)/2 for the class-size test
+    of each candidate image set that passes the reflection test, and
+    k + 1 for each partial map visited at source position k (each value
+    tried there, cut or not).  Once the count would exceed ``budget`` the
+    identity image is returned with ``search_exhaustive`` False, so a
+    result is always returned.  A negative ``budget`` raises
+    ``ValueError``.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -193,7 +201,8 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
         return RemapResult(elems, (0,), 0, True, True)
     src_classes = _class_sizes(elems)
     diam_a = elems[-1] - elems[0]
-    steps = [0]
+    pairs = m * (m + 1) // 2
+    cost = [0]
     for diameter in range(m - 1, diam_a):
         for interior in itertools.combinations(range(1, diameter), m - 2):
             image_set = (0,) + interior + (diameter,)
@@ -202,12 +211,12 @@ def min_diameter_isomorphic_image(a, budget: int = 10 ** 6) -> RemapResult:
             gaps = tuple(b - c for b, c in zip(image_set[1:], image_set))
             if gaps[::-1] < gaps:
                 continue
-            steps[0] += 1
+            cost[0] += pairs
             images = None
-            if _class_sizes(image_set) == src_classes:
-                images = next(_matching_orders(elems, image_set, steps,
+            if cost[0] <= budget and _class_sizes(image_set) == src_classes:
+                images = next(_matching_orders(elems, image_set, cost,
                                                budget), None)
-            if steps[0] > budget:
+            if cost[0] > budget:
                 return RemapResult(elems, elems, diam_a, True, False)
             if images is not None:
                 phi = dict(zip(elems, images))

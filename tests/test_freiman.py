@@ -127,17 +127,17 @@ def _enumerated_min_diameter_image(elems):
     return RemapResult(elems, shifted, elems[-1] - elems[0], True, True)
 
 
-def _enumerated_steps(elems):
-    """Steps of the whole search, counted by brute force: one per candidate
-    image set, and for a set with the source's sum-class sizes one per
-    prefix of its orderings whose parent prefix keeps the sum pattern of
-    the source's first elements, up to the first full match in
-    permutation order."""
+def _enumerated_cost(elems):
+    """Index pairs the whole search examines, counted by brute force:
+    m(m+1)/2 per candidate image set, and for a set with the source's
+    sum-class sizes k per prefix of length k of its orderings whose parent
+    prefix keeps the sum pattern of the source's first elements, up to the
+    first full match in permutation order."""
     m = len(elems)
     sizes = sorted(map(len, _pattern(elems)))
-    steps = 0
+    cost = 0
     for _, image_set in _image_sets(elems):
-        steps += 1
+        cost += m * (m + 1) // 2
         if sorted(map(len, _pattern(image_set))) != sizes:
             continue
         orders = list(itertools.permutations(range(m)))
@@ -147,11 +147,11 @@ def _enumerated_steps(elems):
         for k in range(1, m + 1):
             for prefix in itertools.permutations(range(m), k):
                 parent = [image_set[i] for i in prefix[:-1]]
-                steps += ((match is None or prefix <= match[:k])
-                          and _pattern(parent) == _pattern(elems[:k - 1]))
+                cost += k * ((match is None or prefix <= match[:k])
+                             and _pattern(parent) == _pattern(elems[:k - 1]))
         if match is not None:
             break
-    return steps
+    return cost
 
 
 def test_min_diameter_matches_enumeration():
@@ -163,13 +163,27 @@ def test_min_diameter_matches_enumeration():
 
 @pytest.mark.parametrize("elems", [(0, 1, 10), (0, 1, 5, 13), (0, 2, 3, 7),
                                    (0, 1, 3, 4, 9)])
-def test_min_diameter_budget_counts_steps(elems):
-    # The search takes exactly k steps: budget k - 1 runs out, k finishes.
-    k = _enumerated_steps(elems)
+def test_min_diameter_budget_counts_pairs(elems):
+    # The search examines exactly k index pairs: budget k - 1 runs out,
+    # k finishes.
+    k = _enumerated_cost(elems)
     full = freiman.min_diameter_isomorphic_image(elems, budget=k)
     assert full == _enumerated_min_diameter_image(elems)
     assert freiman.min_diameter_isomorphic_image(elems, budget=k - 1) == \
         RemapResult(elems, elems, elems[-1] - elems[0], True, False)
+
+
+def test_min_diameter_budget_charges_class_tests(monkeypatch):
+    # Each candidate's class-size test is charged its m(m+1)/2 pairs, so a
+    # budget bounds the O(m^2) tests a large set runs before it gives up.
+    calls = []
+    class_sizes = freiman._class_sizes
+    monkeypatch.setattr(freiman, "_class_sizes",
+                        lambda values: calls.append(1) or class_sizes(values))
+    squares = tuple(i * i for i in range(40))
+    result = freiman.min_diameter_isomorphic_image(squares, budget=10 ** 5)
+    assert not result.search_exhaustive
+    assert len(calls) == 1 + 10 ** 5 // (40 * 41 // 2)  # the source's too
 
 
 @pytest.mark.parametrize("elems,image", [
