@@ -142,8 +142,10 @@ def _make_operator(kind: str, m: int, n: int, seed: int):
 def _run_embed_verify(config: dict):
     if not 0 < config["delta"] < 1:
         raise ConfigError("delta must lie in (0, 1)")
-    n = config["n"]
-    m = n if config["ensemble"] == "identity" else config["m"]
+    m, n = config["m"], config["n"]
+    if config["ensemble"] == "identity" and m != n:
+        raise ConfigError(f"ensemble identity needs m = n, got m = {m}, "
+                          f"n = {n}")
     phi = _make_operator(config["ensemble"], m, n, config["seed"])
     bmap = operators.convolution_lift(n)
     spec = embedding.StructuredSetSpec(n, n, config["s"], config["f"])
@@ -265,7 +267,7 @@ def _run_demod_selftest(config: dict):
     n = config["n"]
     m = config["m"] or n // 2 + 1
     seed = config["seed"]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     op = _make_operator("demodulator", m, n, seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w = rng.standard_normal(m) + 1j * rng.standard_normal(m)

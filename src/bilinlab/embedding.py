@@ -184,7 +184,7 @@ def verify_embedding(phi: LinearOperator, b: BilinearMap,
 
     Pairs with ``||B(x, y)|| < 1e-12 ||x y^T||`` are excluded from the
     ratio statistics (near-kernel events of B) and counted separately.
-    x and y draw from their own streams, spawned from ``SeedSequence(seed)``,
+    x and y draw from the two streams of ``default_rng(seed).spawn(2)``,
     one generator call per stack; trial i takes the i-th draw of each, so
     the report does not depend on the stack size.  A stack of trials is
     then lifted, measured and normed by one stacked call each.
@@ -193,8 +193,7 @@ def verify_embedding(phi: LinearOperator, b: BilinearMap,
         raise ValueError("operator input dimension must match B output")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng_x, rng_y = (np.random.default_rng(s)
-                    for s in np.random.SeedSequence(seed).spawn(2))
+    rng_x, rng_y = np.random.default_rng(seed).spawn(2)
     step = stack_trials(phi, b, spec)
     records = []
     skipped = 0

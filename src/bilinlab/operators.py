@@ -6,10 +6,10 @@ diagonal, partial circulant demodulator and their composition (the
 universal random demodulator), plus :class:`BilinearMap` and the
 convolution as one.
 
-Randomness is drawn from numpy's PCG64 generator seeded through
-``np.random.SeedSequence``; the descriptor of every operator records the
-ensemble name, dimensions and seeds, and rebuilding from the same
-descriptor reproduces the action bit for bit.
+Randomness is drawn from ``np.random.default_rng(seed)`` (PCG64); the
+descriptor of every operator records the ensemble name, dimensions and
+seeds, and rebuilding from the same descriptor reproduces the action bit
+for bit.
 
 Every action works on stacks along the last axis: ``apply`` maps
 ``(..., cols) -> (..., rows)``, ``adjoint`` maps ``(..., rows) -> (..., cols)``
@@ -45,10 +45,6 @@ class LinearOperator:
             self.apply(np.eye(self.cols, dtype=complex)).T)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def identity_operator(n: int) -> LinearOperator:
     return LinearOperator(
         rows=n, cols=n,
@@ -62,7 +58,7 @@ def gaussian_operator(m: int, n: int, seed: int) -> LinearOperator:
     """i.i.d. complex Gaussian matrix scaled so that E||Ax||^2 = ||x||^2."""
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     a /= math.sqrt(2 * m)
     return LinearOperator(
@@ -76,7 +72,7 @@ def gaussian_operator(m: int, n: int, seed: int) -> LinearOperator:
 
 def sign_diagonal(n: int, seed: int) -> LinearOperator:
     """Diagonal multiplier D_xi with i.i.d. +-1 entries (unitary)."""
-    xi = _rng(seed).choice([-1.0, 1.0], size=n)
+    xi = np.random.default_rng(seed).choice([-1.0, 1.0], size=n)
     return LinearOperator(
         rows=n, cols=n,
         apply=lambda x: xi * np.asarray(x, dtype=complex),
@@ -88,7 +84,8 @@ def sign_diagonal(n: int, seed: int) -> LinearOperator:
 
 def _resolve_omega(m: int, n: int, omega) -> np.ndarray:
     if np.isscalar(omega):
-        idx = np.sort(_rng(int(omega)).choice(n, size=m, replace=False))
+        rng = np.random.default_rng(int(omega))
+        idx = np.sort(rng.choice(n, size=m, replace=False))
     else:
         idx = np.asarray(sorted(int(k) for k in omega))
         if idx.size != m:
@@ -114,7 +111,7 @@ def partial_circulant_demodulator(m: int, n: int, seed_eta: int,
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    eta = _rng(seed_eta).choice([-1.0, 1.0], size=n).astype(complex)
+    eta = np.random.default_rng(seed_eta).choice([-1.0, 1.0], size=n)
     idx = _resolve_omega(m, n, omega)
     scale = math.sqrt(n / m)
 

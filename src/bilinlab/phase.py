@@ -100,7 +100,7 @@ def binomial_difference_check(x1, x2, b: BilinearMap,
     """
     x1 = np.asarray(x1, dtype=complex).ravel()
     x2 = np.asarray(x2, dtype=complex).ravel()
-    probe_rng = np.random.default_rng(np.random.SeedSequence(1234))
+    probe_rng = np.random.default_rng(1234)
     r1 = probe_rng.standard_normal(b.n1) + 1j * probe_rng.standard_normal(b.n1)
     r2 = probe_rng.standard_normal(b.n2) + 1j * probe_rng.standard_normal(b.n2)
     asym = np.linalg.norm(b.apply_pair(r1, r2) - b.apply_pair(r2, r1))
@@ -223,7 +223,7 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
     if variant == VARIANT_S and n == 1:
         raise ValueError("variant S needs n >= 2: at n = 1 every sampled "
                          "pair is a sign flip and is excluded")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     ratios = np.empty(0)
     pairs = np.empty((0, 2, n), dtype=complex)
     for start in range(0, trials, SAMPLE_CHUNK):

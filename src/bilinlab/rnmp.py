@@ -118,8 +118,11 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
                               seed: int = 0, restarts: int = 64) -> float:
     """Minimum of ``lambda_min`` over all s x s principal submatrices.
 
-    Exhaustive while C(n, s) <= 1e5; otherwise greedy support descent with
-    seeded random restarts, returning an upper bound on the true minimum.
+    Exhaustive while C(n, s) <= 1e5; otherwise greedy support descent from
+    ``restarts`` seeded random supports, returning an upper bound on the
+    true minimum.  A principal submatrix of a Toeplitz matrix depends only
+    on the differences of its support, so the exhaustive path scores one
+    support per translation class (``_anchored_supports``).
     """
     if not 1 <= s <= t.n:
         raise ValueError("need 1 <= s <= n")
@@ -128,14 +131,13 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
     lags = _lag_row(t)
     best = math.inf
     if math.comb(t.n, s) <= EXHAUSTIVE_SUPPORT_LIMIT:
-        supports = itertools.combinations(range(t.n), s)
-        while chunk := list(itertools.islice(supports, CHUNK)):
-            vals = eigh.eigvalsh(_toeplitz(lags, np.array(chunk)))
+        supports = np.array(_anchored_supports(t.n, s))
+        for lo in range(0, len(supports), CHUNK):
+            vals = eigh.eigvalsh(_toeplitz(lags, supports[lo:lo + CHUNK]))
             best = min(best, float(vals[:, 0].min()))
         return best
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(restarts):
-        idx = sorted(rng.choice(t.n, size=s, replace=False).tolist())
+    starts = sparse_draws(np.random.default_rng(seed), restarts, t.n, s)[0]
+    for idx in starts.tolist():
         val = float(eigh.eigvalsh(_toeplitz(lags, np.array([idx])))[0, 0])
         while True:
             # Every single swap of the sweep in one call; the first
@@ -317,7 +319,7 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
         return DeterminantEstimate(n, 1, 1.0, (0,), (1.0 + 0j,), seed)
     supports = _anchored_supports(n, k)
     support_rows = np.array(supports)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
@@ -457,11 +459,11 @@ def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
     return math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000
 
 
-def _sampled_pairs(s: int, f: int, n: int, trials: int, seed: int):
-    """``trials`` uniform support pairs, x and y from their own streams
-    spawned from ``SeedSequence(seed)``, one ``sparse_draws`` per CHUNK."""
-    rng_x, rng_y = (np.random.default_rng(g)
-                    for g in np.random.SeedSequence(seed).spawn(2))
+def _sampled_pairs(s: int, f: int, n: int, trials: int,
+                   rng: np.random.Generator):
+    """``trials`` uniform support pairs, x and y from the two streams of
+    ``rng.spawn(2)``, one ``sparse_draws`` per CHUNK."""
+    rng_x, rng_y = rng.spawn(2)
     for first in range(0, trials, CHUNK):
         t = min(CHUNK, trials - first)
         yield from zip(sparse_draws(rng_x, t, n, s)[0],
@@ -488,12 +490,12 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         raise ValueError("need n >= 1 and 1 <= s, f <= n")
     if min(s, f) == 1:
         return 1.0
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     if _exhaustive_pairs(s, f, n):
         pairs = itertools.product(_anchored_supports(n, s),
                                   _anchored_supports(n, f))
     else:
-        pairs = itertools.chain(_sampled_pairs(s, f, n, trials, seed),
+        pairs = itertools.chain(_sampled_pairs(s, f, n, trials, rng),
                                 [(np.arange(s), np.arange(f))])
     return min(_min_norm(n, pairs, f, rng, starts=2), math.sqrt(min(s, f)))
 

@@ -57,10 +57,10 @@ class SparseVector:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_dense(cls, v, tol: float = 0.0) -> "SparseVector":
-        """Sparsify a dense vector, dropping entries with ``|v_k| <= tol``."""
+    def from_dense(cls, v) -> "SparseVector":
+        """Sparsify a dense vector, dropping its zero entries."""
         v = np.asarray(v, dtype=complex).ravel()
-        idx = np.flatnonzero(np.abs(v) > tol)
+        idx = np.flatnonzero(np.abs(v) > 0)
         return cls(v.size, tuple(idx.tolist()), tuple(v[idx].tolist()))
 
     @classmethod
@@ -107,17 +107,14 @@ def sparse_convolve(support_x, values_x, support_y, values_y,
     return keys, acc
 
 
-def circular_convolve(x: SparseVector, y: SparseVector,
-                      n: int | None = None) -> SparseVector:
+def circular_convolve(x: SparseVector, y: SparseVector) -> SparseVector:
     """Circular convolution on Z_n: ``z_k = sum_i x_i y_{(k-i) mod n}``."""
-    if n is None:
-        n = x.n
-    if x.n != n or y.n != n:
-        raise ValueError("ambient dimensions must equal n")
+    if y.n != x.n:
+        raise ValueError("ambient dimensions must be equal")
     keys, values = sparse_convolve(x.support, x.values, y.support, y.values,
-                                   n)
+                                   x.n)
     kept = np.abs(values) > PRUNE_REL * x.norm() * y.norm()
-    return SparseVector(n, tuple(keys[kept].tolist()),
+    return SparseVector(x.n, tuple(keys[kept].tolist()),
                         tuple(values[kept].tolist()))
 
 
@@ -140,15 +137,12 @@ def sparse_draws(rng: np.random.Generator, t: int, n: int, s: int,
     return support, g[:, n:n + w] + 1j * g[:, n + w:]
 
 
-def random_sparse_vector(n: int, s: int, rng: np.random.Generator,
-                         unit: bool = True) -> SparseVector:
-    """Random s-sparse vector: uniform support, complex Gaussian values."""
+def random_sparse_vector(n: int, s: int,
+                         rng: np.random.Generator) -> SparseVector:
+    """Random unit s-sparse vector: the normalized one-row case of
+    ``sparse_draws``, a uniform support with complex Gaussian values."""
     if not 1 <= s <= n:
         raise ValueError("need 1 <= s <= n")
-    support = np.sort(rng.choice(n, size=s, replace=False))
-    vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-    while np.any(vals == 0):  # pragma: no cover - probability zero
-        vals = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-    if unit:
-        vals = vals / np.linalg.norm(vals)
-    return SparseVector(n, tuple(support.tolist()), tuple(vals.tolist()))
+    (support,), (vals,) = sparse_draws(rng, 1, n, s, s)
+    return SparseVector(n, tuple(support.tolist()),
+                        tuple((vals / np.linalg.norm(vals)).tolist()))

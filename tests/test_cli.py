@@ -71,6 +71,8 @@ def test_main_config_error_exit_code(tmp_path):
     "command = rnmp-bound\ns = 5\nf = 1\nn = 2\n",      # s > n with f = 1
     "command = embed-verify\nm = 4\nn = 4\ndelta = 2\n",   # vacuous target
     "command = embed-verify\nm = 4\nn = 4\ndelta = -1\n",
+    # identity measures every entry: m must equal n
+    "command = embed-verify\nensemble = identity\nm = 8\nn = 12\n",
     # 98^196 as a float overflowed; k = 50 exceeds the capped dimension 16
     "command = rnmp-bound\ns = 50\nf = 50\nn = 60\n",
     "command = rnmp-bound\ns = 17\nf = 17\nn = 40\n",  # k = 17 > 16
@@ -308,6 +310,73 @@ def test_embed_verify_benchmark_configs(tmp_path, ensemble, seed):
     assert summary["min_ratio"] <= 1.0 <= summary["max_ratio"]
     assert (summary["valid_trials"] + summary["skipped_near_kernel"]
             == summary["trials"] == 2500)
+
+
+# The benchmark's rnmp-det, rnmp-altmin, phase, phase-prime, embed-gauss
+# and embed-demod configs, and the sha256 of each JSON report at the job
+# seeds 0, 1 and 1000, recorded with numpy 2.4.6.  They reach code the
+# README configs do not: the sampled alpha_empirical pairs, the k = 3
+# determinant search and the S' variant.
+BENCHMARK_REPORT_SHA256 = {
+    "rnmp-det": (
+        "command = rnmp-bound\ns = 3\nf = 3\nn = 12\ndet_budget = 2\n"
+        "trials = 4\n",
+        (
+            "d8fd0e6691238314ffe04133a3779f999bf81a84a7c3f28d9711374135ab39d4",
+            "47783bbede8eb57cbf36ddb159e5556a224d9efbc2a92aca499d3037789a86df",
+            "9e0902dec4d0d0a66925e4d9fbd9ed87418d9d4346fe0ba0161e653066862cec",
+        )),
+    "rnmp-altmin": (
+        "command = rnmp-bound\ns = 2\nf = 4\nn = 16\ndet_budget = 1\n"
+        "trials = 500\n",
+        (
+            "4c8960c46076bf72c480db2510f2d3fdf3b50b43415afb89c0362f91132c571b",
+            "f6ab35c38f84f632e457ad6cc53c7a6e704620fbf229a1c55ffb786fc6933ace",
+            "8cb79155b44966d8e41f07a00da9cbc1d076cbd23d2bdbd862303f8153279bb1",
+        )),
+    "phase": (
+        "command = phase-stability\nn = 3\ntrials = 8000\n",
+        (
+            "1f55f2ddde4620c603b1ff80f6ddd0b4043c56b6d67b74871ecaa830364e9bdf",
+            "32efa9663ee30ecd6e12f7ca3f8606bbaa915324bced20a91f776a5f6a2f0e7d",
+            "b2e43166ac6602b02964647337a2e135df41f87bb8a59cdb2a4abd1586e566bc",
+        )),
+    "phase-prime": (
+        "command = phase-stability\nn = 3\nvariant = S_prime_4n-1\n"
+        "trials = 8000\n",
+        (
+            "d72ee6dccefb5b2cfe52f423e3b3d44a1476e0c1437d476f90b649c09dd41378",
+            "0965b788b9c750b688bfc0c1320112660003d0da8dc1ee44e044fd6f1a973846",
+            "4b33682ff7daa4c7d863d0bdad8ad31a64448e54322982e8b044205ba5db00c4",
+        )),
+    "embed-gauss": (
+        "command = embed-verify\nensemble = gaussian\nm = 56\nn = 64\n"
+        "trials = 2500\n",
+        (
+            "8e4d32ef1b956ea1ffcd8294022be22498681b92d840e6448b63ed1513b165fb",
+            "d0eecd78610104cbff855042fe753a94606bd916adaee8e32df0f069c3d91a5f",
+            "34d4f0f38edc9fbdf77732d7eed8155136c0ca3dd6fa84c844bd23235b47a417",
+        )),
+    "embed-demod": (
+        "command = embed-verify\nensemble = demodulator\nm = 56\nn = 64\n"
+        "trials = 2500\n",
+        (
+            "1ddeddbab87d28fb6a757618504d6d4ad5b858dc33dfca3ba6b9de291432bf17",
+            "53ad0715e8911a5833ffd2c57e0ee3f451bcfcb71cdfcdf7ed7f581e0b78286b",
+            "634abca3fd474aaff4de67c95d7be47d3fc88124e99ad65f95ab8002295db80f",
+        )),
+}
+
+
+@pytest.mark.parametrize("seed_index, seed", enumerate([0, 1, 1000]))
+@pytest.mark.parametrize("job", BENCHMARK_REPORT_SHA256)
+def test_benchmark_config_reports_pinned(tmp_path, job, seed_index, seed):
+    body, want = BENCHMARK_REPORT_SHA256[job]
+    cfg = _write_config(tmp_path, body + f"seed = {seed}\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    (report,) = out.iterdir()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == want[seed_index]
 
 
 def test_freiman_search_command(tmp_path):

@@ -333,3 +333,7 @@ def test_sampling_law_uniform_supports_unit_factors():
     assert coeffs.shape == (t, 0)
     assert _chi2_uniform_subsets(list(map(tuple, supports.tolist())), n,
                                  s) < 36.12
+    # random_sparse_vector: the normalized one-row case of the same draw.
+    vecs = [signals.random_sparse_vector(n, s, rngs[1]) for _ in range(t)]
+    assert max(abs(v.norm() - 1.0) for v in vecs) <= 1e-12
+    assert _chi2_uniform_subsets([v.support for v in vecs], n, s) < 36.12

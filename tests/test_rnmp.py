@@ -211,6 +211,36 @@ def test_restricted_min_eigenvalue_independent_of_chunk(monkeypatch):
         assert rnmp.restricted_min_eigenvalue(t, 4) == want
 
 
+
+@pytest.mark.parametrize("n, s", [(16, 5), (8, 1), (8, 8), (12, 3)])
+def test_restricted_min_eigenvalue_exhaustive_is_all_subsets_minimum(
+        monkeypatch, n, s):
+    # The exhaustive path scores one support per translation class.  Every
+    # s x s principal submatrix must be among the matrices it scores, and
+    # its value is the minimum over all C(n, s) of them, bit for bit.  The
+    # lags of the dense matrix all differ, so no two classes share a
+    # matrix; the autocorrelation matrix is the benchmark's kind.
+    rng = np.random.default_rng(n + s)
+    lags = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dense = HermitianToeplitz(n, (1.0,) + tuple(lags[1:]))
+    autocorr = rnmp.autocorrelation_toeplitz(
+        signals.random_sparse_vector(n, 3, rng), n)
+    idx = np.array(list(itertools.combinations(range(n), s)))
+    eigvalsh = rnmp.eigh.eigvalsh
+    for t in (dense, autocorr):
+        mat = t.to_matrix()
+        subs = mat[idx[:, :, None], idx[:, None, :]]
+        scored = set()
+
+        def spy(a):
+            scored.update(m.tobytes() for m in a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(rnmp.eigh, "eigvalsh", spy)
+        assert rnmp.restricted_min_eigenvalue(t, s) == float(
+            np.linalg.eigvalsh(subs)[:, 0].min())
+        assert scored >= {m.tobytes() for m in subs}
+
 def test_restricted_eigenvalue_monotonicity():
     rng = np.random.default_rng(3)
     t = rnmp.autocorrelation_toeplitz(
