@@ -246,7 +246,8 @@ def _run_phase_stability(config: dict):
     est = phase.stability_constant_estimate(config["n"], config["trials"],
                                             seed=config["seed"],
                                             variant=config["variant"])
-    return Report({"c_hat": est.c_hat, "positive": bool(est.c_hat > 1e-8),
+    return Report({"c_hat": est.c_hat, "c_hat_is_upper_estimate": True,
+                   "positive": bool(est.c_hat > 1e-8),
                    "worst_pair": est.worst_pair_json()})
 
 

@@ -76,13 +76,6 @@ class DistortionReport:
                 ";".join(str(j) for j in sy))
 
 
-def entropy_union_subspaces(d: float, big_l: float, eps_hat: float) -> float:
-    """Covering entropy of a union of L d-dimensional subspace caps (nats)."""
-    if eps_hat <= 0 or d < 0 or big_l < 1:
-        raise ValueError("invalid entropy parameters")
-    return d * math.log(3.0 / eps_hat) + math.log(big_l)
-
-
 def entropy_sparse_lowrank(s: int, f: int, kappa: int, n: int,
                            eps_hat: float) -> float:
     """Covering entropy of sparse rank-kappa matrix differences (nats)."""
@@ -104,10 +97,6 @@ def sample_complexity_bilinear(s: int, f: int, kappa: int, n: int,
         raise ValueError("need 1 <= kappa <= min(s, f) < n / kappa")
     arg = n / (kappa * min(s, f))
     return math.ceil(c_dprime * delta ** -2 * (s + f) * math.log(arg))
-
-def jl_sparsity_requirement(rho: float, entropy: float) -> int:
-    """Sparse-JL column sparsity ``ceil(40 (rho + H + 3 ln 2))``."""
-    return math.ceil(40.0 * (rho + entropy + 3.0 * math.log(2.0)))
 
 
 def demodulator_measurement_bound(lam: float, h_eps: float, n: int,

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import BilinearMap
+from .rnmp import alternating_min
 from .signals import row_norms
 
 VARIANT_S = "S_padded_4n-3"
 VARIANT_S_PRIME = "S_prime_4n-1"
 
 DENOMINATOR_THRESHOLD = 1e-8
-PATTERN_SEARCH_STEPS = 200
 # Sampled pairs per batched draw and kernel call: larger chunks run no
 # faster and hold more memory (4096 raised peak RSS by 5 MB at n = 3).
 SAMPLE_CHUNK = 256
@@ -168,52 +168,55 @@ class StabilityEstimate:
         }
 
 
-def _pattern_search(pairs: np.ndarray, variant: str,
-                    rng: np.random.Generator):
-    """Gradient-free local refinement of the stability quotient of each
-    pair in a (P, 2, n) stack, all pairs in lockstep.
+def _coordinates(x: np.ndarray, variant: str) -> np.ndarray:
+    """Real coordinates u of each row of a (T, n) stack, Re x then Im x
+    (no Im x_0 under S), scaled so that ``||S(x)|| = ||u||``."""
+    u = math.sqrt(2.0) * np.concatenate([x.real, x.imag], axis=1)
+    if variant == VARIANT_S:
+        u[:, 0] = x[:, 0].real
+        u = np.delete(u, x.shape[1], axis=1)
+    return u
 
-    The directions of every pair and step come from one ``standard_normal``
-    call, the stream of refining the pairs one after another.  Each step
-    scores every pair's candidate with one kernel call; a candidate with a
-    lower quotient replaces its pair, otherwise (an excluded candidate
-    included) that pair's step shrinks.  Returns the pairs and quotients.
-    """
-    p, _, n = pairs.shape
-    num, den = _stability_quotients(pairs[:, 0], pairs[:, 1], variant)
-    best = num / den
-    step = np.full(p, 0.25)
-    # axes (pair, step, x1/x2, real/imaginary part, entry): the draw order
-    draws = rng.standard_normal((p, PATTERN_SEARCH_STEPS, 2, 2, n))
-    directions = draws[:, :, :, 0] + 1j * draws[:, :, :, 1]
-    lengths = row_norms(directions)[..., None]
-    for i in range(PATTERN_SEARCH_STEPS):
-        cand = (pairs + step[:, None, None] * directions[:, i]
-                / lengths[:, i])
-        if variant == VARIANT_S:
-            cand[:, :, 0] = cand[:, :, 0].real
-        cand /= np.maximum(row_norms(cand[:, 0]),
-                           row_norms(cand[:, 1]))[:, None, None]
-        num, den = _stability_quotients(cand[:, 0], cand[:, 1], variant)
-        kept = den > DENOMINATOR_THRESHOLD
-        ratio = num / np.where(kept, den, 1.0)
-        better = kept & (ratio < best)
-        pairs = np.where(better[:, None, None], cand, pairs)
-        best = np.where(better, ratio, best)
-        step = np.where(better, step, step * 0.97)
-    return pairs, best
+
+def _from_coordinates(u: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """The (T, n) stack whose ``_coordinates`` are the rows of ``u``."""
+    if variant == VARIANT_S:
+        u = np.insert(u, n, 0.0, axis=1)
+        u[:, 0] *= math.sqrt(2.0)
+    return (u[:, :n] + 1j * u[:, n:]) / math.sqrt(2.0)
+
+
+def _refine(pairs: np.ndarray, variant: str) -> np.ndarray:
+    """The pairs ``rnmp.alternating_min`` reaches from a (P, 2, n) stack:
+    with a = x1 - x2 and b = x1 + x2 unit, ``A(x1) - A(x2) = Re(F S(a)
+    conj(F S(b)))`` is real-linear in each for the other fixed, so in
+    ``_coordinates`` a half-step takes the bottom eigenvector of ``J^T J``,
+    ``J = Re(conj(F S(b)) F S(basis))``."""
+    n = pairs.shape[2]
+    def spectra(u):  # unitary DFT of S(x) for each row u of coordinates
+        v = _symmetrized_rows(_from_coordinates(u, n, variant), variant)
+        return np.fft.fft(v, axis=-1) / math.sqrt(v.shape[1])
+    basis_spectra = spectra(np.eye(2 * n - (variant == VARIANT_S))).T
+    def form(half, v):
+        j = (np.conj(spectra(v))[:, :, None] * basis_spectra).real
+        return np.swapaxes(j, 1, 2) @ j
+    b = _coordinates(pairs[:, 0] + pairs[:, 1], variant)
+    _, b = alternating_min(form, b / row_norms(b)[:, None])
+    a = np.linalg.eigh(form(0, b))[1][..., 0]  # one more half-step
+    return np.stack([_from_coordinates(b + a, n, variant),
+                     _from_coordinates(b - a, n, variant)], axis=1) / 2
 
 
 def stability_constant_estimate(n: int, trials: int, seed: int = 0,
                                 variant: str = VARIANT_S) -> StabilityEstimate:
-    """Empirical minimum of the stability quotient over sampled pairs.
+    """Least stability quotient over sampled pairs and their refinements.
 
     Trials are drawn ``SAMPLE_CHUNK`` at a time by one ``standard_normal``
     call (the stream and final generator state of one draw per trial) and
     scored by one array kernel call; the five smallest quotients are kept,
-    ties in trial order.  Pure sampling overestimates the constant, so
-    pattern search then improves those pairs, all of them in lockstep; the
-    lowest quotient after the search, first in sampled order, wins.
+    ties in trial order.  Pure sampling overestimates the constant, so each
+    of those pairs seeds an alternating minimization (``_refine``); the
+    least refined quotient, first in sampled order, wins if it is lower.
     Variant S at n = 1 raises ``ValueError``: every pair is a sign flip.
     """
     if n <= 0:
@@ -242,10 +245,9 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
         ratios, pairs = ratios[order], pairs[order]
     if not ratios.size:
         raise RuntimeError("all sampled pairs were excluded")
-    best_ratio, bx1, bx2 = float(ratios[0]), pairs[0, 0], pairs[0, 1]
-    pairs, r = _pattern_search(pairs, variant, rng)
-    i = int(np.argmin(r))
-    if r[i] < best_ratio:
-        best_ratio, bx1, bx2 = r[i], pairs[i, 0], pairs[i, 1]
-    return StabilityEstimate(float(best_ratio), tuple(bx1.tolist()),
-                             tuple(bx2.tolist()), trials, seed, variant)
+    pairs = np.concatenate([pairs[:1], _refine(pairs, variant)])
+    num, den = _stability_quotients(pairs[:, 0], pairs[:, 1], variant)
+    i = int(np.argmin(num / den))  # the sampled pair wins ties
+    x1, x2 = pairs[i].tolist()
+    return StabilityEstimate(float(num[i] / den[i]), tuple(x1), tuple(x2),
+                             trials, seed, variant)

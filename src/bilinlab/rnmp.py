@@ -192,10 +192,10 @@ def _autocorr_rows(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_matrices(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
-    """Stack of ``B_t``, where t is each row of ``coeffs`` placed on the same
-    row of ``supports`` (or on one shared support) in dimension n and
-    normalized."""
+def _det_objective(n: int, supports, coeffs: np.ndarray):
+    """``|det B_t|`` and the stack of ``B_t``, where t is each row of
+    ``coeffs`` placed on the same row of ``supports`` (or on one shared
+    support) in dimension n and normalized."""
     r, k = coeffs.shape
     c = coeffs / row_norms(coeffs)[:, None]
     t = np.zeros((r, n), dtype=complex)
@@ -209,20 +209,16 @@ def _det_matrices(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         total = total + squares[:, j]
     t /= np.sqrt(total)[:, None]
-    return _toeplitz(_autocorr_rows(t), np.arange(n)[None])
+    mats = _toeplitz(_autocorr_rows(t), np.arange(n)[None])
+    return np.abs(np.linalg.det(mats)), mats
 
 
-def _det_objective(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
-    """``|det B_t|`` for each row of ``coeffs`` (see ``_det_matrices``)."""
-    return np.abs(np.linalg.det(_det_matrices(n, supports, coeffs)))
-
-
-def _det_gradient(n: int, supports: np.ndarray, c: np.ndarray,
+def _det_gradient(mats: np.ndarray, supports: np.ndarray, c: np.ndarray,
                   val: np.ndarray) -> np.ndarray:
     """Gradient of ``|det B_t|`` on the unit sphere at each unit row of
-    ``c`` on the same row of ``supports``, where ``val`` holds those
-    values: entry p is the derivative along Re c_p plus i times the one
-    along Im c_p.
+    ``c`` on the same row of ``supports``, where ``mats`` and ``val`` hold
+    the matrices and values of ``_det_objective`` there: entry p is the
+    derivative along Re c_p plus i times the one along Im c_p.
 
     Jacobi's formula: ``d log det B = tr(B^-1 dB)`` (B is positive
     definite).  Moving Re c_p changes ``b_d`` by ``t_{p+d} + conj(t_{p-d})``
@@ -235,7 +231,8 @@ def _det_gradient(n: int, supports: np.ndarray, c: np.ndarray,
     in any stack; a BLAS matmul, blocked by the stack height, would not.
     """
     r, k = c.shape
-    inv = np.linalg.inv(_det_matrices(n, supports, c))
+    n = mats.shape[-1]
+    inv = np.linalg.inv(mats)
     # diag[:, n - 1 + d] = S_d, added up top row first.
     diag = np.zeros((r, 2 * n - 1), dtype=complex)
     for i in range(n):
@@ -260,8 +257,8 @@ def _descend(n: int, supports: np.ndarray, c: np.ndarray):
     A descent stops when its step falls below 1e-6 or its gradient norm
     below 1e-12, checked in that order, and after 120 steps at most.
     """
-    val = _det_objective(n, supports, c)
-    grad = _det_gradient(n, supports, c, val)
+    val, mats = _det_objective(n, supports, c)
+    grad = _det_gradient(mats, supports, c, val)
     step = np.full(len(c), 0.3)
     live = np.arange(len(c))
     for _ in range(120):
@@ -273,12 +270,13 @@ def _descend(n: int, supports: np.ndarray, c: np.ndarray):
         live = live[moving]
         tc = c[live] - step[live, None] * grad[live] / gn[moving, None]
         tc /= row_norms(tc)[:, None]
-        tval = _det_objective(n, supports[live], tc)
+        tval, tmats = _det_objective(n, supports[live], tc)
         better = tval < val[live]
         moved = live[better]
         c[moved] = tc[better]
         val[moved] = tval[better]
-        grad[moved] = _det_gradient(n, supports[moved], c[moved], val[moved])
+        grad[moved] = _det_gradient(tmats[better], supports[moved], c[moved],
+                                    val[moved])
         step[live[~better]] *= 0.5
     return c, val
 
@@ -387,29 +385,39 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     return math.sqrt(max(alpha_sq, 0.0))
 
 
-def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray,
-             y: np.ndarray) -> np.ndarray:
-    """Alternating minimizations in lockstep from the unit rows of ``y`` on
-    the same rows of the sorted supports ``sx``, ``sy``; returns each row's
-    last ``||x * y||^2``.  Each half-step places the current vector on its
-    support and takes the bottom eigenpair of the other side's restricted
-    matrix.  A row stops when its value stalls (``ALT_MIN_STALL``, relative
-    to max(1, value)) or after ``ALT_MIN_MAX_ITERS`` rounds."""
-    val = np.full(len(y), math.inf)
-    live = np.arange(len(y))
+def alternating_min(form, v: np.ndarray, *rows: np.ndarray):
+    """Lockstep alternating minimizations from the rows of ``v``; returns
+    each row's last value and vector.  Half-step 0, then 1, of a round
+    takes the bottom eigenpairs of ``form(half, v, *rows)``, the stacked
+    Hermitian matrices the other factor sees; ``rows`` are compacted with
+    the live rows.  A row stops when its value stalls (``ALT_MIN_STALL``,
+    relative to max(1, value)) or after ``ALT_MIN_MAX_ITERS`` rounds."""
+    val = np.full(len(v), math.inf)
+    last = v.copy()
+    live = np.arange(len(v))
     for _ in range(ALT_MIN_MAX_ITERS):
-        for on, other in ((sy, sx), (sx, sy)):
-            dense = np.zeros((live.size, n), dtype=complex)
-            dense[np.arange(live.size)[:, None], on] = y
-            w, vecs = np.linalg.eigh(_toeplitz(_autocorr_rows(dense), other))
-            y = vecs[..., 0]
+        for half in (0, 1):
+            w, vecs = np.linalg.eigh(form(half, v, *rows))
+            v = vecs[..., 0]
         old = val[live]
-        val[live] = w[:, 0]
+        val[live], last[live] = w[:, 0], v
         going = ~(old - w[:, 0] < ALT_MIN_STALL * np.maximum(1.0, np.abs(old)))
-        live, sx, sy, y = live[going], sx[going], sy[going], y[going]
+        live, v, *rows = (r[going] for r in (live, v, *rows))
         if not live.size:
             break
-    return val
+    return val, last
+
+
+def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray, y: np.ndarray):
+    """Last ``||x * y||^2`` of ``alternating_min`` from each unit row of
+    ``y`` on the same rows of the sorted supports ``sx``, ``sy``."""
+    def form(half, v, sx, sy):
+        # v on one support; its autocorrelation restricted to the other
+        on, other = (sy, sx) if half == 0 else (sx, sy)
+        dense = np.zeros((len(v), n), dtype=complex)
+        dense[np.arange(len(v))[:, None], on] = v
+        return _toeplitz(_autocorr_rows(dense), other)
+    return alternating_min(form, y, sx, sy)[0]
 
 
 def _min_norm(n: int, pairs, f: int, rng, starts: int) -> float:

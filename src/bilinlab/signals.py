@@ -79,7 +79,7 @@ class SparseVector:
 
     def norm(self) -> float:
         # Summed left to right on every Python version (sum() compensates
-        # from 3.12 on); rnmp._det_matrices reproduces this order.
+        # from 3.12 on); rnmp._det_objective reproduces this order.
         total = 0.0
         for v in self.values:
             total += abs(v) ** 2

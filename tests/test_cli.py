@@ -152,9 +152,9 @@ README_REPORT_SHA256 = {
         "014ac5eb6d7f3f2549459b8d22ecfbf9f71f2f1100f3aa4e7d9d9fbd750a58bb",
         "5273fd109175a6266abe0a6d98d031de7b6d26267eb187afd68c29512621b2ab",
     ),
-    "phase-stability": (
-        "c2dd28ffa8e06776b6b52d2926489eff4468abd2cc5d0c4c86176a6e69f012ca",
-        "06d208e8b570ca150c57065f7d9cffc518167b640797db301ab74a007cb0b1a4",
+    "phase-stability": (  # alternating refinement, c_hat_is_upper_estimate
+        "bcab6fdf9dce40720e2247e22ea59ca4bd184407bb780819d0921759d7cddf83",
+        "4c8a9c36d5d761a4176b8846d1cb64a403eaf22411d7b965a2f58f25d94c15a8",
     ),
     "freiman-search": (  # config.budget 1000000 -> 4000000, pair units
         "04153ea3121ee80f752f3926bde9b9b8b4369d9cc349d9a084bd7087a7a3b198",
@@ -337,17 +337,17 @@ BENCHMARK_REPORT_SHA256 = {
     "phase": (
         "command = phase-stability\nn = 3\ntrials = 8000\n",
         (
-            "1f55f2ddde4620c603b1ff80f6ddd0b4043c56b6d67b74871ecaa830364e9bdf",
-            "32efa9663ee30ecd6e12f7ca3f8606bbaa915324bced20a91f776a5f6a2f0e7d",
-            "b2e43166ac6602b02964647337a2e135df41f87bb8a59cdb2a4abd1586e566bc",
+            "21de6f46ceb9209d862efdc51ec404997662cc4365a64bb819b5b60d03505324",
+            "fa9155ce8755370709db1a84227619e1b775bd3a7959b5fa453b0b2671ea7c53",
+            "0de2220f995067b77240bc76d3790efcc7171f69d2f970f7141081ec706b9458",
         )),
     "phase-prime": (
         "command = phase-stability\nn = 3\nvariant = S_prime_4n-1\n"
         "trials = 8000\n",
         (
-            "d72ee6dccefb5b2cfe52f423e3b3d44a1476e0c1437d476f90b649c09dd41378",
-            "0965b788b9c750b688bfc0c1320112660003d0da8dc1ee44e044fd6f1a973846",
-            "4b33682ff7daa4c7d863d0bdad8ad31a64448e54322982e8b044205ba5db00c4",
+            "e36a058af7909aec867af237b6abd8d951d35e9452f4732939be3f29968b3748",
+            "8b72498151fab11644c8b2cdc4dcc89e0db58b31320eca1c5e9ca9096ab38010",
+            "74c9e4692ddc688862aa016a2e395f568476b8196b2d2d6003cc0f997b4963a5",
         )),
     "embed-gauss": (
         "command = embed-verify\nensemble = gaussian\nm = 56\nn = 64\n"
@@ -510,6 +510,7 @@ def test_phase_stability_command(tmp_path):
     payload = json.loads((out / "phase-stability.json").read_text())
     assert payload["positive"]
     assert payload["c_hat"] > 0
+    assert payload["c_hat_is_upper_estimate"] is True
     assert len(payload["worst_pair"]["x1_re"]) == 2
 
 

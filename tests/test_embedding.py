@@ -9,18 +9,6 @@ from bilinlab import embedding, operators, signals
 from bilinlab.embedding import StructuredSetSpec
 
 
-def test_entropy_union_subspaces():
-    assert embedding.entropy_union_subspaces(3, 1, 0.5) == pytest.approx(
-        3 * math.log(6.0))
-    val = embedding.entropy_union_subspaces(4, math.comb(16, 4), 0.1)
-    assert val == pytest.approx(4 * math.log(30) + math.log(1820), rel=1e-12)
-    assert val == pytest.approx(21.11, abs=0.01)
-    finer = embedding.entropy_union_subspaces(4, math.comb(16, 4), 0.05)
-    assert finer > val
-    with pytest.raises(ValueError):
-        embedding.entropy_union_subspaces(4, 0.5, 0.1)
-
-
 def test_entropy_sparse_lowrank():
     val = embedding.entropy_sparse_lowrank(2, 2, 1, 256, 0.1)
     oracle = 18 * math.log(90.0) + 8 * math.log(256 * math.e / 4)
@@ -52,14 +40,6 @@ def test_sample_complexity_bilinear():
         with pytest.raises(ValueError):
             embedding.sample_complexity_bilinear(s, f, kappa, n, 0.5)
     assert embedding.sample_complexity_bilinear(2, 2, 1, 3, 0.5) == 7
-
-
-def test_jl_sparsity_requirement():
-    assert embedding.jl_sparsity_requirement(1.0, 0.0) == 124
-    assert embedding.jl_sparsity_requirement(1.0, 122.76) == 5034
-    base = embedding.jl_sparsity_requirement(1.0, 10.0)
-    assert embedding.jl_sparsity_requirement(1.0, 20.0) - base == \
-        pytest.approx(400, abs=1)
 
 
 def test_demodulator_measurement_bound():

@@ -85,7 +85,7 @@ def test_det_objective_stack_matches_public_path():
     rng = np.random.default_rng(9)
     support = (0, 2, 5)
     coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    got = rnmp._det_objective(7, support, coeffs)
+    got = rnmp._det_objective(7, support, coeffs)[0]
     for c, value in zip(coeffs, got):
         t = SparseVector(7, support, tuple((c / np.linalg.norm(c)).tolist()))
         mat = rnmp.autocorrelation_toeplitz(t, 7).to_matrix()
@@ -108,15 +108,15 @@ def test_det_gradient_matches_central_differences(k):
         spread = np.round(np.linspace(0, n - 1, k)).astype(int)
         for support in (np.arange(k), spread):
             c = _unit_rows(rng, 1, k)
-            val = rnmp._det_objective(n, support, c)
-            grad = rnmp._det_gradient(n, support[None], c, val)[0]
+            val, mats = rnmp._det_objective(n, support, c)
+            grad = rnmp._det_gradient(mats, support[None], c, val)[0]
             want = np.zeros(k, dtype=complex)
             for p in range(k):
                 for unit in (1.0, 1j):
                     e = np.zeros((1, k), dtype=complex)
                     e[0, p] = h * unit
-                    diff = (rnmp._det_objective(n, support, c + e)
-                            - rnmp._det_objective(n, support, c - e))
+                    diff = (rnmp._det_objective(n, support, c + e)[0]
+                            - rnmp._det_objective(n, support, c - e)[0])
                     want[p] += unit * diff[0] / (2 * h)
             assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
             # Scaling c leaves the objective unchanged.
@@ -128,11 +128,11 @@ def test_det_gradient_stack_equals_one_by_one():
     supports = np.array([[0, 1, 2], [0, 4, 11], [0, 2, 7], [0, 10, 11],
                          [0, 1, 2]])
     c = _unit_rows(rng, 5, 3)
-    val = rnmp._det_objective(12, supports, c)
-    got = rnmp._det_gradient(12, supports, c, val)
+    val, mats = rnmp._det_objective(12, supports, c)
+    got = rnmp._det_gradient(mats, supports, c, val)
     for r in range(5):
-        one = rnmp._det_gradient(12, supports[r:r + 1], c[r:r + 1],
-                                 val[r:r + 1])
+        one = rnmp._det_gradient(mats[r:r + 1], supports[r:r + 1],
+                                 c[r:r + 1], val[r:r + 1])
         assert np.array_equal(got[r], one[0])
 
 
@@ -340,8 +340,10 @@ def _reference_determinant(n, k, search_budget, seed,
                 if step < 1e-6:
                     break
                 if grad is None:
-                    grad = rnmp._det_gradient(n, np.array([support]),
-                                              c[None], np.array([val]))[0]
+                    rows = np.array([support])
+                    grad = rnmp._det_gradient(
+                        rnmp._det_objective(n, rows, c[None])[1], rows,
+                        c[None], np.array([val]))[0]
                 gn = np.linalg.norm(grad)
                 if gn < 1e-12:
                     break
@@ -392,8 +394,11 @@ def test_restricted_determinant_matches_reference_on_ties(monkeypatch):
     # point with equal values: of tied descents the first in (support,
     # restart) order wins, within a chunk and across chunks.
     kernel = rnmp._det_objective
-    monkeypatch.setattr(rnmp, "_det_objective", lambda n, supports, coeffs:
-                        np.round(kernel(n, supports, coeffs), 1))
+    def rounded_kernel(n, supports, coeffs):
+        val, mats = kernel(n, supports, coeffs)
+        return np.round(val, 1), mats
+
+    monkeypatch.setattr(rnmp, "_det_objective", rounded_kernel)
     monkeypatch.setattr(rnmp, "CHUNK", 4)
 
     def rounded(n, support, coeffs):
