@@ -105,11 +105,11 @@ class Report(NamedTuple):
 
 
 def _csv_lines(rows: list):
-    """A header of the first row's keys, then each row's values by repr,
-    built only when written."""
+    """A header of the first row's keys, then each row's values by repr
+    (an empty field for None), built only when written."""
     yield ",".join(rows[0])
     for row in rows:
-        yield ",".join(map(repr, row.values()))
+        yield ",".join("" if v is None else repr(v) for v in row.values())
 
 
 def _run_rnmp_bound(config: dict):
@@ -123,6 +123,9 @@ def _run_rnmp_bound(config: dict):
         "alpha_lower": bounds.alpha_lower,
         "alpha_empirical": bounds.alpha_empirical,
         "beta": bounds.beta,
+        # null, not Infinity, keeps the report strict JSON
+        "gap": (bounds.alpha_empirical / bounds.alpha_lower
+                if bounds.alpha_lower else None),
     }
     return Report({"result": row, "certificates": bounds.certificates},
                   ("rnmp-bound.csv", _csv_lines([row])))

@@ -2,11 +2,14 @@
 
 For unit-norm s-sparse x and f-sparse y the convolution norm satisfies
 ``alpha(s,f) <= ||x * y|| <= beta(s,f)`` with ``beta^2 = min(s,f)``.  This
-module computes a search estimate of the lower bound for alpha through the
-autocorrelation Toeplitz / restricted determinant chain, and an empirical
-upper estimate by alternating minimization over support pairs.  For
-min(s, f) >= 3 the determinant comes from a heuristic search that gives an
-upper estimate of D_{n,k}, so the lower value is not a proven bound.
+module computes the lower bound for alpha through the autocorrelation
+Toeplitz / restricted determinant chain, and an empirical upper estimate
+by alternating minimization over support pairs.  For min(s, f) = 2 the
+determinant is the closed form D_{n,2} = (n+1)/2^n.  For min(s, f) >= 3 it
+comes from a heuristic search that gives an upper estimate of D_{n,k}, so
+the lower value is not a proven bound.  The alternating minimization
+works on the lags inside the two supports, so its cost does not depend on
+the ambient dimension n.
 
 The quadratic form identity driving everything: for fixed unit y,
 ``||x * y||^2 = <x, B_y x>`` where ``B_y`` is the Hermitian Toeplitz
@@ -15,6 +18,7 @@ matrix built from the autocorrelation of y.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -358,12 +362,13 @@ def compressed_dimension(s: int, f: int, n_ambient: int | None = None) -> int:
 
 def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
                       seed: int = 0) -> float:
-    """Determinant-chain search estimate of the lower bound on alpha(s, f).
+    """Determinant-chain lower bound on alpha(s, f).
 
     Evaluates ``alpha^2 >= D_{nt,k} / sqrt(nt * k^(nt-1))`` with
     k = min(s, f) and nt the compressed dimension capped at
-    ``MAX_TOEPLITZ_DIM``.  min(s, f) = 1 returns the exact value 1.  For
-    k >= 3 the determinant is an upper estimate of D_{nt,k} from a
+    ``MAX_TOEPLITZ_DIM``.  min(s, f) = 1 returns the exact value 1, and
+    k = 2 takes the closed form ``D_{nt,2} = (nt+1)/2^nt`` with no search.
+    For k >= 3 the determinant is an upper estimate of D_{nt,k} from a
     heuristic search, so the result is not a proven bound.
     """
     if not (1 <= s <= n and 1 <= f <= n):
@@ -380,8 +385,11 @@ def alpha_lower_bound(s: int, f: int, n: int, det_budget: int = 16,
     if k == 1:
         return 1.0
     nt = min(compressed_dimension(s, f, n), MAX_TOEPLITZ_DIM)
-    est = restricted_determinant(nt, k, det_budget, seed)
-    alpha_sq = est.value / math.sqrt(nt * float(k) ** (nt - 1))
+    if k == 2:
+        det = (nt + 1) / 2.0 ** nt
+    else:
+        det = restricted_determinant(nt, k, det_budget, seed).value
+    alpha_sq = det / math.sqrt(nt * float(k) ** (nt - 1))
     return math.sqrt(max(alpha_sq, 0.0))
 
 
@@ -408,19 +416,52 @@ def alternating_min(form, v: np.ndarray, *rows: np.ndarray):
     return val, last
 
 
-def _alt_min(n: int, sx: np.ndarray, sy: np.ndarray, y: np.ndarray):
+def _lag_slots(sx: np.ndarray, sy: np.ndarray):
+    """The lag index of the rows of the sorted (R, s) and (R, f) supports
+    ``sx`` and ``sy``: each distinct lag ``u_c - u_a`` of a row, in either
+    support, gets its own slot.  Returns the number of slots and, for
+    half 0 (v on y's support) then half 1 (v on x's), ``src``, the slots
+    of the real then the imaginary part of each pair (a, c) of v's
+    support, and ``dst``, the slot of each entry (p, q) of the matrices on
+    the other support.  Both are O(s^2 + f^2) per row, whatever n is."""
+    (r, s), f = sx.shape, sy.shape[1]
+    lags = [(u[:, None, :] - u[:, :, None]).reshape(r, -1) for u in (sx, sy)]
+    # Keying each lag by its row keeps the rows' slots apart.
+    span = 2 * int(max(sx.max(), sy.max())) + 1
+    keys = np.concatenate(lags, axis=1) + span * np.arange(r)[:, None]
+    distinct, slot = np.unique(keys.ravel(), return_inverse=True)
+    on_x, on_y = np.split(slot.reshape(r, -1), [s * s], axis=1)
+
+    def pairs(on):
+        return (2 * on[:, :, None] + np.arange(2)).reshape(r, -1)
+
+    return len(distinct), (pairs(on_y), on_x.reshape(r, s, s),
+                           pairs(on_x), on_y.reshape(r, f, f))
+
+
+def _pair_form(half: int, v: np.ndarray, *slots: np.ndarray,
+               size: int) -> np.ndarray:
+    """The autocorrelation of each row of ``v`` restricted to the other
+    support, from the ``size`` slots and the ``_lag_slots`` arrays of
+    half 0 (v on y's support, the s x s matrices on x's) then of half 1
+    (the other way round).  Entry (p, q) sums ``conj(v_a) v_c`` over the
+    pairs (a, c) of v's support with the lag of (p, q): one ``bincount``
+    over the pairs and one gather, with no length-n axis."""
+    src, dst = slots[2 * half:2 * half + 2]
+    outer = np.conj(v)[:, :, None] * v[:, None, :]
+    sums = np.bincount(src.ravel(), outer.view(float).ravel(), 2 * size)
+    return sums.view(complex)[dst]
+
+
+def _alt_min(sx: np.ndarray, sy: np.ndarray, y: np.ndarray):
     """Last ``||x * y||^2`` of ``alternating_min`` from each unit row of
     ``y`` on the same rows of the sorted supports ``sx``, ``sy``."""
-    def form(half, v, sx, sy):
-        # v on one support; its autocorrelation restricted to the other
-        on, other = (sy, sx) if half == 0 else (sx, sy)
-        dense = np.zeros((len(v), n), dtype=complex)
-        dense[np.arange(len(v))[:, None], on] = v
-        return _toeplitz(_autocorr_rows(dense), other)
-    return alternating_min(form, y, sx, sy)[0]
+    size, slots = _lag_slots(sx, sy)
+    return alternating_min(functools.partial(_pair_form, size=size), y,
+                           *slots)[0]
 
 
-def _min_norm(n: int, pairs, f: int, rng, starts: int) -> float:
+def _min_norm(pairs, f: int, rng, starts: int) -> float:
     """Least ``||x * y||`` that ``_alt_min`` reaches from ``starts`` random
     unit y per support pair, ``CHUNK`` (pair, start) rows at a
     time.  One ``rng`` call per pair, as the pair is reached, draws the
@@ -432,7 +473,7 @@ def _min_norm(n: int, pairs, f: int, rng, starts: int) -> float:
         sx, sy, draws = (np.array(part) for part in zip(*chunk))
         y = draws[:, 0] + 1j * draws[:, 1]
         y /= row_norms(y)[:, None]
-        val = _alt_min(n, np.sort(sx), np.sort(sy), y)
+        val = _alt_min(np.sort(sx), np.sort(sy), y)
         best = min(best, float(val.min()))
     return math.sqrt(max(best, 0.0))
 
@@ -442,7 +483,8 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
     """Minimum of ||x * y|| over unit vectors on fixed supports.
 
     Alternating minimization from ``starts`` random unit y on
-    ``support_y`` (see ``_alt_min``).  Convolution is on Z (zero padded).
+    ``support_y`` (see ``_alt_min``).  Convolution is on Z (zero padded),
+    and n only bounds the indices: the cost does not depend on it.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -457,7 +499,7 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
             raise ValueError(f"{name} is empty")
     if starts < 1:
         raise ValueError("starts must be positive")
-    return _min_norm(n, [(support_x, support_y)], len(support_y), rng, starts)
+    return _min_norm([(support_x, support_y)], len(support_y), rng, starts)
 
 
 def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
@@ -505,7 +547,7 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
     else:
         pairs = itertools.chain(_sampled_pairs(s, f, n, trials, rng),
                                 [(np.arange(s), np.arange(f))])
-    return min(_min_norm(n, pairs, f, rng, starts=2), math.sqrt(min(s, f)))
+    return min(_min_norm(pairs, f, rng, starts=2), math.sqrt(min(s, f)))
 
 
 def beta_upper(s: int, f: int) -> float:
@@ -554,18 +596,18 @@ def compute_bounds(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         emp_cert = {"method": exact, "exhaustive_pairs": True,
                     "upper_estimate": True}
     else:
-        lower_cert = {
-            "method": "determinant-chain formula",
-            "toeplitz_dim": nt_used,
-            "toeplitz_dim_uncapped": nt,
-            "capped": nt_used < nt,
-            "det_budget": det_budget,
-            "seed": seed,
-            "exhaustive_supports": True,
+        dims = {"toeplitz_dim": nt_used, "toeplitz_dim_uncapped": nt,
+                "capped": nt_used < nt}
+        if min(s, f) == 2:
+            # The exact D_{nt,2}: the chain is a bound unless nt was capped.
+            lower_cert = {"method": "closed form D_{n,2} = (n+1)/2^n",
+                          **dims, "proven": nt_used == nt}
+        else:
             # A search value is an upper estimate of D_{nt,k}, possibly
             # in a capped dimension.
-            "proven": False,
-        }
+            lower_cert = {"method": "determinant-chain formula", **dims,
+                          "det_budget": det_budget, "seed": seed,
+                          "exhaustive_supports": True, "proven": False}
         emp_cert = {
             "method": "alternating minimization over support pairs",
             "trials": trials,

@@ -140,9 +140,9 @@ def test_readme_has_one_config_per_command():
 # with numpy 2.4.6.  A change that moves a report updates this table and
 # lists the moved values.
 README_REPORT_SHA256 = {
-    "rnmp-bound": (
-        "1ac97a5e46bd1d1680e191458ac71f95ca7143de5a28968d4fcf61b9f6134565",
-        "3bd0d9bc092c60c64c2b64ee1dcadc28441facf797c6b76642d2b8ed2459fd2d",
+    "rnmp-bound": (  # k = 2 closed form, sparse-lag kernel, gap
+        "8a33a5bb87a367e123d557171292eeca7f47b0368e884c8e3ac0bc7ad209386e",
+        "bda6a4b6913bc8e8dc33de6a4827d66a64e0082700760c0f0fe697bc384a8e72",
     ),
     "embed-verify": (
         "2072512f6dca51d2eff2776f26e3beadc31daab237c0116e7ab18d2ae18c8e9c",
@@ -172,9 +172,9 @@ README_REPORT_SHA256 = {
 # sha256 at seeds 0 and 1, recorded with numpy 2.4.6 before the runners
 # stopped writing their own files.
 README_CSV_SHA256 = {
-    "rnmp-bound": ("rnmp-bound.csv", (
-        "664a77557dd58aa940c31971519eb466aa0a7e385d5b9f6a7772bf8b5fd6443c",
-        "c872ad5adfaacfac15f3461aae4dcd5994cca0ee41d3259ff734083772f56a84",
+    "rnmp-bound": ("rnmp-bound.csv", (  # the gap column
+        "4b440d116a247bc78696baef4e51e8203dbd1ae204106b679604d4baf5a1adfc",
+        "81de599c3e6c68e9f2b73b4e7168fb193b8c5add63f227bec82e3a207e81c689",
     )),
     "embed-verify": ("embed-verify-trials.csv", (
         "6ea4114ec9f0c09a4352aec84b9a182fdc2fa7304334a8502f3b69f8d55c35f5",
@@ -276,6 +276,35 @@ def test_rnmp_bound_equality_row(tmp_path):
     assert payload["certificates"]["beta"]["method"].startswith("closed form")
 
 
+def test_rnmp_bound_reports_gap(tmp_path, monkeypatch):
+    # gap = alpha_empirical / alpha_lower, and null (strict JSON, not
+    # Infinity) when the lower value is 0.
+    from bilinlab import rnmp
+
+    def result(out):
+        assert cli.main(["--config", str(cfg), "--out", str(out),
+                         "--format", "csv"]) == 0
+        text = (out / "rnmp-bound.json").read_text()
+        return json.loads(text, parse_constant=pytest.fail)["result"]
+
+    cfg = _write_config(
+        tmp_path, "command = rnmp-bound\ns = 2\nf = 3\nn = 6\ntrials = 4\n")
+    row = result(tmp_path / "a")
+    assert row["gap"] == row["alpha_empirical"] / row["alpha_lower"]
+    header, values = (tmp_path / "a" / "rnmp-bound.csv").read_text().split()
+    assert header.endswith(",gap")
+    assert values.endswith("," + repr(row["gap"]))
+    monkeypatch.setattr(rnmp, "alpha_lower_bound", lambda *args: 0.0)
+    row = result(tmp_path / "b")
+    assert row["alpha_lower"] == 0.0
+    assert row["gap"] is None
+    # The CSV row leaves the field empty.
+    header, values = ((tmp_path / "b" / "rnmp-bound.csv").read_text()
+                      .splitlines())
+    assert values.split(",") == [repr(row[key]) for key in
+                                 header.split(",")[:-1]] + [""]
+
+
 def test_embed_verify_identity(tmp_path):
     cfg = _write_config(tmp_path, """
     command = embed-verify
@@ -321,18 +350,18 @@ BENCHMARK_REPORT_SHA256 = {
     "rnmp-det": (
         "command = rnmp-bound\ns = 3\nf = 3\nn = 12\ndet_budget = 2\n"
         "trials = 4\n",
-        (
-            "d8fd0e6691238314ffe04133a3779f999bf81a84a7c3f28d9711374135ab39d4",
-            "47783bbede8eb57cbf36ddb159e5556a224d9efbc2a92aca499d3037789a86df",
-            "9e0902dec4d0d0a66925e4d9fbd9ed87418d9d4346fe0ba0161e653066862cec",
+        (  # sparse-lag kernel, gap
+            "ac170461612a8227cbf835dc652d8c2b2bf45bb3f9baaffe34300d585cf5055c",
+            "29a0c4506d3a1c37d87a7d108319a1f7318b4ff326384fe67bb733b85943c52d",
+            "8c04601cf502cb40ef2cc1ffa96e6b2434130eadbddf5bcb03cb31cdffac80a6",
         )),
     "rnmp-altmin": (
         "command = rnmp-bound\ns = 2\nf = 4\nn = 16\ndet_budget = 1\n"
         "trials = 500\n",
-        (
-            "4c8960c46076bf72c480db2510f2d3fdf3b50b43415afb89c0362f91132c571b",
-            "f6ab35c38f84f632e457ad6cc53c7a6e704620fbf229a1c55ffb786fc6933ace",
-            "8cb79155b44966d8e41f07a00da9cbc1d076cbd23d2bdbd862303f8153279bb1",
+        (  # k = 2 closed form, sparse-lag kernel, gap
+            "a59a7fa80ceae5e44c1e39ea01bcdd60d6a2f8d91cf0b387c294d58788b7e942",
+            "6345e8fd54fb21290311bd5febebdceec03e5787491d1c5a927832b7d16c8bd3",
+            "c945e6ce5df0fd8c0ebecde754bb057602c492af9f28b549f0dd1ed0151fcbce",
         )),
     "phase": (
         "command = phase-stability\nn = 3\ntrials = 8000\n",

@@ -443,6 +443,34 @@ def test_alpha_lower_bound_equality_case():
     assert rnmp.alpha_lower_bound(7, 1, 32) == 1.0
 
 
+def _chain_alpha_two(nt):
+    """The chain value sqrt(D_{nt,2} / sqrt(nt 2^(nt-1))) with the closed
+    form D_{nt,2} = (nt+1)/2^nt."""
+    return math.sqrt((nt + 1) / 2.0 ** nt / math.sqrt(nt * 2.0 ** (nt - 1)))
+
+
+@pytest.mark.parametrize("s,f,n,nt", [(2, 2, 6, 6), (2, 4, 16, 16),
+                                      (5, 2, 40, 16), (2, 3, 4, 4)])
+def test_alpha_lower_bound_takes_closed_form_for_two_sparse(monkeypatch, s,
+                                                            f, n, nt):
+    def no_search(*args):
+        raise AssertionError("the determinant search ran")
+
+    monkeypatch.setattr(rnmp, "restricted_determinant", no_search)
+    assert rnmp.alpha_lower_bound(s, f, n, det_budget=3, seed=7) == \
+        _chain_alpha_two(nt)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_alpha_lower_closed_form_matches_search(n):
+    # The descent's D_{n,2} is an upper estimate within 1.1e-12 of the
+    # closed form, so the chain values agree within 1e-12 relative.
+    est = rnmp.restricted_determinant(n, 2, 16, 0)
+    searched = math.sqrt(est.value / math.sqrt(n * 2.0 ** (n - 1)))
+    closed = rnmp.alpha_lower_bound(2, 2, n)
+    assert abs(closed - searched) <= 1e-12 * closed
+
+
 def test_alpha_lower_below_empirical():
     lower = rnmp.alpha_lower_bound(2, 2, 8, det_budget=4, seed=0)
     emp = rnmp.alpha_empirical(2, 2, 8, trials=8, seed=0)
@@ -473,7 +501,13 @@ def test_alpha_empirical_nonincreasing_in_sparsity():
 
 # Reference for the lockstep alternating minimization: the per-pair,
 # per-start loop with np.correlate and one eigh per matrix, sharing no
-# code with the stacked engine.
+# code with the stacked engine.  The engine sums each lag over the pairs
+# of a support in its own order, not as a dot product over a dense row,
+# so it matches the reference to within 1e-12 relative, not bit for bit.
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * want
+
 
 def _reference_toeplitz(v, rows):
     lags = np.subtract.outer(rows, rows)
@@ -547,8 +581,8 @@ _ALPHA_CASES = [(2, 2, 8, 10), (2, 3, 6, 4), (3, 2, 9, 30), (2, 2, 5, 1),
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_alpha_empirical_matches_per_pair_reference(s, f, n, trials, seed):
     assert _exhaustive_pairs(s, f, n) == (n <= 9)
-    assert rnmp.alpha_empirical(s, f, n, trials, seed) == \
-        _reference_alpha_empirical(s, f, n, trials, seed)
+    assert _close(rnmp.alpha_empirical(s, f, n, trials, seed),
+                  _reference_alpha_empirical(s, f, n, trials, seed))
 
 
 def test_alpha_empirical_matches_reference_across_chunks(monkeypatch):
@@ -558,9 +592,9 @@ def test_alpha_empirical_matches_reference_across_chunks(monkeypatch):
     engine = rnmp._alt_min
     stacked = []
 
-    def recording(n, sx, sy, y):
+    def recording(sx, sy, y):
         stacked.append(len(y))
-        return engine(n, sx, sy, y)
+        return engine(sx, sy, y)
 
     monkeypatch.setattr(rnmp, "_alt_min", recording)
     for chunk in (3, 7):
@@ -569,8 +603,8 @@ def test_alpha_empirical_matches_reference_across_chunks(monkeypatch):
                                       (2, 4, 16, 1, 1), (2, 4, 16, 3, 3),
                                       (3, 3, 12, 7, 4), (2, 4, 16, 10, 0)):
             stacked.clear()
-            assert rnmp.alpha_empirical(s, f, n, trials, seed) == \
-                _reference_alpha_empirical(s, f, n, trials, seed)
+            assert _close(rnmp.alpha_empirical(s, f, n, trials, seed),
+                          _reference_alpha_empirical(s, f, n, trials, seed))
             assert stacked[:-1] == [chunk] * (len(stacked) - 1)
             assert 0 < stacked[-1] <= chunk
 
@@ -581,8 +615,8 @@ def test_alpha_empirical_matches_reference_at_iteration_cap(monkeypatch):
     for cap in (1, 2, 3):
         monkeypatch.setattr(rnmp, "ALT_MIN_MAX_ITERS", cap)
         for case in ((3, 3, 12, 6, 0), (2, 4, 16, 5, 1), (2, 3, 6, 1, 2)):
-            assert rnmp.alpha_empirical(*case) == \
-                _reference_alpha_empirical(*case)
+            assert _close(rnmp.alpha_empirical(*case),
+                          _reference_alpha_empirical(*case))
 
 
 def test_alpha_empirical_stacks_at_most_one_chunk(monkeypatch):
@@ -590,8 +624,8 @@ def test_alpha_empirical_stacks_at_most_one_chunk(monkeypatch):
     # full default chunks of rows and a short one.
     engine = rnmp._alt_min
     stacked = []
-    monkeypatch.setattr(rnmp, "_alt_min", lambda n, sx, sy, y: (
-        stacked.append(len(y)) or engine(n, sx, sy, y)))
+    monkeypatch.setattr(rnmp, "_alt_min", lambda sx, sy, y: (
+        stacked.append(len(y)) or engine(sx, sy, y)))
     rnmp.alpha_empirical(2, 4, 16, trials=1500, seed=0)
     chunk = rnmp.CHUNK
     assert stacked == [chunk] * (3002 // chunk) + [3002 % chunk]
@@ -604,11 +638,70 @@ def test_pair_min_norm_matches_reference_and_leaves_rng_state(monkeypatch,
     for sx, sy, n in (((5, 0, 2), (1, 3, 4, 9), 12), ((3, 4), (1, 3), 8),
                       ((0, 1, 2), (0, 2), 4), ((1, 6), (0, 1, 2, 3, 4), 7)):
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
-        assert rnmp.pair_min_norm(sx, sy, n, ours, starts) == \
-            _reference_pair_min_norm(sx, sy, n, theirs, starts)
+        assert _close(rnmp.pair_min_norm(sx, sy, n, ours, starts),
+                      _reference_pair_min_norm(sx, sy, n, theirs, starts))
         assert ours.bit_generator.state == theirs.bit_generator.state
-    assert rnmp.pair_min_norm((0, 2), (0, 1), 5) == _reference_pair_min_norm(
-        (0, 2), (0, 1), 5, np.random.default_rng(0), 4)
+    assert _close(rnmp.pair_min_norm((0, 2), (0, 1), 5),
+                  _reference_pair_min_norm((0, 2), (0, 1), 5,
+                                           np.random.default_rng(0), 4))
+
+
+def _supports(rng, rows, n, k):
+    """Sorted k-subsets of range(n), row 0 holding both 0 and n - 1."""
+    out = np.sort([rng.permutation(n)[:k] for _ in range(rows)], axis=1)
+    out[0] = np.r_[0, np.arange(n - k + 1, n)]
+    return out
+
+
+@pytest.mark.parametrize("s,f,n", [(2, 5, 9), (4, 3, 12), (3, 3, 7),
+                                   (5, 2, 30)])
+def test_pair_form_matches_dense_autocorrelation(s, f, n):
+    # Both halves of the lag-index kernel against the dense
+    # autocorrelation of the factor, restricted to the other support.
+    rng = np.random.default_rng(s * 100 + f)
+    rows = 12
+    sx, sy = _supports(rng, rows, n, s), _supports(rng, rows, n, f)
+    size, slots = rnmp._lag_slots(sx, sy)
+    assert [a.shape for a in slots] == [(rows, 2 * f * f), (rows, s, s),
+                                        (rows, 2 * s * s), (rows, f, f)]
+    for half, on, other in ((0, sy, sx), (1, sx, sy)):
+        v = rng.standard_normal((rows, on.shape[1], 2)) @ [1, 1j]
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        dense = np.zeros((rows, n), dtype=complex)
+        dense[np.arange(rows)[:, None], on] = v
+        want = rnmp._toeplitz(rnmp._autocorr_rows(dense), other)
+        got = rnmp._pair_form(half, v, *slots, size=size)
+        assert got.shape == want.shape == (rows, other.shape[1],
+                                           other.shape[1])
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_pair_min_norm_does_not_depend_on_n():
+    # The dense build would need rows of 10^6 entries per start here.
+    for sx, sy in (((0, 3, 17, 39), (1, 2, 30)), ((5, 6), (0, 9, 10, 38))):
+        small = rnmp.pair_min_norm(sx, sy, 40, np.random.default_rng(2))
+        large = rnmp.pair_min_norm(sx, sy, 10 ** 6,
+                                   np.random.default_rng(2))
+        assert abs(small - large) <= 1e-12 * small
+
+
+def test_alt_min_rows_do_not_depend_on_their_stack(monkeypatch):
+    engine = rnmp._alt_min
+    stacked = []
+    monkeypatch.setattr(rnmp, "_alt_min", lambda sx, sy, y: (
+        stacked.append(len(y)) or engine(sx, sy, y)))
+    # The lag index grows with s^2 + f^2, so s = f = 16 still stacks a
+    # full CHUNK of starts.
+    rnmp.pair_min_norm(range(16), range(0, 32, 2), 32,
+                       starts=rnmp.CHUNK + 1)
+    assert stacked == [rnmp.CHUNK, 1]
+    # Each row sums only its own slots, so stacking 2 rows at a time does
+    # not move a bit.
+    want = rnmp.alpha_empirical(3, 3, 12, 4, 0)
+    stacked.clear()
+    monkeypatch.setattr(rnmp, "CHUNK", 2)
+    assert rnmp.alpha_empirical(3, 3, 12, 4, 0) == want
+    assert stacked == [2] * 5
 
 
 def test_pair_min_norm_rejects_indices_outside_dimension():
@@ -662,6 +755,12 @@ def test_sampled_alpha_empirical_meets_closed_form_for_s_two(f, n, trials,
                - _alpha_two(f)) <= 1e-12
 
 
+def test_alpha_empirical_meets_closed_form_at_large_n():
+    # The ROADMAP's n-independence gate config: 500 sampled pairs and the
+    # consecutive one at n = 4000.
+    assert abs(rnmp.alpha_empirical(2, 4, 4000, 500) - _alpha_two(4)) <= 1e-12
+
+
 @pytest.mark.parametrize("f", [2, 3, 4, 5])
 def test_pair_min_norm_meets_closed_form_on_adjacent_pair(f):
     assert abs(rnmp.pair_min_norm([0, 1], range(f), 12)
@@ -713,9 +812,11 @@ def test_compute_bounds_certificates():
     lower = bounds.certificates["alpha_lower"]
     assert lower["toeplitz_dim"] == 8
     assert not lower["capped"]
-    # A search value, even over every support, is not a proven bound.
-    assert lower["exhaustive_supports"]
-    assert lower["proven"] is False
+    # k = 2 takes the exact D_{8,2} in an uncapped dimension, so no search
+    # runs and the value is a proven bound.
+    assert lower["method"] == "closed form D_{n,2} = (n+1)/2^n"
+    assert lower["proven"] is True
+    assert not {"det_budget", "seed", "exhaustive_supports"} & lower.keys()
     assert bounds.certificates["alpha_empirical"]["upper_estimate"]
     assert bounds.certificates["alpha_empirical"]["exhaustive_pairs"]
 
@@ -739,9 +840,10 @@ def test_compute_bounds_records_sampled_pairs_and_supports(monkeypatch):
     # enumerated, so they do not.
     cert = rnmp.compute_bounds(2, 4, 16, trials=3, det_budget=1).certificates
     assert not cert["alpha_empirical"]["exhaustive_pairs"]
-    assert cert["alpha_lower"]["exhaustive_supports"]
     cert = rnmp.compute_bounds(3, 3, 9, trials=3, det_budget=1).certificates
     assert cert["alpha_empirical"]["exhaustive_pairs"]
+    # A search value, even over every support, is not a proven bound.
+    assert cert["alpha_lower"]["exhaustive_supports"]
     assert rnmp.alpha_empirical(3, 3, 9, 1) == rnmp.alpha_empirical(3, 3, 9,
                                                                      500)
     assert cert["alpha_lower"]["proven"] is False
