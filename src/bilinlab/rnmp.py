@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigh
-from .signals import SparseVector, row_norms, sparse_draws
+from .signals import SparseVector, keyed_sums, row_norms, sparse_draws
 
 # The restricted-eigenvalue search enumerates its supports while there are
 # at most this many and otherwise runs a seeded greedy descent; the
@@ -73,7 +73,7 @@ class HermitianToeplitz:
 
 def _lag_row(t: HermitianToeplitz) -> np.ndarray:
     """The one-row lag stack ``b_{-(n-1)} .. b_{n-1}`` of ``t``, lag 0 at
-    index n-1 (the layout of ``_autocorr_rows``)."""
+    index n-1 (the layout of ``_lag_rows``)."""
     b = np.asarray(t.first_row)
     return np.concatenate([np.conj(b[:0:-1]), b])[None]
 
@@ -102,14 +102,16 @@ def _anchored_supports(n: int, k: int) -> list:
 def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
     """Toeplitz matrix of the autocorrelation ``b_k = sum_j conj(t_j) t_{j+k}``.
 
-    ``t`` is normalized internally, so ``b_0 = 1``.
+    ``t`` is normalized internally, so ``b_0 = 1``; lags past its span
+    are zero (``_lag_rows``, as in ``_det_objective``).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if t.sparsity() == 0 or t.norm() == 0:
         raise ValueError("autocorrelation of the zero vector is undefined")
-    # Zero padded on Z: rows longer than t read lags past its span.
-    v = np.pad(t.dense() / t.norm(), (0, max(n - t.n, 0)))
-    b = _autocorr_rows(v[None])[0, v.size - 1:v.size - 1 + n]
-    b[0] = b[0].real
+    # Lag rows wide enough for every support difference of t.
+    m = max(n, t.n)
+    b = _lag_rows(m, t.support, np.array([t.values]))[0, m - 1:m - 1 + n]
     return HermitianToeplitz(n, tuple(b.tolist()))
 
 
@@ -181,39 +183,30 @@ class DeterminantEstimate:
     seed: int
 
 
-def _autocorr_rows(t: np.ndarray) -> np.ndarray:
-    """``np.correlate(v, v, "full")`` for each row v of a (R, n) stack.
-
-    One ``vecdot`` per lag: entry n-1+d is ``b_d`` and entry n-1-d is
-    ``conj(b_d)``.  Each entry is the same BLAS dot as in ``np.correlate``,
-    so the rows are the same bits; an FFT or ``einsum`` would not be.
-    """
-    n = t.shape[1]
-    out = np.empty((t.shape[0], 2 * n - 1), dtype=complex)
-    for d in range(n):
-        out[:, n - 1 + d] = np.vecdot(t[:, :n - d], t[:, d:])
-        out[:, n - 1 - d] = np.vecdot(t[:, d:], t[:, :n - d])
-    return out
+def _lag_rows(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
+    """The (R, 2n-1) autocorrelation lag rows (lag 0 at n-1) of each row
+    c of ``coeffs``, normalized, on the same row of ``supports`` (or on one
+    shared support), whose differences stay below n: ``b_d``, d >= 0, adds
+    ``conj(c_a) c_b`` over the pairs a <= b with ``s_b - s_a = d`` in
+    row-major order (``keyed_sums``), ``b_0`` is made real and ``b_{-d}``
+    is ``conj(b_d)``, so every row is exactly Hermitian."""
+    r, k = coeffs.shape
+    c = coeffs / row_norms(coeffs)[:, None]
+    a, b = np.triu_indices(k)
+    s = np.asarray(supports)
+    width = 2 * n - 1
+    keys = n - 1 + s[..., b] - s[..., a] + width * np.arange(r)[:, None]
+    rows = keyed_sums(keys, np.conj(c[:, a]) * c[:, b],
+                      r * width).reshape(r, width)
+    rows[:, n - 1] = rows[:, n - 1].real
+    rows[:, :n - 1] = np.conj(rows[:, :n - 1:-1])
+    return rows
 
 
 def _det_objective(n: int, supports, coeffs: np.ndarray):
-    """``|det B_t|`` and the stack of ``B_t``, where t is each row of
-    ``coeffs`` placed on the same row of ``supports`` (or on one shared
-    support) in dimension n and normalized."""
-    r, k = coeffs.shape
-    c = coeffs / row_norms(coeffs)[:, None]
-    t = np.zeros((r, n), dtype=complex)
-    t[np.arange(r)[:, None], supports] = c
-    # Normalized a second time, as autocorrelation_toeplitz does through
-    # SparseVector.norm: abs(v) ** 2 summed left to right.  hypot and
-    # float_power are Python's abs and ** bit for bit; np.abs and x ** 2
-    # are not.
-    squares = np.float_power(np.hypot(c.real, c.imag), 2.0)
-    total = squares[:, 0]
-    for j in range(1, k):
-        total = total + squares[:, j]
-    t /= np.sqrt(total)[:, None]
-    mats = _toeplitz(_autocorr_rows(t), np.arange(n)[None])
+    """``|det B_t|`` and the stack of ``B_t``, the Toeplitz matrices of
+    the ``_lag_rows`` of ``coeffs`` on ``supports`` in dimension n."""
+    mats = _toeplitz(_lag_rows(n, supports, coeffs), np.arange(n)[None])
     return np.abs(np.linalg.det(mats)), mats
 
 
@@ -231,22 +224,22 @@ def _det_gradient(mats: np.ndarray, supports: np.ndarray, c: np.ndarray,
     inverse: it is twice the real and imaginary part of
     ``sum_q S_{q-p} c_q``.  ``|det B_t|`` is 2n-homogeneous in c, so
     projecting onto the sphere subtracts ``2n c`` from the log-gradient.
-    Every sum runs left to right within a row, so a row gets the same bits
-    in any stack; a BLAS matmul, blocked by the stack height, would not.
+    Each sum runs in index order (``keyed_sums``), so a row gets the same
+    bits in any stack; a BLAS matmul, blocked by the stack height, would
+    not.
     """
     r, k = c.shape
     n = mats.shape[-1]
-    inv = np.linalg.inv(mats)
+    width = 2 * n - 1
+    i, j = np.indices((n, n))
     # diag[:, n - 1 + d] = S_d, added up top row first.
-    diag = np.zeros((r, 2 * n - 1), dtype=complex)
-    for i in range(n):
-        diag[:, i:i + n] += inv[:, i, ::-1]
+    diag = keyed_sums(n - 1 + i - j + width * np.arange(r)[:, None, None],
+                      np.linalg.inv(mats), r * width).reshape(r, width)
     # pair[:, p, q] = S_{q-p} for support positions p, q of the row.
     pair = _toeplitz(diag, supports)
-    g = pair[:, :, 0] * c[:, None, 0]
-    for q in range(1, k):
-        g = g + pair[:, :, q] * c[:, None, q]
-    return 2.0 * val[:, None] * (g - n * c)
+    # g[:, p] = sum_q S_{q-p} c_q, added up left to right.
+    g = keyed_sums(np.arange(r * k * k) // k, pair * c[:, None, :], r * k)
+    return 2.0 * val[:, None] * (g.reshape(r, k) - n * c)
 
 
 def _descend(n: int, supports: np.ndarray, c: np.ndarray):
@@ -419,11 +412,11 @@ def alternating_min(form, v: np.ndarray, *rows: np.ndarray):
 def _lag_slots(sx: np.ndarray, sy: np.ndarray):
     """The lag index of the rows of the sorted (R, s) and (R, f) supports
     ``sx`` and ``sy``: each distinct lag ``u_c - u_a`` of a row, in either
-    support, gets its own slot.  Returns the number of slots and, for
-    half 0 (v on y's support) then half 1 (v on x's), ``src``, the slots
-    of the real then the imaginary part of each pair (a, c) of v's
-    support, and ``dst``, the slot of each entry (p, q) of the matrices on
-    the other support.  Both are O(s^2 + f^2) per row, whatever n is."""
+    support, gets its own slot.  Returns the number of slots and the
+    (R, s, s) and (R, f, f) slot arrays of x's and y's support: entry
+    (a, c) is the slot of ``u_c - u_a``, which keys both the pair (a, c)
+    of a factor on that support and entry (a, c) of the matrices on it.
+    Both are O(s^2 + f^2) per row, whatever n is."""
     (r, s), f = sx.shape, sy.shape[1]
     lags = [(u[:, None, :] - u[:, :, None]).reshape(r, -1) for u in (sx, sy)]
     # Keying each lag by its row keeps the rows' slots apart.
@@ -431,26 +424,21 @@ def _lag_slots(sx: np.ndarray, sy: np.ndarray):
     keys = np.concatenate(lags, axis=1) + span * np.arange(r)[:, None]
     distinct, slot = np.unique(keys.ravel(), return_inverse=True)
     on_x, on_y = np.split(slot.reshape(r, -1), [s * s], axis=1)
-
-    def pairs(on):
-        return (2 * on[:, :, None] + np.arange(2)).reshape(r, -1)
-
-    return len(distinct), (pairs(on_y), on_x.reshape(r, s, s),
-                           pairs(on_x), on_y.reshape(r, f, f))
+    return len(distinct), (on_x.reshape(r, s, s), on_y.reshape(r, f, f))
 
 
-def _pair_form(half: int, v: np.ndarray, *slots: np.ndarray,
+def _pair_form(half: int, v: np.ndarray, on_x: np.ndarray, on_y: np.ndarray,
                size: int) -> np.ndarray:
     """The autocorrelation of each row of ``v`` restricted to the other
-    support, from the ``size`` slots and the ``_lag_slots`` arrays of
-    half 0 (v on y's support, the s x s matrices on x's) then of half 1
-    (the other way round).  Entry (p, q) sums ``conj(v_a) v_c`` over the
-    pairs (a, c) of v's support with the lag of (p, q): one ``bincount``
-    over the pairs and one gather, with no length-n axis."""
-    src, dst = slots[2 * half:2 * half + 2]
+    support, from the ``size`` slots and the ``_lag_slots`` arrays of x's
+    and y's support; in half 0 v is on y's support and the s x s matrices
+    on x's, in half 1 the other way round.  Entry (p, q) sums
+    ``conj(v_a) v_c`` over the pairs (a, c) of v's support with the lag of
+    (p, q): one ``keyed_sums`` over the pairs and one gather, with no
+    length-n axis."""
+    src, dst = (on_y, on_x) if half == 0 else (on_x, on_y)
     outer = np.conj(v)[:, :, None] * v[:, None, :]
-    sums = np.bincount(src.ravel(), outer.view(float).ravel(), 2 * size)
-    return sums.view(complex)[dst]
+    return keyed_sums(src, outer, size)[dst]
 
 
 def _alt_min(sx: np.ndarray, sy: np.ndarray, y: np.ndarray):

@@ -2,16 +2,17 @@
 
 A :class:`SparseVector` stores a complex vector of ambient dimension ``n``
 as a strictly increasing support index list plus the values on the support.
-On top of that the module provides one exact array kernel for sparse
-convolution (:func:`sparse_convolve`), which serves circular convolution
-on Z_n; with supports in ``[0, n')`` and ``n >= 2n' - 1`` that is linear
-convolution.  All operations are pure functions; vectors are immutable
-after construction and safe to share between concurrent trial workers.
+On top of that the module provides the exact grouped sum of every
+convolution and autocorrelation (:func:`keyed_sums`) and on it the sparse
+convolution kernel (:func:`sparse_convolve`), which serves circular
+convolution on Z_n; with supports in ``[0, n')`` and ``n >= 2n' - 1``
+that is linear convolution.  All operations are pure functions; vectors
+are immutable after construction and safe to share between concurrent
+trial workers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +79,23 @@ class SparseVector:
         return len(self.support)
 
     def norm(self) -> float:
-        # Summed left to right on every Python version (sum() compensates
-        # from 3.12 on); rnmp._det_objective reproduces this order.
-        total = 0.0
-        for v in self.values:
-            total += abs(v) ** 2
-        return math.sqrt(total)
+        return float(np.linalg.norm(self.values))
+
+
+def keyed_sums(keys, terms, size: int) -> np.ndarray:
+    """Sums of ``terms`` by integer key in ``[0, size)``: ``np.bincount``,
+    which adds each key's terms in index order, the bits of the unbuffered
+    ``ufunc.at`` of ``np.add``.  Complex terms are summed as their real
+    and their imaginary parts; real terms stay real."""
+    keys = np.asarray(keys).ravel()
+    terms = np.asarray(terms).ravel()
+    if not np.iscomplexobj(terms):
+        # astype: no terms at all give integer zeros.
+        return np.bincount(keys, terms, size).astype(float)
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(keys, terms.real, size)
+    sums.imag = np.bincount(keys, terms.imag, size)
+    return sums
 
 
 def sparse_convolve(support_x, values_x, support_y, values_y,
@@ -92,7 +104,7 @@ def sparse_convolve(support_x, values_x, support_y, values_y,
 
     Returns ``(keys, values)``: the distinct pair sums ``i + j`` (reduced
     mod ``modulus`` when given), sorted, and the sum of ``x_i y_j`` over
-    the pairs hitting each key, accumulated in row-major pair order.
+    the pairs hitting each key in row-major pair order (``keyed_sums``).
     Pair sums are grouped with ``np.unique``, so no dense array over the
     span of the supports is built; an exact cancellation stays as a zero.
     """
@@ -102,9 +114,7 @@ def sparse_convolve(support_x, values_x, support_y, values_y,
         sums %= modulus
     products = np.outer(values_x, values_y).ravel()
     keys, inverse = np.unique(sums, return_inverse=True)
-    acc = np.zeros(keys.size, dtype=products.dtype)
-    np.add.at(acc, inverse, products)
-    return keys, acc
+    return keys, keyed_sums(inverse, products, keys.size)
 
 
 def circular_convolve(x: SparseVector, y: SparseVector) -> SparseVector:

@@ -350,10 +350,10 @@ BENCHMARK_REPORT_SHA256 = {
     "rnmp-det": (
         "command = rnmp-bound\ns = 3\nf = 3\nn = 12\ndet_budget = 2\n"
         "trials = 4\n",
-        (  # sparse-lag kernel, gap
-            "ac170461612a8227cbf835dc652d8c2b2bf45bb3f9baaffe34300d585cf5055c",
-            "29a0c4506d3a1c37d87a7d108319a1f7318b4ff326384fe67bb733b85943c52d",
-            "8c04601cf502cb40ef2cc1ffa96e6b2434130eadbddf5bcb03cb31cdffac80a6",
+        (  # determinant lags summed by keyed_sums (alpha_lower, gap moved)
+            "3c223a6e8b1dc2dc54abe99182bfeb4ebba72f18b71dbbab1e7723367e7f4003",
+            "b22e01dab0ac66d4dece1d19349bef385831af363b1f687d2e1583be1026f17e",
+            "2f30644296ca9e0ec2c119c32e1c7cb5c56a27bfbe7798642e69d2df69f24f2a",
         )),
     "rnmp-altmin": (
         "command = rnmp-bound\ns = 2\nf = 4\nn = 16\ndet_budget = 1\n"

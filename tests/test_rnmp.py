@@ -36,8 +36,11 @@ def test_autocorrelation_normalizes_and_rejects_zero():
     v = SparseVector(3, (0, 1), (2.0, 2.0))
     t = rnmp.autocorrelation_toeplitz(v, 2)
     assert t.first_row[0] == pytest.approx(1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="zero vector"):
         rnmp.autocorrelation_toeplitz(SparseVector(3, (), ()), 3)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            rnmp.autocorrelation_toeplitz(v, n)
 
 
 def test_autocorrelation_energy_bound():
@@ -57,6 +60,7 @@ def test_restricted_toeplitz_matches_definition():
     rng = np.random.default_rng(8)
     y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     padded = np.concatenate([y, np.zeros(4)])
+    lags = np.correlate(padded, padded, "full")[None]
 
     def b(k):
         return sum(np.conj(y[m]) * y[m + k] for m in range(5)
@@ -64,8 +68,7 @@ def test_restricted_toeplitz_matches_definition():
 
     for rows in ([0, 2, 3], [1, 4, 8], list(range(9))):
         want = np.array([[b(j - i) for j in rows] for i in rows])
-        got = rnmp._toeplitz(rnmp._autocorr_rows(padded[None]),
-                             np.array([rows]))
+        got = rnmp._toeplitz(lags, np.array([rows]))
         assert got.shape == (1, len(rows), len(rows))
         assert np.allclose(got[0], want, atol=1e-12)
 
@@ -73,22 +76,25 @@ def test_restricted_toeplitz_matches_definition():
 def test_restricted_toeplitz_stack_equals_one_by_one():
     rng = np.random.default_rng(12)
     v = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    lags = np.array([np.correlate(row, row, "full") for row in v])
     supports = np.array([[0, 2, 6], [1, 2, 3], [0, 5, 6], [4, 5, 6]])
-    got = rnmp._toeplitz(rnmp._autocorr_rows(v), supports)
+    got = rnmp._toeplitz(lags, supports)
     for r in range(4):
-        one = rnmp._toeplitz(rnmp._autocorr_rows(v[r:r + 1]),
-                             supports[r:r + 1])
+        one = rnmp._toeplitz(lags[r:r + 1], supports[r:r + 1])
         assert np.array_equal(got[r], one[0])
 
 
 def test_det_objective_stack_matches_public_path():
+    # Both paths normalize the raw coefficients themselves.
     rng = np.random.default_rng(9)
     support = (0, 2, 5)
     coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    got = rnmp._det_objective(7, support, coeffs)[0]
-    for c, value in zip(coeffs, got):
-        t = SparseVector(7, support, tuple((c / np.linalg.norm(c)).tolist()))
+    got, mats = rnmp._det_objective(7, support, coeffs)
+    assert np.array_equal(mats, np.conj(mats.transpose(0, 2, 1)))
+    for c, value, want in zip(coeffs, got, mats):
+        t = SparseVector(7, support, tuple(c.tolist()))
         mat = rnmp.autocorrelation_toeplitz(t, 7).to_matrix()
+        assert np.array_equal(mat, want)
         assert value == abs(np.linalg.det(mat))
 
 
@@ -136,22 +142,51 @@ def test_det_gradient_stack_equals_one_by_one():
         assert np.array_equal(got[r], one[0])
 
 
+def _reference_lags(n, support, c):
+    """Lag row of c on support in dimension n: np.add.at of the np.outer
+    products into their lags, then mirrored to be Hermitian."""
+    c = c / np.linalg.norm(c)
+    b = np.zeros(2 * n - 1, dtype=complex)
+    np.add.at(b, n - 1 - np.subtract.outer(support, support),
+              np.outer(np.conj(c), c))
+    b[n - 1] = b[n - 1].real
+    b[:n - 1] = np.conj(b[:n - 1:-1])
+    return b
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 def test_autocorr_rows_match_correlate(n):
-    # Bit for bit np.correlate(v, v, "full") on every row: dense rows,
-    # rows with a few nonzeros and the zero row.
+    # The lag rows of dense rows (one shared support) and of rows with a
+    # few nonzeros are the np.add.at reference's bit for bit, exactly
+    # Hermitian and np.correlate(v, v, "full") of the normalized row to
+    # rounding; so is autocorrelation_toeplitz of a sparse row in a
+    # dimension below, at and above its own.
     rng = np.random.default_rng(10)
+    k = min(n, 3)
     dense = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    supports = np.sort([rng.choice(n, size=k, replace=False)
+                        for _ in range(6)], axis=1)
+    coeffs = rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k))
     sparse = np.zeros((6, n), dtype=complex)
-    for row in sparse:
-        idx = rng.choice(n, size=min(n, 3), replace=False)
-        row[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(
-            idx.size)
-    rows = np.concatenate([dense, sparse, np.zeros((1, n), dtype=complex)])
-    got = rnmp._autocorr_rows(rows)
-    assert got.shape == (13, 2 * n - 1)
-    for v, out in zip(rows, got):
-        assert np.array_equal(out, np.correlate(v, v, "full"))
+    sparse[np.arange(6)[:, None], supports] = coeffs
+    for got, rows, sup, c in (
+            (rnmp._lag_rows(n, np.arange(n), dense), dense,
+             [np.arange(n)] * 6, dense),
+            (rnmp._lag_rows(n, supports, coeffs), sparse, supports, coeffs)):
+        assert got.shape == (6, 2 * n - 1)
+        assert np.array_equal(got[:, ::-1], np.conj(got))
+        for v, out, sup_r, c_r in zip(rows, got, sup, c):
+            assert out.tobytes() == _reference_lags(n, sup_r, c_r).tobytes()
+            v = v / np.linalg.norm(v)
+            assert np.abs(out - np.correlate(v, v, "full")).max() <= 1e-14
+    for v in sparse:
+        t = SparseVector.from_dense(v)
+        full = np.correlate(v, v, "full") / np.vdot(v, v).real
+        for m in (max(n - 2, 1), n, n + 3):
+            row = np.asarray(rnmp.autocorrelation_toeplitz(t, m).first_row)
+            want = np.pad(full, m)[n - 1 + m:n - 1 + 2 * m]
+            assert row[0].imag == 0
+            assert np.abs(row - want).max() <= 1e-14
 
 
 def test_min_eigenvalue_closed_forms():
@@ -301,23 +336,14 @@ def test_restricted_determinant_two_sparse_oracle(n):
 
 
 # Reference for the lockstep search: the per-descent loop, one objective
-# call per point with np.correlate and the left-to-right summation of
-# SparseVector.norm, sharing no code with the batched objective.  The
-# gradient comes from the kernel on one row, which the gradient tests pin
-# to central differences; a one-row call gives the bits of a stacked one.
+# call per point on the lags of _reference_lags, sharing no code with the
+# batched objective.  The gradient comes from the kernel on one row, which
+# the gradient tests pin to central differences; a one-row call gives the
+# bits of a stacked one.
 
 def _reference_objective(n, support, coeffs):
-    mats = []
     lags = np.subtract.outer(np.arange(n), np.arange(n))
-    for c in coeffs:
-        c = c / np.linalg.norm(c)
-        t = np.zeros(n, dtype=complex)
-        t[list(support)] = c
-        total = 0.0
-        for v in c.tolist():
-            total += abs(v) ** 2
-        t /= math.sqrt(total)
-        mats.append(np.correlate(t, t, "full")[n - 1 - lags])
+    mats = [_reference_lags(n, support, c)[n - 1 - lags] for c in coeffs]
     return np.abs(np.linalg.det(np.array(mats)))
 
 
@@ -662,14 +688,14 @@ def test_pair_form_matches_dense_autocorrelation(s, f, n):
     rows = 12
     sx, sy = _supports(rng, rows, n, s), _supports(rng, rows, n, f)
     size, slots = rnmp._lag_slots(sx, sy)
-    assert [a.shape for a in slots] == [(rows, 2 * f * f), (rows, s, s),
-                                        (rows, 2 * s * s), (rows, f, f)]
+    assert [a.shape for a in slots] == [(rows, s, s), (rows, f, f)]
     for half, on, other in ((0, sy, sx), (1, sx, sy)):
         v = rng.standard_normal((rows, on.shape[1], 2)) @ [1, 1j]
         v /= np.linalg.norm(v, axis=1)[:, None]
         dense = np.zeros((rows, n), dtype=complex)
         dense[np.arange(rows)[:, None], on] = v
-        want = rnmp._toeplitz(rnmp._autocorr_rows(dense), other)
+        want = np.array([_reference_toeplitz(d, o)
+                         for d, o in zip(dense, other)])
         got = rnmp._pair_form(half, v, *slots, size=size)
         assert got.shape == want.shape == (rows, other.shape[1],
                                            other.shape[1])

@@ -135,6 +135,27 @@ def test_dense_circular_convolve_matches_direct_sum():
         assert np.linalg.norm(z - oracle) <= 1e-11 * np.linalg.norm(oracle)
 
 
+@pytest.mark.parametrize("size,count", [(1, 40), (5, 200), (50, 30),
+                                        (7, 0)])
+def test_keyed_sums_match_add_at(size, count):
+    # Bit for bit np.add.at into zeros, real and complex: every key of a
+    # small size repeats, some of a large one do not occur, no terms give
+    # zeros, and bins past the largest key stay zero.
+    rng = np.random.default_rng(size + count)
+    keys = rng.integers(0, size, count)
+    real = rng.standard_normal(count)
+    for terms in (real, real + 1j * rng.standard_normal(count)):
+        for bins in (size, size + 3):
+            want = np.zeros(bins, dtype=terms.dtype)
+            np.add.at(want, keys, terms)
+            got = signals.keyed_sums(keys, terms, bins)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    # Keys and terms of any shape are taken in row-major order.
+    got = signals.keyed_sums(keys.reshape(2, -1), terms.reshape(2, -1), size)
+    assert got.tobytes() == want[:size].tobytes()
+
+
 def _double_sum(support_x, values_x, support_y, values_y, modulus=None):
     """Brute-force convolution: {key: sum of x_i y_j}, pairs in row-major
     order."""
