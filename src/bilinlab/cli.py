@@ -41,6 +41,7 @@ import numpy as np
 
 from . import __version__, embedding, freiman, phase, recovery, rnmp
 from . import operators
+from .signals import complex_normals
 
 
 class ConfigError(ValueError):
@@ -169,13 +170,12 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
     u0 = np.zeros((len(seeds), n), dtype=complex)
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        a[i] = (rng.standard_normal((m, n))
-                + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * m)
+        a[i] = complex_normals(rng, 1, m * n).reshape(m, n) / np.sqrt(2 * m)
         support = rng.choice(n, size=s, replace=False)
-        u0[i, support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        u0[i, support] = complex_normals(rng, 1, s)[0]
         b[i] = a[i] @ u0[i]
         if noise > 0:
-            e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            e = complex_normals(rng, 1, m)[0]
             e *= noise / np.linalg.norm(e)
             b[i] += e
     results = recovery.bpdn_synthesis_stack(a, b, eps=noise)
@@ -273,8 +273,8 @@ def _run_demod_selftest(config: dict):
     seed = config["seed"]
     rng = np.random.default_rng(seed)
     op = _make_operator("demodulator", m, n, seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    x = complex_normals(rng, 1, n)[0]
+    w = complex_normals(rng, 1, m)[0]
     adjoint_err = abs(np.vdot(w, op.apply(x)) - np.vdot(op.adjoint(w), x))
     adjoint_err /= np.linalg.norm(x) * np.linalg.norm(w)
     dense = op.materialize()
@@ -346,6 +346,8 @@ def main(argv=None) -> int:
         config = parse_config(Path(args.config))
         if args.seed is not None:
             config["seed"] = args.seed
+        if config["seed"] < 0:
+            raise ConfigError("seed must be nonnegative")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from .signals import complex_normals
+
 
 @dataclass
 class LinearOperator:
@@ -59,8 +61,7 @@ def gaussian_operator(m: int, n: int, seed: int) -> LinearOperator:
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    a /= math.sqrt(2 * m)
+    a = complex_normals(rng, 1, m * n).reshape(m, n) / math.sqrt(2 * m)
     return LinearOperator(
         rows=m, cols=n,
         apply=lambda x: np.matvec(a, np.asarray(x, dtype=complex)),

@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rnmp
 from .operators import BilinearMap
-from .rnmp import alternating_min
-from .signals import row_norms
+from .signals import complex_normals, row_norms
 
 VARIANT_S = "S_padded_4n-3"
 VARIANT_S_PRIME = "S_prime_4n-1"
 
 DENOMINATOR_THRESHOLD = 1e-8
-# Sampled pairs per batched draw and kernel call: larger chunks run no
-# faster and hold more memory (4096 raised peak RSS by 5 MB at n = 3).
-SAMPLE_CHUNK = 256
 
 
 def _symmetrize_rows(x: np.ndarray) -> np.ndarray:
@@ -88,24 +85,20 @@ def intensity_measurements(x, variant: str = VARIANT_S) -> np.ndarray:
     return _intensity_rows(_symmetrized_rows(_as_row(x), variant))[0]
 
 
-def binomial_difference_check(x1, x2, b: BilinearMap,
-                              require_symmetric: bool = True) -> float:
+def binomial_difference_check(x1, x2, b: BilinearMap) -> float:
     """Residual of ``B(x1,x1) - B(x2,x2) = B(x1-x2, x1+x2)``.
 
-    Symmetry of B is probe-checked first with deterministic random pairs;
-    an asymmetric map raises unless ``require_symmetric`` is lifted (used
-    to demonstrate that the identity genuinely fails for the sesquilinear
-    correlation without symmetrization).  The residual is scaled by
+    Symmetry of B is probe-checked first with deterministic random pairs,
+    and an asymmetric map raises.  The residual is scaled by
     ``max(||lhs||, ||x1|| ||x2||, 1e-300)``.
     """
     x1 = np.asarray(x1, dtype=complex).ravel()
     x2 = np.asarray(x2, dtype=complex).ravel()
     probe_rng = np.random.default_rng(1234)
-    r1 = probe_rng.standard_normal(b.n1) + 1j * probe_rng.standard_normal(b.n1)
-    r2 = probe_rng.standard_normal(b.n2) + 1j * probe_rng.standard_normal(b.n2)
+    r1 = complex_normals(probe_rng, 1, b.n1)[0]
+    r2 = complex_normals(probe_rng, 1, b.n2)[0]
     asym = np.linalg.norm(b.apply_pair(r1, r2) - b.apply_pair(r2, r1))
-    if require_symmetric and asym > 1e-8 * (np.linalg.norm(r1)
-                                            * np.linalg.norm(r2)):
+    if asym > 1e-8 * (np.linalg.norm(r1) * np.linalg.norm(r2)):
         raise ValueError("bilinear map is not symmetric")
     lhs = b.apply_pair(x1, x1) - b.apply_pair(x2, x2)
     rhs = b.apply_pair(x1 - x2, x1 + x2)
@@ -201,7 +194,7 @@ def _refine(pairs: np.ndarray, variant: str) -> np.ndarray:
         j = (np.conj(spectra(v))[:, :, None] * basis_spectra).real
         return np.swapaxes(j, 1, 2) @ j
     b = _coordinates(pairs[:, 0] + pairs[:, 1], variant)
-    _, b = alternating_min(form, b / row_norms(b)[:, None])
+    _, b = rnmp.alternating_min(form, b / row_norms(b)[:, None])
     a = np.linalg.eigh(form(0, b))[1][..., 0]  # one more half-step
     return np.stack([_from_coordinates(b + a, n, variant),
                      _from_coordinates(b - a, n, variant)], axis=1) / 2
@@ -211,7 +204,7 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
                                 variant: str = VARIANT_S) -> StabilityEstimate:
     """Least stability quotient over sampled pairs and their refinements.
 
-    Trials are drawn ``SAMPLE_CHUNK`` at a time by one ``standard_normal``
+    Trials are drawn ``rnmp.CHUNK`` at a time by one ``complex_normals``
     call (the stream and final generator state of one draw per trial) and
     scored by one array kernel call; the five smallest quotients are kept,
     ties in trial order.  Pure sampling overestimates the constant, so each
@@ -229,11 +222,9 @@ def stability_constant_estimate(n: int, trials: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     ratios = np.empty(0)
     pairs = np.empty((0, 2, n), dtype=complex)
-    for start in range(0, trials, SAMPLE_CHUNK):
-        k = min(SAMPLE_CHUNK, trials - start)
-        # axes (trial, x1/x2, real/imaginary part, entry): the draw order
-        draws = rng.standard_normal((k, 2, 2, n))
-        drawn = draws[:, :, 0] + 1j * draws[:, :, 1]
+    for start in range(0, trials, rnmp.CHUNK):
+        k = min(rnmp.CHUNK, trials - start)
+        drawn = complex_normals(rng, 2 * k, n).reshape(k, 2, n)
         if variant == VARIANT_S:
             drawn[:, :, 0] = drawn[:, :, 0].real
         drawn /= row_norms(drawn)[..., None]

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigh
-from .signals import SparseVector, keyed_sums, row_norms, sparse_draws
+from .signals import (SparseVector, complex_normals, keyed_sums, row_norms,
+                      sparse_draws)
 
 # The restricted-eigenvalue search enumerates its supports while there are
 # at most this many and otherwise runs a seeded greedy descent; the
@@ -92,11 +93,22 @@ def _toeplitz(lags: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return lags.reshape(-1)[rows + idx]
 
 
-def _anchored_supports(n: int, k: int) -> list:
-    """The k-subsets of range(n) containing 0, in lexicographic order: one
-    per translation class, which is all an autocorrelation sees."""
-    return [(0,) + rest
-            for rest in itertools.combinations(range(1, n), k - 1)]
+def _anchored_supports(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) containing 0 as rows, in lexicographic
+    order: one per translation class, all that an autocorrelation sees."""
+    return np.array([(0,) + rest
+                     for rest in itertools.combinations(range(1, n), k - 1)])
+
+
+def _start_stacks(rng: np.random.Generator, items: int, starts: int, k: int):
+    """The items x starts rows of a restart search, item-major, ``CHUNK``
+    at a time: each row's item and its unit start of k complex Gaussians,
+    from one ``complex_normals`` call per stack, one start after another."""
+    rows = items * starts
+    for lo in range(0, rows, CHUNK):
+        hi = min(lo + CHUNK, rows)
+        c = complex_normals(rng, hi - lo, k)
+        yield np.arange(lo, hi) // starts, c / row_norms(c)[:, None]
 
 
 def autocorrelation_toeplitz(t: SparseVector, n: int) -> HermitianToeplitz:
@@ -137,7 +149,7 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
     lags = _lag_row(t)
     best = math.inf
     if math.comb(t.n, s) <= EXHAUSTIVE_SUPPORT_LIMIT:
-        supports = np.array(_anchored_supports(t.n, s))
+        supports = _anchored_supports(t.n, s)
         for lo in range(0, len(supports), CHUNK):
             vals = eigh.eigvalsh(_toeplitz(lags, supports[lo:lo + CHUNK]))
             best = min(best, float(vals[:, 0].min()))
@@ -289,15 +301,12 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
     the true minimum.
 
     The descents, in (support, restart) order, run in lockstep
-    ``CHUNK`` at a time, each step scoring the trial points of every
-    live descent with one stacked determinant and taking the new gradients
-    of the descents that moved with one stacked inverse (Jacobi's formula,
-    ``_det_gradient``).
-    A chunk's start points come from one ``standard_normal((m, 2, k))``
-    call, real parts then imaginary parts per descent: the stream of one
-    start per restart.  The first strict minimum in (support, restart)
-    order wins.  More than ``EXHAUSTIVE_SUPPORT_LIMIT`` supports raise
-    ``ValueError``.
+    ``CHUNK`` at a time from the starts of ``_start_stacks``, each step
+    scoring the trial points of every live descent with one stacked
+    determinant and taking the new gradients of the descents that moved
+    with one stacked inverse (Jacobi's formula, ``_det_gradient``).  The
+    first strict minimum in (support, restart) order wins.  More than
+    ``EXHAUSTIVE_SUPPORT_LIMIT`` supports raise ``ValueError``.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
@@ -313,26 +322,18 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
     if k == 1:
         return DeterminantEstimate(n, 1, 1.0, (0,), (1.0 + 0j,), seed)
     supports = _anchored_supports(n, k)
-    support_rows = np.array(supports)
     rng = np.random.default_rng(seed)
     best = math.inf
     best_support = supports[0]
     best_coeffs = np.ones(k, dtype=complex) / math.sqrt(k)
-    descents = len(supports) * search_budget
-    for start in range(0, descents, CHUNK):
-        stop = min(start + CHUNK, descents)
-        # axes (descent, real/imaginary part, coefficient): the draw order
-        draws = rng.standard_normal((stop - start, 2, k))
-        c = draws[:, 0] + 1j * draws[:, 1]
-        c /= row_norms(c)[:, None]
-        owner = np.arange(start, stop) // search_budget
-        c, val = _descend(n, support_rows[owner], c)
+    for owner, c in _start_stacks(rng, len(supports), search_budget, k):
+        c, val = _descend(n, supports[owner], c)
         i = int(np.argmin(val))
         if val[i] < best:
             best = val[i]
             best_support = supports[owner[i]]
             best_coeffs = c[i] / np.linalg.norm(c[i])
-    return DeterminantEstimate(n, k, float(best), tuple(best_support),
+    return DeterminantEstimate(n, k, float(best), tuple(best_support.tolist()),
                                tuple(best_coeffs.tolist()), seed)
 
 
@@ -449,20 +450,13 @@ def _alt_min(sx: np.ndarray, sy: np.ndarray, y: np.ndarray):
                            *slots)[0]
 
 
-def _min_norm(pairs, f: int, rng, starts: int) -> float:
+def _min_norm(sx: np.ndarray, sy: np.ndarray, rng, starts: int) -> float:
     """Least ``||x * y||`` that ``_alt_min`` reaches from ``starts`` random
-    unit y per support pair, ``CHUNK`` (pair, start) rows at a
-    time.  One ``rng`` call per pair, as the pair is reached, draws the
-    real then the imaginary parts of one start after another."""
-    rows = ((sx, sy, draws) for sx, sy in pairs
-            for draws in rng.standard_normal((starts, 2, f)))
+    unit y per support pair, a row of the sorted supports ``sx`` and
+    ``sy``, on the (pair, start) rows of ``_start_stacks``."""
     best = math.inf
-    while chunk := list(itertools.islice(rows, CHUNK)):
-        sx, sy, draws = (np.array(part) for part in zip(*chunk))
-        y = draws[:, 0] + 1j * draws[:, 1]
-        y /= row_norms(y)[:, None]
-        val = _alt_min(np.sort(sx), np.sort(sy), y)
-        best = min(best, float(val.min()))
+    for owner, y in _start_stacks(rng, len(sx), starts, sy.shape[1]):
+        best = min(best, float(_alt_min(sx[owner], sy[owner], y).min()))
     return math.sqrt(max(best, 0.0))
 
 
@@ -487,7 +481,7 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
             raise ValueError(f"{name} is empty")
     if starts < 1:
         raise ValueError("starts must be positive")
-    return _min_norm([(support_x, support_y)], len(support_y), rng, starts)
+    return _min_norm(np.sort([support_x]), np.sort([support_y]), rng, starts)
 
 
 def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
@@ -499,13 +493,14 @@ def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
 
 def _sampled_pairs(s: int, f: int, n: int, trials: int,
                    rng: np.random.Generator):
-    """``trials`` uniform support pairs, x and y from the two streams of
-    ``rng.spawn(2)``, one ``sparse_draws`` per CHUNK."""
-    rng_x, rng_y = rng.spawn(2)
-    for first in range(0, trials, CHUNK):
-        t = min(CHUNK, trials - first)
-        yield from zip(sparse_draws(rng_x, t, n, s)[0],
-                       sparse_draws(rng_y, t, n, f)[0])
+    """``trials`` uniform support pairs, then the consecutive one, as rows
+    of x's and of y's supports from the two streams of ``rng.spawn(2)``;
+    at most ``CHUNK ** 2`` keys per ``sparse_draws`` call bound the memory."""
+    step = max(1, CHUNK ** 2 // n)
+    return tuple(np.concatenate(
+        [sparse_draws(g, min(step, trials - lo), n, k)[0]
+         for lo in range(0, trials, step)] + [np.arange(k)[None]])
+        for g, k in zip(rng.spawn(2), (s, f)))
 
 
 def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
@@ -530,12 +525,11 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         return 1.0
     rng = np.random.default_rng(seed)
     if _exhaustive_pairs(s, f, n):
-        pairs = itertools.product(_anchored_supports(n, s),
-                                  _anchored_supports(n, f))
+        ax, ay = _anchored_supports(n, s), _anchored_supports(n, f)
+        sx, sy = np.repeat(ax, len(ay), axis=0), np.tile(ay, (len(ax), 1))
     else:
-        pairs = itertools.chain(_sampled_pairs(s, f, n, trials, rng),
-                                [(np.arange(s), np.arange(f))])
-    return min(_min_norm(pairs, f, rng, starts=2), math.sqrt(min(s, f)))
+        sx, sy = _sampled_pairs(s, f, n, trials, rng)
+    return min(_min_norm(sx, sy, rng, starts=2), math.sqrt(min(s, f)))
 
 
 def beta_upper(s: int, f: int) -> float:

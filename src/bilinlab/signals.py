@@ -135,6 +135,14 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+def complex_normals(rng: np.random.Generator, t: int, k: int) -> np.ndarray:
+    """t rows of k standard complex Gaussians from one
+    ``standard_normal((t, 2, k))`` call: per row the real, then the
+    imaginary parts.  t one-row calls draw the same as one t-row call."""
+    g = rng.standard_normal((t, 2, k))
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def sparse_draws(rng: np.random.Generator, t: int, n: int, s: int,
                  w: int = 0):
     """t uniform s-subsets of ``range(n)`` (sorted, as (t, s) indices) and

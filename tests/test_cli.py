@@ -552,6 +552,21 @@ def test_seed_override(tmp_path):
     assert payload["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("body,flags", [
+    ("command = freiman-search\nset = 0,1,4\nseed = -1\n", []),
+    ("command = freiman-search\nset = 0,1,4\n", ["--seed", "-1"]),
+    ("command = demod-selftest\nn = 8\nseed = 3\n", ["--seed", "-5"]),
+])
+def test_negative_seed_rejected(tmp_path, capsys, body, flags):
+    # Checked once after the --seed override, for every command.
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == \
+        "config error: seed must be nonnegative\n"
+    assert not out.exists()
+
+
 def test_reports_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, """
     command = embed-verify

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bilinlab import operators, phase, signals
+from bilinlab import operators, phase, rnmp, signals
 from bilinlab.signals import SparseVector
 
 
@@ -124,9 +124,11 @@ def test_binomial_fails_for_unsymmetrized_correlation():
     n = 8
     x1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    residual = phase.binomial_difference_check(
-        x1, x2, _correlation_map(n), require_symmetric=False)
-    assert residual > 0.1
+    b = _correlation_map(n).apply_pair
+    lhs = b(x1, x1) - b(x2, x2)
+    rhs = b(x1 - x2, x1 + x2)
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(x1) * np.linalg.norm(x2))
+    assert np.linalg.norm(lhs - rhs) / scale > 0.1
 
 
 def test_stability_ratio_excludes_sign_flips():
@@ -294,7 +296,7 @@ def test_estimate_matches_reference_across_chunks(monkeypatch, variant):
     # 200 trials in chunks of 64 (the last one short); with the raised
     # threshold part of every chunk is excluded, so the kept rows and the
     # merged five worst cross chunk boundaries.
-    monkeypatch.setattr(phase, "SAMPLE_CHUNK", 64)
+    monkeypatch.setattr(rnmp, "CHUNK", 64)
     for threshold in (phase.DENOMINATOR_THRESHOLD, 0.5):
         monkeypatch.setattr(phase, "DENOMINATOR_THRESHOLD", threshold)
         for seed in (3, 4):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -672,6 +673,32 @@ def test_pair_min_norm_matches_reference_and_leaves_rng_state(monkeypatch,
                                            np.random.default_rng(0), 4))
 
 
+def _root_state_after(monkeypatch, search, *args):
+    """The state of the first generator that ``search(*args)`` makes, once
+    the search has returned."""
+    real = np.random.default_rng
+    made = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: made.append(real(*a)) or made[-1])
+    search(*args)
+    monkeypatch.setattr(np.random, "default_rng", real)
+    return made[0].bit_generator.state
+
+
+def test_searches_leave_rng_state_of_per_item_references(monkeypatch):
+    # One start per (pair or support, restart) row is drawn, in row order,
+    # also when chunks of 3 rows split the starts of one item.
+    monkeypatch.setattr(rnmp, "CHUNK", 3)
+    for case in ((2, 3, 6, 4, 1), (2, 4, 16, 5, 0), (3, 3, 12, 4, 2)):
+        assert _root_state_after(monkeypatch, rnmp.alpha_empirical, *case) \
+            == _root_state_after(monkeypatch, _reference_alpha_empirical,
+                                 *case)
+    for case in ((5, 3, 2, 0), (6, 2, 5, 1), (4, 4, 4, 2)):
+        assert _root_state_after(monkeypatch, rnmp.restricted_determinant,
+                                 *case) \
+            == _root_state_after(monkeypatch, _reference_determinant, *case)
+
+
 def _supports(rng, rows, n, k):
     """Sorted k-subsets of range(n), row 0 holding both 0 and n - 1."""
     out = np.sort([rng.permutation(n)[:k] for _ in range(rows)], axis=1)
@@ -785,6 +812,19 @@ def test_alpha_empirical_meets_closed_form_at_large_n():
     # The ROADMAP's n-independence gate config: 500 sampled pairs and the
     # consecutive one at n = 4000.
     assert abs(rnmp.alpha_empirical(2, 4, 4000, 500) - _alpha_two(4)) <= 1e-12
+
+
+def test_sampled_pairs_memory_is_bounded_at_large_n():
+    # Each sparse_draws call takes at most CHUNK ** 2 keys; a CHUNK of
+    # rows of n keys per call peaked at 164 MB here.
+    tracemalloc.start()
+    try:
+        value = rnmp.alpha_empirical(2, 4, 4 * 10 ** 4, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert abs(value - _alpha_two(4)) <= 1e-12
 
 
 @pytest.mark.parametrize("f", [2, 3, 4, 5])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +283,32 @@ def test_convolution_commutes(pair):
     lxy = signals.circular_convolve(x, y).dense()
     lyx = signals.circular_convolve(y, x).dense()
     assert np.linalg.norm(lxy - lyx) <= 1e-13 * max(1.0, np.linalg.norm(lxy))
+
+
+@pytest.mark.parametrize("t,k", [(1, 1), (1, 7), (5, 3), (12, 1)])
+def test_complex_normals_one_stream_in_any_stack(t, k):
+    # One t-row call, t one-row calls and, per row, the real then the
+    # imaginary draw of k entries give the same bits and generator state.
+    rngs = [np.random.default_rng(17) for _ in range(3)]
+    whole = signals.complex_normals(rngs[0], t, k)
+    rows = np.concatenate([signals.complex_normals(rngs[1], 1, k)
+                           for _ in range(t)])
+    pairs = np.array([rngs[2].standard_normal(k)
+                      + 1j * rngs[2].standard_normal(k) for _ in range(t)])
+    assert whole.shape == (t, k) and whole.dtype == complex
+    for got in (rows, pairs):
+        assert np.array_equal(got.view(float), whole.view(float))
+    states = [g.bit_generator.state for g in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+def test_source_has_one_gaussian_draw_and_no_unbuffered_sums():
+    # Every dense or sparse Gaussian draw goes through signals
+    # (complex_normals, sparse_draws), every grouped sum through
+    # keyed_sums, and the restart searches walk arrays, not row streams.
+    src = Path(signals.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert [name for name, text in texts.items()
+            if "standard_normal(" in text] == ["signals.py"]
+    assert not [name for name, text in texts.items() if "np.add.at" in text]
+    assert "islice" not in texts["rnmp.py"]
