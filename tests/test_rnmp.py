@@ -977,3 +977,103 @@ def test_restricted_min_eigenvalue_heuristic_path():
     mat = t.to_matrix()
     some = min(float(np.linalg.eigvalsh(mat[np.ix_(i, i)])[0]) for i in sub)
     assert val <= some + 1e-9
+
+
+def _reference_greedy(t, s, seed, restarts):
+    # The full-neighbourhood greedy: every sweep scores all s (n - s)
+    # single swaps in one call and moves to the first improving one in
+    # scan order (outgoing index, then incoming index ascending).
+    mat = t.to_matrix()
+    starts = signals.sparse_draws(np.random.default_rng(seed), restarts,
+                                  t.n, s)[0]
+    best = math.inf
+    for idx in starts.tolist():
+        val = float(rnmp.eigh.eigvalsh(mat[np.ix_(idx, idx)])[0])
+        while True:
+            swaps = np.array([sorted(set(idx) - {out} | {inc})
+                              for out in idx for inc in range(t.n)
+                              if inc not in idx])
+            vals = rnmp.eigh.eigvalsh(
+                mat[swaps[:, :, None], swaps[:, None, :]])[:, 0]
+            better = np.flatnonzero(vals < val - 1e-15)
+            if better.size == 0:
+                break
+            idx, val = swaps[better[0]].tolist(), float(vals[better[0]])
+        best = min(best, val)
+    return best
+
+
+def _greedy_cases():
+    # The benchmark's (22, 7) autocorrelations with one restart, the
+    # (24, 8) case of the heuristic-path test with two, and dense random
+    # lags at (30, 6) with three.
+    for seed in range(1000, 1004):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        yield rnmp.autocorrelation_toeplitz(
+            signals.random_sparse_vector(22, 3, rng), 22), 7, seed, 1
+    rng = np.random.default_rng(7)
+    yield rnmp.autocorrelation_toeplitz(
+        signals.random_sparse_vector(12, 4, rng), 24), 8, 0, 2
+    rng = np.random.default_rng(30)
+    lags = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    yield HermitianToeplitz(30, (1.0,) + tuple(lags[1:])), 6, 5, 3
+
+
+def _counting_eigvalsh(monkeypatch):
+    # Spy on rnmp.eigh.eigvalsh; returns the list of stack heights.
+    eigvalsh = rnmp.eigh.eigvalsh
+    heights = []
+
+    def spy(a):
+        heights.append(len(a) if np.ndim(a) == 3 else 1)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(rnmp.eigh, "eigvalsh", spy)
+    return heights
+
+
+def test_restricted_min_eigenvalue_greedy_matches_full_scan_reference(
+        monkeypatch):
+    # The early stop scores fewer rows than the full scan's
+    # sweeps x s (n - s) plus one per start, and returns the same float.
+    heights = _counting_eigvalsh(monkeypatch)
+    for t, s, seed, restarts in _greedy_cases():
+        assert math.comb(t.n, s) > rnmp.EXHAUSTIVE_SUPPORT_LIMIT
+        heights.clear()
+        want = _reference_greedy(t, s, seed, restarts)
+        full = sum(heights)
+        heights.clear()
+        assert rnmp.restricted_min_eigenvalue(t, s, seed=seed,
+                                              restarts=restarts) == want
+        if t.n == 22:
+            assert sum(heights) < full
+
+
+def test_restricted_min_eigenvalue_greedy_stacks_at_most_one_chunk(
+        monkeypatch):
+    # At (70, 6) a sweep has 6 * 64 = 384 swaps, more than CHUNK; each
+    # stack holds at most CHUNK of them, and the value does not depend on
+    # CHUNK.
+    rng = np.random.default_rng(70)
+    t = rnmp.autocorrelation_toeplitz(
+        signals.random_sparse_vector(70, 3, rng), 70)
+    heights = _counting_eigvalsh(monkeypatch)
+    want = rnmp.restricted_min_eigenvalue(t, 6, seed=1, restarts=2)
+    assert 6 * 64 > rnmp.CHUNK >= max(heights)
+    heights.clear()
+    monkeypatch.setattr(rnmp, "CHUNK", 7)
+    assert rnmp.restricted_min_eigenvalue(t, 6, seed=1, restarts=2) == want
+    assert max(heights) == 7
+
+
+@pytest.mark.parametrize("n, s", [(24, 8), (30, 6), (70, 6)])
+def test_restricted_min_eigenvalue_greedy_tridiagonal_oracle(n, s):
+    # The principal submatrices of the tridiagonal Toeplitz (1, 1/2, 0, ..)
+    # are block diagonal over the runs of their support; a run of length s
+    # has the smallest eigenvalue, 1 - cos(pi / (s + 1)).
+    t = HermitianToeplitz(n, (1.0, 0.5) + (0.0,) * (n - 2))
+    assert math.comb(n, s) > rnmp.EXHAUSTIVE_SUPPORT_LIMIT
+    want = 1.0 - math.cos(math.pi / (s + 1))
+    for seed in range(5):
+        assert abs(rnmp.restricted_min_eigenvalue(t, s, seed=seed)
+                   - want) <= 1e-12
