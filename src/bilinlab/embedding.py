@@ -1,10 +1,10 @@
-"""Entropy and sample-complexity calculators plus Monte Carlo embedding checks.
+"""The bilinear measurement count plus Monte Carlo embedding checks.
 
-The calculators evaluate the covering-entropy and measurement-count
-formulas (natural log throughout; the absolute constants are configurable
-inputs, default 1.0).  The Monte Carlo side draws unit sparse pairs
-(x, y), lifts them through a bilinear map B (such as x * y) and reports
-the empirical distortion of ``||Phi v|| / ||v||`` over v = B(x, y).
+``sample_complexity_bilinear`` evaluates the measurement-count formula
+(natural log; the absolute constant is an input, default 1.0).  The Monte
+Carlo side draws unit sparse pairs (x, y), lifts them through a bilinear
+map B (such as x * y) and reports the empirical distortion of
+``||Phi v|| / ||v||`` over v = B(x, y).
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class DistortionReport:
                 ";".join(str(j) for j in sy))
 
 
-def entropy_sparse_lowrank(s: int, f: int, kappa: int, n: int,
-                           eps_hat: float) -> float:
-    """Covering entropy of sparse rank-kappa matrix differences (nats)."""
-    if eps_hat <= 0:
-        raise ValueError("eps_hat must be positive")
-    if not 1 <= kappa <= min(s, f):
-        raise ValueError("need 1 <= kappa <= min(s, f)")
-    dim_term = (2 * s + 2 * f + 1) * 2 * kappa * math.log(9.0 / eps_hat)
-    supp_term = 2 * (s + f) * math.log(math.e * n / (2 * min(s, f)))
-    return dim_term + supp_term
-
-
 def sample_complexity_bilinear(s: int, f: int, kappa: int, n: int,
                                delta: float, c_dprime: float = 1.0) -> int:
     """Measurement count ``ceil(c'' delta^-2 (s+f) log(n/(kappa min(s,f))))``."""
@@ -97,34 +85,6 @@ def sample_complexity_bilinear(s: int, f: int, kappa: int, n: int,
         raise ValueError("need 1 <= kappa <= min(s, f) < n / kappa")
     arg = n / (kappa * min(s, f))
     return math.ceil(c_dprime * delta ** -2 * (s + f) * math.log(arg))
-
-
-def demodulator_measurement_bound(lam: float, h_eps: float, n: int,
-                                  delta: float, c: float = 1.0) -> int:
-    """Demodulator measurement count of the universal-sampling lemma.
-
-    ``ceil(64 c delta^-2 (lam+h) max((log(lam+h) log n)^2, lam + log 2))``
-    where ``h = H + 4 log 2`` is supplied by the caller.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    total = lam + h_eps
-    crit = max((math.log(total) * math.log(n)) ** 2, lam + math.log(2.0))
-    return math.ceil(64.0 * c * delta ** -2 * total * crit)
-
-
-def epsilon_hat(delta: float, alpha: float, beta: float, sigma: float,
-                strict: str = "general") -> float:
-    """Net resolution pulled back through the bilinear map.
-
-    ``alpha delta / (beta sigma d)`` with divisor d = 7 in general and 4
-    when the decomposition is norm preserving; shrunk by 0.999 so the
-    strict inequality of the approximation lemma holds.
-    """
-    divisors = {"general": 7.0, "norm_preserving": 4.0}
-    if strict not in divisors:
-        raise ValueError("strict must be 'general' or 'norm_preserving'")
-    return alpha * delta / (beta * sigma * divisors[strict]) * 0.999
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Phase retrieval from Fourier magnitudes becomes a question about the
 symmetric convolution once the signal is extended conjugate-symmetrically
-(the ``symmetrize`` functions return the extension as a complex array):
+(``zero_pad_symmetrize`` returns the extension as a complex array):
 the intensity map then satisfies a binomial identity
 ``A(x1) - A(x2) = B(x1 - x2, x1 + x2)`` and is stable up to a global sign
 with a constant tied to the convolution norm constants of the rnmp module.
@@ -25,19 +25,20 @@ VARIANT_S_PRIME = "S_prime_4n-1"
 DENOMINATOR_THRESHOLD = 1e-8
 
 
-def _symmetrize_rows(x: np.ndarray) -> np.ndarray:
-    """``S`` of each row of a (T, m) stack whose leading entries are real."""
-    tolerance = 1e-12 * np.maximum(row_norms(x), 1e-300)
-    if np.any(np.abs(x[:, 0].imag) > tolerance):
-        raise ValueError("leading entry must be real for symmetrization")
-    return np.concatenate([x, np.conj(x[:, :0:-1])], axis=1)
-
-
 def _symmetrized_rows(x: np.ndarray, variant: str) -> np.ndarray:
-    """Extension (length 4n-3 or 4n-1) of each row of a (T, n) stack."""
+    """Extension of each row of a (T, n) stack.  ``VARIANT_S`` zero pads x
+    to p of length 2n-1 and returns ``S(p) = (p_0 .. p_{2n-2},
+    conj(p_{2n-2}) .. conj(p_1))``, length 4n-3; x_0 must be real, or S(p)
+    is not conjugate symmetric.  ``VARIANT_S_PRIME`` returns ``S'(x) =
+    (0^n, x_0 .. x_{n-1}, conj(x_{n-1}) .. conj(x_0), 0^{n-1})``, length
+    4n-1, for any x, with ``||S'(x)||^2 = 2 ||x||^2`` exactly."""
     zeros = np.zeros(x.shape, dtype=complex)
     if variant == VARIANT_S:
-        return _symmetrize_rows(np.concatenate([x, zeros[:, 1:]], axis=1))
+        if np.any(np.abs(x[:, 0].imag)
+                  > 1e-12 * np.maximum(row_norms(x), 1e-300)):
+            raise ValueError("leading entry must be real for symmetrization")
+        p = np.concatenate([x, zeros[:, 1:]], axis=1)
+        return np.concatenate([p, np.conj(p[:, :0:-1])], axis=1)
     if variant == VARIANT_S_PRIME:
         return np.concatenate([zeros, x, np.conj(x[:, ::-1]), zeros[:, 1:]],
                               axis=1)
@@ -48,27 +49,9 @@ def _as_row(x) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape(1, -1)
 
 
-def symmetrize(x) -> np.ndarray:
-    """``S(x) = (x_0 .. x_{n-1}, conj(x_{n-1}) .. conj(x_1))``, length 2n-1.
-
-    Requires a real leading entry; without it the extension cannot be
-    conjugate symmetric.
-    """
-    return _symmetrize_rows(_as_row(x))[0]
-
-
 def zero_pad_symmetrize(x) -> np.ndarray:
     """Zero pad n -> 2n-1, then symmetrize: output length 4n-3."""
     return _symmetrized_rows(_as_row(x), VARIANT_S)[0]
-
-
-def symmetrize_prime(x) -> np.ndarray:
-    """``S'(x) = (0^n, x_0 .. x_{n-1}, conj(x_{n-1}) .. conj(x_0), 0^{n-1})``.
-
-    Length 4n-1; no restriction on x (the point of the construction), and
-    ``||S'(x)||^2 = 2 ||x||^2`` exactly since the two copies are disjoint.
-    """
-    return _symmetrized_rows(_as_row(x), VARIANT_S_PRIME)[0]
 
 
 def _intensity_rows(v: np.ndarray) -> np.ndarray:

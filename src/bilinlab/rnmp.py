@@ -407,8 +407,9 @@ def alternating_min(form, v: np.ndarray, *rows: np.ndarray):
     each row's last value and vector.  Half-step 0, then 1, of a round
     takes the bottom eigenpairs of ``form(half, v, *rows)``, the stacked
     Hermitian matrices the other factor sees; ``rows`` are compacted with
-    the live rows.  A row stops when its value stalls (``ALT_MIN_STALL``,
-    relative to max(1, value)) or after ``ALT_MIN_MAX_ITERS`` rounds."""
+    the live rows.  A row stops when its value falls by less than
+    ``ALT_MIN_STALL`` times the magnitude of its previous value, when the
+    value is exactly 0, or after ``ALT_MIN_MAX_ITERS`` rounds."""
     val = np.full(len(v), math.inf)
     last = v.copy()
     live = np.arange(len(v))
@@ -416,9 +417,9 @@ def alternating_min(form, v: np.ndarray, *rows: np.ndarray):
         for half in (0, 1):
             w, vecs = np.linalg.eigh(form(half, v, *rows))
             v = vecs[..., 0]
-        old = val[live]
-        val[live], last[live] = w[:, 0], v
-        going = ~(old - w[:, 0] < ALT_MIN_STALL * np.maximum(1.0, np.abs(old)))
+        old, new = val[live], w[:, 0]
+        val[live], last[live] = new, v
+        going = ~((old - new < ALT_MIN_STALL * np.abs(old)) | (new == 0))
         live, v, *rows = (r[going] for r in (live, v, *rows))
         if not live.size:
             break

@@ -152,9 +152,9 @@ README_REPORT_SHA256 = {
         "014ac5eb6d7f3f2549459b8d22ecfbf9f71f2f1100f3aa4e7d9d9fbd750a58bb",
         "5273fd109175a6266abe0a6d98d031de7b6d26267eb187afd68c29512621b2ab",
     ),
-    "phase-stability": (  # alternating refinement, c_hat_is_upper_estimate
-        "bcab6fdf9dce40720e2247e22ea59ca4bd184407bb780819d0921759d7cddf83",
-        "4c8a9c36d5d761a4176b8846d1cb64a403eaf22411d7b965a2f58f25d94c15a8",
+    "phase-stability": (  # stall rule relative to the value
+        "a93ab17a4707a7bc7e5d1b68a7877fcb75ba9582554c0d0fb5bde65f06b4d5c0",
+        "3e745cf2cb461eaf14202ebb17b499e8a85536d977891f86b7392795785cb88f",
     ),
     "freiman-search": (  # config.budget 1000000 -> 4000000, pair units
         "04153ea3121ee80f752f3926bde9b9b8b4369d9cc349d9a084bd7087a7a3b198",
@@ -365,18 +365,18 @@ BENCHMARK_REPORT_SHA256 = {
         )),
     "phase": (
         "command = phase-stability\nn = 3\ntrials = 8000\n",
-        (
-            "21de6f46ceb9209d862efdc51ec404997662cc4365a64bb819b5b60d03505324",
-            "fa9155ce8755370709db1a84227619e1b775bd3a7959b5fa453b0b2671ea7c53",
-            "0de2220f995067b77240bc76d3790efcc7171f69d2f970f7141081ec706b9458",
+        (  # stall rule relative to the value
+            "6bd08821b9121d4dcbe08108ade6d7cb2e6a6f1f2c323b252d7373f2c020b797",
+            "c89a5f43cb708e8f7ed87dd0cde16f820f6b70dd973a68240fc3d80a3b789148",
+            "6260419287cb7a69190fd33e8046488f418f351cbfe3fd7a8632f4123a638859",
         )),
     "phase-prime": (
         "command = phase-stability\nn = 3\nvariant = S_prime_4n-1\n"
         "trials = 8000\n",
-        (
-            "e36a058af7909aec867af237b6abd8d951d35e9452f4732939be3f29968b3748",
-            "8b72498151fab11644c8b2cdc4dcc89e0db58b31320eca1c5e9ca9096ab38010",
-            "74c9e4692ddc688862aa016a2e395f568476b8196b2d2d6003cc0f997b4963a5",
+        (  # stall rule relative to the value
+            "07e91e1444fef1107e5d36081ade882e7e1b6683e2adcf8db10b1d068ad3758d",
+            "6af00eb7acc5d160530e6a0939997fc7080069a876211c1d64a840efe94bca1d",
+            "770209af2f871be69ea4b74c19b63e9f0d7667ae5e9e9f7f0bcd7fa12af482b6",
         )),
     "embed-gauss": (
         "command = embed-verify\nensemble = gaussian\nm = 56\nn = 64\n"

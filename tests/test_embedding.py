@@ -9,20 +9,6 @@ from bilinlab import embedding, operators, signals
 from bilinlab.embedding import StructuredSetSpec
 
 
-def test_entropy_sparse_lowrank():
-    val = embedding.entropy_sparse_lowrank(2, 2, 1, 256, 0.1)
-    oracle = 18 * math.log(90.0) + 8 * math.log(256 * math.e / 4)
-    assert val == pytest.approx(oracle, rel=1e-12)
-    assert val == pytest.approx(122.2668, abs=1e-3)
-    # doubling kappa doubles the dimension term only
-    v2 = embedding.entropy_sparse_lowrank(2, 2, 2, 256, 0.1)
-    assert v2 - val == pytest.approx(18 * math.log(90.0), rel=1e-12)
-    # the rank lies in 1..min(s, f)
-    for kappa in (0, 3):
-        with pytest.raises(ValueError):
-            embedding.entropy_sparse_lowrank(2, 3, kappa, 256, 0.1)
-
-
 def test_sample_complexity_bilinear():
     assert embedding.sample_complexity_bilinear(2, 2, 1, 256, 0.5) == 78
     assert embedding.sample_complexity_bilinear(2, 2, 1, 64, 0.5) == 56
@@ -40,30 +26,6 @@ def test_sample_complexity_bilinear():
         with pytest.raises(ValueError):
             embedding.sample_complexity_bilinear(s, f, kappa, n, 0.5)
     assert embedding.sample_complexity_bilinear(2, 2, 1, 3, 0.5) == 7
-
-
-def test_demodulator_measurement_bound():
-    lam, h, n, delta = 2.0, 5.0, 256, 0.5
-    want = math.ceil(64 * delta ** -2 * (lam + h)
-                     * max((math.log(lam + h) * math.log(n)) ** 2,
-                           lam + math.log(2)))
-    assert embedding.demodulator_measurement_bound(lam, h, n, delta) == want
-    assert embedding.demodulator_measurement_bound(3.0, h, n, delta) > want
-    quad = embedding.demodulator_measurement_bound(lam, h, n, delta / 2)
-    assert quad >= 4 * (want - 1)
-    with pytest.raises(ValueError):
-        embedding.demodulator_measurement_bound(lam, h, n, 0.0)
-
-
-def test_epsilon_hat():
-    assert embedding.epsilon_hat(0.35, 1, 1, 1, "general") == pytest.approx(
-        0.05 * 0.999)
-    gen = embedding.epsilon_hat(0.3, 1, 2, 1.5, "general")
-    npres = embedding.epsilon_hat(0.3, 1, 2, 1.5, "norm_preserving")
-    assert npres / gen == pytest.approx(7 / 4)
-    assert gen < 0.3
-    with pytest.raises(ValueError):
-        embedding.epsilon_hat(0.3, 1, 1, 1, "loose")
 
 
 def test_spec_validation():

@@ -14,19 +14,19 @@ def _random_real_head(n, rng):
 
 
 def test_symmetrize_examples():
-    s = phase.symmetrize(np.array([1.0, 0, 0, 0]))
-    assert s.tolist() == [1, 0, 0, 0, 0, 0, 0]
-    s2 = phase.symmetrize(np.array([1.0, 1j]))
-    assert np.allclose(s2, [1.0, 1j, -1j])
-    with pytest.raises(ValueError):
-        phase.symmetrize(np.array([1j, 1.0]))
+    s = phase.zero_pad_symmetrize(np.array([1.0, 0, 0, 0]))
+    assert s.tolist() == [1] + [0] * 12
+    s2 = phase.zero_pad_symmetrize(np.array([1.0, 1j]))
+    assert np.allclose(s2, [1.0, 1j, 0, 0, -1j])
+    with pytest.raises(ValueError, match="leading entry must be real"):
+        phase.zero_pad_symmetrize(np.array([1j, 1.0]))
 
 
 def test_symmetrize_conjugate_symmetry_and_norm_bounds():
     rng = np.random.default_rng(0)
     for n in (2, 5, 9):
         x = _random_real_head(n, rng)
-        s = phase.symmetrize(x)
+        s = phase.zero_pad_symmetrize(x)
         assert np.allclose(s, np.conj(np.roll(s[::-1], 1)), atol=1e-12)
         nx2 = np.linalg.norm(x) ** 2
         ns2 = np.linalg.norm(s) ** 2
@@ -39,13 +39,18 @@ def test_zero_pad_symmetrize_length():
     assert s.tolist() == [1, 2, 3, 0, 0, 0, 0, 3, 2]
 
 
+def _symmetrize_prime(x):
+    return phase._symmetrized_rows(x[None], phase.VARIANT_S_PRIME)[0]
+
+
 def test_symmetrize_prime():
-    z = phase.symmetrize_prime(np.zeros(3))
+    z = _symmetrize_prime(np.zeros(3, dtype=complex))
+    assert z.shape == (4 * 3 - 1,)
     assert np.allclose(z, 0.0)
     rng = np.random.default_rng(1)
     # no restriction on the leading entry
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    sp = phase.symmetrize_prime(x)
+    sp = _symmetrize_prime(x)
     assert sp.size == 4 * 4 - 1
     assert np.linalg.norm(sp) ** 2 == pytest.approx(
         2 * np.linalg.norm(x) ** 2, rel=1e-12)
@@ -325,7 +330,13 @@ def test_pattern_search_cannot_lower_refined_pair(variant, n):
 @pytest.mark.parametrize("variant, n, c_hat, rel", [
     (phase.VARIANT_S, 2, 1 / math.sqrt(45), 1e-12),
     (phase.VARIANT_S, 3, 0.016123121934237, 1e-12),
-    (phase.VARIANT_S_PRIME, 3, 0.0051321790099, 1e-10)])
+    (phase.VARIANT_S_PRIME, 3, 0.0051321790099, 1e-10),
+    # Below 1e-5 the stall test must scale with the value, or rows stop
+    # early and the value depends on the seed.
+    (phase.VARIANT_S, 6, 1.570372885267e-05, 1e-9),
+    (phase.VARIANT_S, 7, 1.534495106707e-06, 1e-9),
+    (phase.VARIANT_S_PRIME, 6, 4.910451068977e-06, 1e-9),
+    (phase.VARIANT_S_PRIME, 7, 4.79291336150e-07, 1e-9)])
 def test_estimate_is_seed_independent(variant, n, c_hat, rel):
     for seed in range(5):
         est = phase.stability_constant_estimate(n, 2000, seed, variant)

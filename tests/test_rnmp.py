@@ -559,7 +559,8 @@ def _reference_pair_min_norm(support_x, support_y, n, rng, starts):
             wy, vy = np.linalg.eigh(_reference_toeplitz(xdense, support_y))
             yv = vy[:, 0]
             new_val = float(wy[0])
-            if val - new_val < rnmp.ALT_MIN_STALL * max(1.0, abs(val)):
+            if (val - new_val < rnmp.ALT_MIN_STALL * abs(val)
+                    or new_val == 0):
                 val = new_val
                 break
             val = new_val
