@@ -17,6 +17,16 @@ proximal gradient residual at the extrapolated point y, ||z - y|| for the
 step z, falls below ``TOLERANCE`` relative to max(1, ||z||), or after
 max(50, MAX_ITERATIONS // 20) steps; a solve ends once its stages have
 taken ``MAX_ITERATIONS`` steps.
+
+Two certificates decide an exact-data problem without solving it to the
+end.  ``dual_certificate`` is the least-squares dual of a planted u0 with
+support S: w = A_S (A_S^H A_S)^{-1} sgn(u0_S), and an off-support maximum
+of |(A^H w)_j| below 1 proves u0 the unique l1 minimizer (Fuchs 2004;
+Tropp 2005 for complex signals).  A stack row given an l1 target projects
+its point at each stage end onto {A u = b} by the least-squares
+correction u - A^+ r; once that feasible point's l1 is below the target,
+no point of l1 equal to the target is the minimizer, and the row stops.
+Both must clear their bound by ``CERTIFICATE_MARGIN`` relative.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ class SolverResult:
     objective: float
     objective_history: tuple
     iterations: int
+    # The row stopped at a feasible solution whose l1 is below its target.
+    below_target: bool = False
 
 
 # Matrix entries (T * m * n) in one lockstep stack of bpdn_synthesis_stack:
@@ -50,6 +62,9 @@ PENALTY_FLOOR_REL = 1e-8
 # (see the module docstring), read at call time.
 MAX_ITERATIONS = 5000
 TOLERANCE = 1e-8
+# Relative margin by which a certificate clears its bound; the rounding in
+# the least-squares solves and projections is many orders below it.
+CERTIFICATE_MARGIN = 1e-9
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
@@ -137,7 +152,42 @@ def _momentum_weights(count: int) -> np.ndarray:
     return out
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
+def dual_certificate(a, u0) -> np.ndarray:
+    """The least-squares dual certificate of each planted row.
+
+    ``a`` has shape (T, m, n) and ``u0`` shape (T, n), with the same
+    number s of nonzeros in every row.  Returns, per row, the largest
+    |(A^H w)_j| off the support S of u0 for w = A_S (A_S^H A_S)^{-1}
+    sgn(u0_S), or inf where A_S lacks full column rank (numpy's
+    ``matrix_rank`` tolerance), which decides nothing.
+    """
+    a = np.asarray(a, dtype=complex)
+    u0 = np.asarray(u0, dtype=complex)
+    t, m, n = a.shape
+    counts = np.count_nonzero(u0, axis=1)
+    s = int(counts[0]) if t else 0
+    if np.any(counts != s):
+        raise ValueError("every row of u0 needs the same number of nonzeros")
+    out = np.full(t, np.inf)
+    if not 0 < s <= m:
+        return out
+    support = np.nonzero(u0)[1].reshape(t, s)
+    a_s = np.take_along_axis(a, support[:, None, :], axis=2)
+    left, sv, right = np.linalg.svd(a_s, full_matrices=False)
+    full = sv[:, -1] > sv[:, 0] * max(m, s) * np.finfo(float).eps
+    ids = np.flatnonzero(full)
+    sgn = np.take_along_axis(u0, support, axis=1)[ids]
+    sgn /= np.abs(sgn)
+    # w = A_S (A_S^H A_S)^{-1} sgn = U diag(1/sigma) V^H sgn
+    w = np.matvec(left[ids], np.matvec(right[ids], sgn) / sv[ids])
+    mag = np.abs(np.matvec(a[ids].conj().transpose(0, 2, 1), w))
+    np.put_along_axis(mag, support[ids], 0.0, axis=1)
+    out[ids] = mag.max(axis=1, initial=0.0)
+    return out
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
+                 targets) -> list:
     """Run every row's ``_schedule`` in lockstep on the stack (a, b).
 
     Each step is one monotone FISTA step of every live row, each at its own
@@ -148,7 +198,10 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     product for A^H r_y and one for A z; the residual r_y = A y - b is
     carried by linearity from those of z and u.
     Only rows whose stage just ended return to their schedule; the stack
-    is gathered again when a row finishes.
+    is gathered again when a row finishes.  A row with an l1 target (not
+    NaN in ``targets``) first projects its point onto {A u = b}; if the
+    projection's l1 is below the target by the margin, the row finishes
+    there with ``below_target`` set.
     """
     t, m, n = a.shape
     bnorm = row_norms(b)
@@ -158,6 +211,9 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     if ids.size == 0:
         return results
     a_in = a
+    # Row i of the stack stops below l1 target[i] * (1 - margin).
+    stop = None if targets is None else targets * (1 - CERTIFICATE_MARGIN)
+    pinv = None if stop is None else np.linalg.pinv(a)
     if ids.size < t:
         a, b = a[ids], b[ids]
     ah = a.conj().transpose(0, 2, 1)
@@ -228,14 +284,26 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
             continue
         finished = []
         for p in np.flatnonzero(done):
+            i = ids[p]
+            if stop is not None and not np.isnan(stop[i]):
+                x = pts[1, p, :n] - pinv[i] @ pts[1, p, n:]
+                l1 = float(np.sum(np.abs(x)))
+                if l1 < stop[i]:
+                    res = float(np.linalg.norm(a[p] @ x - b[p]))
+                    feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm[i]
+                    results[i] = SolverResult(
+                        x, bool(feasible), res, l1, tuple(histories[p]),
+                        step, below_target=True)
+                    finished.append(p)
+                    continue
             try:
                 begin(p, *schedules[p].send((pts[1, p, :n].copy(),
                                              pts[1, p, n:].copy(),
                                              int(step - start[p]))))
-            except StopIteration as stop:
-                u_p, total = stop.value
-                results[ids[p]] = _finish(a[p], b[p], u_p, bnorm[ids[p]],
-                                          histories[p], total, eps)
+            except StopIteration as end_of_schedule:
+                u_p, total = end_of_schedule.value
+                results[i] = _finish(a[p], b[p], u_p, bnorm[i],
+                                     histories[p], total, eps)
                 finished.append(p)
         if finished:
             keep = [p for p in range(rows) if p not in finished]
@@ -255,12 +323,17 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     return results
 
 
-def bpdn_synthesis_stack(a, b, eps: float = 0.0) -> list:
+def bpdn_synthesis_stack(a, b, eps: float = 0.0, targets=None) -> list:
     """Basis pursuit denoising of a stack of problems, one per row.
 
     ``a`` has shape (T, m, n) and ``b`` shape (T, m); returns one
     ``SolverResult`` per row, each equal bit for bit to solving that row
     alone.  Rows run in lockstep, ``stack_rows(m, n)`` at a time.
+    ``targets``, of shape (T,), gives rows an l1 target (NaN for none): a
+    row stops at the first stage end where a feasible point of l1 below
+    its target by ``CERTIFICATE_MARGIN`` relative is found, and returns
+    that point with ``below_target`` set.  Rows that never stop are equal
+    bit for bit to solving without a target.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -268,10 +341,16 @@ def bpdn_synthesis_stack(a, b, eps: float = 0.0) -> list:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 3 or b.shape != a.shape[:2]:
         raise ValueError("need a of shape (T, m, n) and b of shape (T, m)")
+    if targets is not None:
+        targets = np.asarray(targets, dtype=float)
+        if targets.shape != a.shape[:1]:
+            raise ValueError("need targets of shape (T,)")
     rows = stack_rows(*a.shape[1:])
     results = []
     for lo in range(0, len(a), rows):
-        results += _solve_stack(a[lo:lo + rows], b[lo:lo + rows], eps)
+        results += _solve_stack(
+            a[lo:lo + rows], b[lo:lo + rows], eps,
+            None if targets is None else targets[lo:lo + rows])
     return results
 
 

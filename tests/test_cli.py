@@ -341,11 +341,12 @@ def test_embed_verify_benchmark_configs(tmp_path, ensemble, seed):
             == summary["trials"] == 2500)
 
 
-# The benchmark's rnmp-det, rnmp-altmin, phase, phase-prime, embed-gauss
-# and embed-demod configs, and the sha256 of each JSON report at the job
+# The benchmark's configs, and the sha256 of each JSON report at the job
 # seeds 0, 1 and 1000, recorded with numpy 2.4.6.  They reach code the
 # README configs do not: the sampled alpha_empirical pairs, the k = 3
-# determinant search and the S' variant.
+# determinant search, the S' variant, and recover-sweep at sparsity 5 and
+# with noise.  The four recover-sweep digests were recorded before the
+# exact-data certificates: at these seeds the certificates moved no rate.
 BENCHMARK_REPORT_SHA256 = {
     "rnmp-det": (
         "command = rnmp-bound\ns = 3\nf = 3\nn = 12\ndet_budget = 2\n"
@@ -394,12 +395,49 @@ BENCHMARK_REPORT_SHA256 = {
             "53ad0715e8911a5833ffd2c57e0ee3f451bcfcb71cdfcdf7ed7f581e0b78286b",
             "634abca3fd474aaff4de67c95d7be47d3fc88124e99ad65f95ab8002295db80f",
         )),
+    "recover-exact": (
+        "command = recover-sweep\nn = 100\nsparsity = 3\n"
+        "m_values = 8, 16, 48\ntrials = 5\n",
+        (
+            "ee841aa52acea66e53168079c9945e08986ea4994aafda9a521f9be5b118ef8f",
+            "825044f51dacbca8d6bd0dd49c027985efddac0456f7f7e742b254a1d88eb367",
+            "5ac652e4f30ee43c82bd2e639c1dd51de7a6a7786e0c0bb4f8ad8eaa2bc2fc97",
+        )),
+    "recover-noisy": (
+        "command = recover-sweep\nn = 100\nsparsity = 3\n"
+        "m_values = 32, 48\nnoise = 0.0001\ntrials = 8\n",
+        (
+            "c1da86d555ffaa1b12e827539d887203653b495c414d6cedac733055e03c1fa5",
+            "e058ed8f98d4e724acc293e200855825e73d956306bf7112e3d5344f1013a5ca",
+            "dbf283f6a836ba163f19c79be371a553b867acfeee0e421d43eb73372fa1f872",
+        )),
+    "recover-exact-s5": (
+        "command = recover-sweep\nn = 100\nsparsity = 5\n"
+        "m_values = 12, 64\ntrials = 10\n",
+        (
+            "355b2823ed9e8f24c325e3b8767338146a4aaa853c745231d4969a58c8ef6b15",
+            "3439205931aea6a3d8b6d4ceb166c7c655a3d5d39ef79ce20ed3eb622cb38ad8",
+            "df461ab6dfffdb69924d1b465f07902f3cf2d8bd9568732b2208f961904cf1dc",
+        )),
+    "recover-noisy-s5": (
+        "command = recover-sweep\nn = 100\nsparsity = 5\n"
+        "m_values = 48, 64\nnoise = 0.0001\ntrials = 10\n",
+        (
+            "28e82e8364e2f51e8150d73a702e4f0d797917776911ad4699849749f1644419",
+            "43dce72170091db1b2adce1bd40e09f34d382f1ae038cc14d15916f88d0f0f42",
+            "da8c4aadd2ab5a2328445165da7043b5c787d2ecde3c2f8e5f5ea9795ff26252",
+        )),
 }
 
 
 @pytest.mark.parametrize("seed_index, seed", enumerate([0, 1, 1000]))
 @pytest.mark.parametrize("job", BENCHMARK_REPORT_SHA256)
-def test_benchmark_config_reports_pinned(tmp_path, job, seed_index, seed):
+def test_benchmark_config_reports_pinned(tmp_path, monkeypatch, job,
+                                        seed_index, seed):
+    # recover-sweep solves in this process: fork workers give identical
+    # reports (test_recover_sweep_matches_per_trial_solves), but with a
+    # multithreaded BLAS they can take seconds to a minute per sweep.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     body, want = BENCHMARK_REPORT_SHA256[job]
     cfg = _write_config(tmp_path, body + f"seed = {seed}\n")
     out = tmp_path / "out"

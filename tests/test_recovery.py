@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,3 +328,104 @@ def test_stack_rejects_bad_shapes():
         recovery.bpdn_synthesis_stack(a, b[:, :5])
     with pytest.raises(ValueError):
         recovery.bpdn_synthesis_stack(a, b, eps=-1.0)
+
+
+# The exact-data certificates (see the recovery module docstring).
+
+def test_dual_certificate_unitary_oracle():
+    # A_S^H A_S = I, so w = A_S sgn(u0_S) and A^H w vanishes off S.
+    n = 6
+    a = np.fft.fft(np.eye(n)) / np.sqrt(n)
+    for s in (1, 2, 3, n):
+        rows = list(itertools.combinations(range(n), s))
+        u0 = np.zeros((len(rows), n), dtype=complex)
+        for row, sup in zip(u0, rows):
+            row[list(sup)] = np.exp(1j * np.arange(1, s + 1))
+        off = recovery.dual_certificate(np.broadcast_to(a, (len(u0), n, n)),
+                                        u0)
+        assert np.all(off <= 1e-14)
+
+
+def test_dual_certificate_rank_deficient_decides_nothing():
+    rng = np.random.default_rng(5)
+    a, u0, b = _planted(2, 5, 3, rng)  # m < s
+    twin = _gaussian(4, 5, rng)
+    twin[:, 1] = twin[:, 0]  # A_S with two equal columns
+    u1 = np.zeros(5, dtype=complex)
+    u1[[0, 1, 3]] = [1.0, 1j, -1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(recovery.dual_certificate(a[None], u0[None]))
+        assert np.isinf(recovery.dual_certificate(twin[None], u1[None]))
+        recovery.bpdn_synthesis_stack(a[None], b[None],
+                                      targets=[np.abs(u0).sum()])
+    with pytest.raises(ValueError):
+        recovery.dual_certificate(np.stack([twin, twin]),
+                                  np.stack([u1, np.eye(5)[0]]))
+
+
+@pytest.mark.parametrize("m,s,successes", [(8, 3, 1), (16, 3, 4),
+                                            (12, 5, 0)])
+def test_certificates_agree_with_a_long_solve(monkeypatch, m, s, successes):
+    """Near the l1 transition a 40000-step, 1e-11 solve recovers every
+    certified success, and every certified failure stops at a point
+    feasible to 1e-9 ||b|| whose l1 is below ||u0||_1."""
+    rng = np.random.default_rng(2)
+    a = np.empty((12, m, 100), dtype=complex)
+    u0 = np.empty((12, 100), dtype=complex)
+    b = np.empty((12, m), dtype=complex)
+    for i in range(12):
+        a[i], u0[i], b[i] = _planted(m, 100, s, rng)
+    l1 = np.abs(u0).sum(axis=1)
+    results = recovery.bpdn_synthesis_stack(a, b, targets=l1)
+    stopped = np.array([res.below_target for res in results])
+    for res, ai, bi, target in zip(results, a, b, l1):
+        if res.below_target:
+            assert np.linalg.norm(ai @ res.solution - bi) <= (
+                1e-9 * np.linalg.norm(bi))
+            assert np.abs(res.solution).sum() < target
+    certified = (recovery.dual_certificate(a, u0)
+                 < 1 - recovery.CERTIFICATE_MARGIN)
+    assert not np.any(certified & stopped)
+    assert certified.sum() == successes and stopped.any()
+    monkeypatch.setattr(recovery, "MAX_ITERATIONS", 40000)
+    monkeypatch.setattr(recovery, "TOLERANCE", 1e-11)
+    long = recovery.bpdn_synthesis_stack(a[certified], b[certified])
+    assert all(_recovered(long, u0[certified]))
+
+
+def test_target_stops_keep_the_other_rows_in_lockstep(monkeypatch):
+    """Rows that stop at their target, rows whose target never fires and
+    rows without one share stacks of 3 across chunk boundaries; every row
+    that runs to the end matches the reference bit for bit, and a stopped
+    row's history is a prefix of the reference's."""
+    monkeypatch.setattr(recovery, "STACK_ENTRIES", 3 * 9 * 50 + 1)
+    assert recovery.stack_rows(9, 50) == 3
+    rng = np.random.default_rng(7)
+    a = np.empty((8, 9, 50), dtype=complex)
+    u0 = np.empty((8, 50), dtype=complex)
+    b = np.empty((8, 9), dtype=complex)
+    for i in range(8):
+        a[i], u0[i], b[i] = _planted(9, 50, 3, rng)
+    targets = np.abs(u0).sum(axis=1)
+    targets[[2, 6]] = np.nan
+    stacked = recovery.bpdn_synthesis_stack(a, b, targets=targets)
+    # Rows 0 and 4 stop; rows 3 and 5 miss u0 with targets that never
+    # fire; rows 1 and 7 recover u0; rows 2 and 6 have no target.
+    assert [res.below_target for res in stacked] == [
+        True, False, False, False, True, False, False, False]
+    assert _recovered(stacked, u0) == [
+        False, True, False, False, False, False, True, True]
+    for ai, bi, got in zip(a, b, stacked):
+        want = _reference_bpdn_synthesis(ai, bi, 0.0, recovery.MAX_ITERATIONS,
+                                         recovery.TOLERANCE, [])
+        if got.below_target:
+            assert got.iterations < want.iterations
+            assert got.objective_history == want.objective_history[
+                :len(got.objective_history)]
+            continue
+        assert np.array_equal(got.solution, want.solution)
+        assert got.iterations == want.iterations
+        assert got.objective_history == want.objective_history
+        assert got.residual_norm == want.residual_norm
+        assert got.converged == want.converged
