@@ -38,6 +38,7 @@ demod-selftest  adjoint/unitarity/FFT-consistency checks
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,19 +221,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_setter():
+    """``set_num_threads`` of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas64_*.so"))
+    setter = getattr(ctypes.CDLL(str(paths[0])) if paths else None,
+                     "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
 def _map_recovered(tasks) -> list:
     """``_recovered`` over the argument tuples ``tasks``, in order.  When
     there is more than one task, more than one usable CPU and a fork start
     method, they run in fork worker processes, one per CPU at most, joined
-    before this returns; a worker's exception is raised here.  Otherwise
-    they run in this process."""
+    before this returns, on one OpenBLAS thread each; a worker's exception
+    is raised here.  Otherwise they run in this process."""
     workers = min(len(tasks), _usable_cpus())
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context,
+                                     initializer=_blas_thread_setter(),
+                                     initargs=(1,)) as pool:
                 return list(pool.map(_recovered_task, tasks))
     return [_recovered_task(task) for task in tasks]
 

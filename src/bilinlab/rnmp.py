@@ -8,8 +8,8 @@ by alternating minimization over support pairs.  For min(s, f) = 2 the
 determinant is the closed form D_{n,2} = (n+1)/2^n.  For min(s, f) >= 3 it
 comes from a heuristic search that gives an upper estimate of D_{n,k}, so
 the lower value is not a proven bound.  The alternating minimization
-works on the lags inside the two supports, so its cost does not depend on
-the ambient dimension n.
+works on the lags inside the two supports, whatever n is.  Both searches
+keep one support per translation and reflection class.
 
 The quadratic form identity driving everything: for fixed unit y,
 ``||x * y||^2 = <x, B_y x>`` where ``B_y`` is the Hermitian Toeplitz
@@ -100,6 +100,13 @@ def _anchored_supports(n: int, k: int) -> np.ndarray:
                      for rest in itertools.combinations(range(1, n), k - 1)])
 
 
+def _canonical_supports(n: int, k: int) -> np.ndarray:
+    """The rows of ``_anchored_supports(n, k)`` whose gaps are no larger
+    (lexicographically) than their reverse: one per reflection class."""
+    supports = _anchored_supports(n, k)
+    return supports[[g[::-1] >= g for g in np.diff(supports).tolist()]]
+
+
 def _start_stacks(rng: np.random.Generator, items: int, starts: int, k: int):
     """The items x starts rows of a restart search, item-major, ``CHUNK``
     at a time: each row's item and its unit start of k complex Gaussians,
@@ -140,7 +147,8 @@ def restricted_min_eigenvalue(t: HermitianToeplitz, s: int,
     ``restarts`` seeded random supports, returning an upper bound on the
     true minimum.  A principal submatrix of a Toeplitz matrix depends only
     on the differences of its support, so the exhaustive path scores one
-    support per translation class (``_anchored_supports``).
+    support per translation class (``_anchored_supports``), both mirror
+    images: J conj(M) J has M's eigenvalues but not always their bits.
 
     Each greedy sweep moves to the first single swap, in scan order
     (outgoing position, then incoming index ascending), that lowers the
@@ -309,11 +317,11 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
                            seed: int = 0) -> DeterminantEstimate:
     """Search estimate of ``D_{n,k} = min |det B_t|`` over unit k-sparse t.
 
-    Exhaustive over translation-normalized supports (smallest index 0)
-    combined with multi-start projected gradient descent on the unit
-    sphere of the support coefficients.  ``search_budget`` counts restarts
-    per support, 1 to ``MAX_RESTARTS``.  The value is an upper estimate of
-    the true minimum.
+    Exhaustive over one support per translation and reflection class
+    (conj(t_{L-j}) on u -> L - u has the lags of t) with multi-start
+    projected gradient descent on the unit sphere of the coefficients.
+    ``search_budget`` counts restarts per support, 1 to ``MAX_RESTARTS``.
+    The value is an upper estimate of the true minimum.
 
     The descents, in (support, restart) order, run in lockstep
     ``CHUNK`` at a time from the starts of ``_start_stacks``, each step
@@ -321,7 +329,7 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
     determinant and taking the new gradients of the descents that moved
     with one stacked inverse (Jacobi's formula, ``_det_gradient``).  The
     first strict minimum in (support, restart) order wins.  More than
-    ``EXHAUSTIVE_SUPPORT_LIMIT`` supports raise ``ValueError``.
+    ``EXHAUSTIVE_SUPPORT_LIMIT`` anchored supports raise ``ValueError``.
     """
     if search_budget <= 0:
         raise ValueError("search budget must be positive")
@@ -336,7 +344,7 @@ def restricted_determinant(n: int, k: int, search_budget: int = MAX_RESTARTS,
                          f"{EXHAUSTIVE_SUPPORT_LIMIT}")
     if k == 1:
         return DeterminantEstimate(n, 1, 1.0, (0,), (1.0 + 0j,), seed)
-    supports = _anchored_supports(n, k)
+    supports = _canonical_supports(n, k)
     rng = np.random.default_rng(seed)
     best = math.inf
     best_support = supports[0]
@@ -501,9 +509,9 @@ def pair_min_norm(support_x, support_y, n: int, rng=None,
 
 
 def _exhaustive_pairs(s: int, f: int, n: int) -> bool:
-    """Whether ``alpha_empirical`` enumerates every translation-normalized
-    support pair (at most 2000 of them) instead of sampling ``trials``
-    pairs."""
+    """Whether ``alpha_empirical`` enumerates, one per translation and
+    reflection class, the support pairs instead of sampling ``trials``
+    pairs: while there are at most 2000 translation-normalized pairs."""
     return math.comb(n - 1, s - 1) * math.comb(n - 1, f - 1) <= 2000
 
 
@@ -525,7 +533,8 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
 
     Convolutions are zero padded, so circular equals ordinary convolution.
     Support pairs are enumerated exhaustively when few enough (see
-    ``_exhaustive_pairs``); an enumeration does not use ``trials``.
+    ``_exhaustive_pairs``), without ``trials``: one per translation and
+    reflection class, since only a joint reflection keeps ||x * y||.
     Otherwise ``trials`` pairs are sampled (see ``_sampled_pairs``) and one
     fixed pair is scored after them, x on {0..s-1} and y on {0..f-1}: the
     shape of the s = 2 minimizer, which an enumeration already holds.
@@ -541,7 +550,7 @@ def alpha_empirical(s: int, f: int, n: int, trials: int = DEFAULT_RESTARTS,
         return 1.0
     rng = np.random.default_rng(seed)
     if _exhaustive_pairs(s, f, n):
-        ax, ay = _anchored_supports(n, s), _anchored_supports(n, f)
+        ax, ay = _canonical_supports(n, s), _anchored_supports(n, f)
         sx, sy = np.repeat(ax, len(ay), axis=0), np.tile(ay, (len(ax), 1))
     else:
         sx, sy = _sampled_pairs(s, f, n, trials, rng)

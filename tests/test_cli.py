@@ -569,6 +569,33 @@ def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
     assert err == "config error: Unable to allocate 14.9 GiB\n"
 
 
+def test_recover_sweep_workers_use_one_blas_thread(monkeypatch):
+    import ctypes
+    import glob
+    import os
+
+    import numpy as np
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    lib = ctypes.CDLL(paths[0]) if paths else None
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get_threads is None or set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread count call")
+    # The workers fork from a process with two BLAS threads; each reads
+    # its own count after the pool's initializer ran.
+    monkeypatch.setattr(cli, "_recovered", lambda *args: get_threads())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert get_threads() == 2
+        assert cli._map_recovered([()] * 4) == [1] * 4
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 def test_phase_stability_command(tmp_path):
     cfg = _write_config(tmp_path,
                         "command = phase-stability\nn = 2\ntrials = 60\n")

@@ -348,10 +348,15 @@ def _reference_objective(n, support, coeffs):
     return np.abs(np.linalg.det(np.array(mats)))
 
 
+def _gaps(support):
+    return tuple(b - a for a, b in zip(support, support[1:]))
+
+
 def _reference_determinant(n, k, search_budget, seed,
                            objective=_reference_objective):
     supports = [(0,) + rest
                 for rest in itertools.combinations(range(1, n), k - 1)]
+    supports = [sup for sup in supports if not _gaps(sup)[::-1] < _gaps(sup)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     best = math.inf
     best_support = supports[0]
@@ -449,6 +454,73 @@ def test_restricted_determinant_validation():
         rnmp.restricted_determinant(4, 2, search_budget=rnmp.MAX_RESTARTS + 1)
     with pytest.raises(ValueError):
         rnmp.restricted_determinant(2, 3)
+
+
+def _mirror(support):
+    """The anchored mirror image u -> max(S) - u of an anchored support."""
+    return tuple(sorted(max(support) - u for u in support))
+
+
+def test_canonical_supports_are_a_reflection_transversal():
+    for n in range(1, 17):
+        for k in range(1, min(n, 5) + 1):
+            anchored = [tuple(r) for r in rnmp._anchored_supports(n, k)]
+            kept = [tuple(r) for r in rnmp._canonical_supports(n, k)]
+            keep = set(kept)
+            # a subsequence of the anchored order, with no row repeated
+            assert kept == [sup for sup in anchored if sup in keep]
+            assert len(keep) == len(kept)
+            for sup in anchored:
+                assert len({sup, _mirror(sup)} & keep) == 1
+            assert not any(_mirror(sup) in keep - {sup} for sup in kept)
+    counts = {(n, k): len(rnmp._canonical_supports(n, k))
+              for n, k in ((12, 3), (16, 3), (12, 4))}
+    assert counts == {(12, 3): 30, (16, 3): 56, (12, 4): 95}
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 3), (12, 3), (12, 4), (16, 5)])
+def test_det_objective_is_mirror_invariant(n, k):
+    # t'_j = conj(t_{L-j}) on the mirrored support has the lags of t.
+    rng = np.random.default_rng(n * k)
+    for _ in range(10):
+        support = np.sort(rng.choice(n, size=k, replace=False))
+        support -= support[0]
+        c = signals.complex_normals(rng, 1, k)
+        mirrored = np.array([_mirror(support.tolist())])
+        val = rnmp._det_objective(n, support[None], c)[0]
+        val_m = rnmp._det_objective(n, mirrored, np.conj(c[:, ::-1]))[0]
+        assert abs(val_m[0] - val[0]) <= 1e-14 * val[0]
+
+
+@pytest.mark.parametrize("s,f,n", [(2, 3, 8), (3, 3, 9), (3, 4, 12),
+                                   (4, 3, 10)])
+def test_alt_min_is_invariant_under_joint_mirroring(s, f, n):
+    # Mirroring both supports mirrors x * y; y starts reversed.
+    rng = np.random.default_rng(s * f * n)
+    sx = np.sort([rng.choice(n, size=s, replace=False) for _ in range(8)])
+    sy = np.sort([rng.choice(n, size=f, replace=False) for _ in range(8)])
+    y = signals.complex_normals(rng, 8, f)
+    y /= signals.row_norms(y)[:, None]
+    mx = np.array([_mirror(row) for row in (sx - sx[:, :1]).tolist()])
+    my = np.array([_mirror(row) for row in (sy - sy[:, :1]).tolist()])
+    got = rnmp._alt_min(mx, my, y[:, ::-1].copy())
+    want = rnmp._alt_min(sx, sy, y)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_exhaustive_pairs_count_anchored_supports(monkeypatch):
+    # The exhaustive/sampled choice counts translation-normalized pairs,
+    # C(9, 2)^2 = 1296 and C(10, 2)^2 = 2025, while the enumeration pairs
+    # x's reflection classes with every y support: 16 x 28 at (3, 3, 9).
+    assert rnmp._exhaustive_pairs(3, 3, 10)
+    assert not rnmp._exhaustive_pairs(3, 3, 11)
+    scored = []
+    engine = rnmp._min_norm
+    monkeypatch.setattr(rnmp, "_min_norm", lambda sx, sy, rng, starts: (
+        scored.append(len(sx)) or engine(sx, sy, rng, starts)))
+    rnmp.alpha_empirical(3, 3, 9, seed=0)
+    rnmp.alpha_empirical(2, 3, 9, seed=0)
+    assert scored == [16 * 28, 8 * 28]
 
 
 def test_compressed_dimension():
@@ -576,6 +648,9 @@ def _reference_alpha_empirical(s, f, n, trials, seed):
     sx_list = [(0,) + r for r in itertools.combinations(range(1, n), s - 1)]
     sy_list = [(0,) + r for r in itertools.combinations(range(1, n), f - 1)]
     if len(sx_list) * len(sy_list) <= 2000:
+        # x's support up to reflection: mirroring both supports keeps the
+        # norm, so every y support pairs with one orientation of x's
+        sx_list = [sx for sx in sx_list if not _gaps(sx)[::-1] < _gaps(sx)]
         for sx in sx_list:
             for sy in sy_list:
                 best = min(best, _reference_pair_min_norm(sx, sy, n, rng, 2))
