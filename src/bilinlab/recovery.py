@@ -2,8 +2,8 @@
 
 ``bpdn_synthesis`` solves  min ||u||_1  s.t.  ||A u - b|| <= eps  by
 accelerated proximal gradient steps on the penalized problem with
-continuation on the penalty (bisection on it for eps > 0), followed for
-exact data by a least-squares polish on the detected support.
+continuation on the penalty (then, for eps > 0, a root search on it),
+followed for exact data by a least-squares polish on the detected support.
 ``bpdn_synthesis_stack`` solves a stack of such problems with every
 problem's schedule run in lockstep on stacked matrices; a single problem
 is its one-row case.
@@ -17,6 +17,20 @@ proximal gradient residual at the extrapolated point y, ||z - y|| for the
 step z, falls below ``TOLERANCE`` relative to max(1, ||z||), or after
 max(50, MAX_ITERATIONS // 20) steps; a solve ends once its stages have
 taken ``MAX_ITERATIONS`` steps.
+
+For eps > 0 continuation divides the penalty by 4 until a stage ends with
+||r|| <= eps, and an Illinois regula falsi on log(||r|| / eps) against
+log(penalty) then narrows that bracket to 1e-3 relative, at most 30
+stages, returning the feasible end (van den Berg & Friedlander 2008 on the
+smooth residual curve); it takes the midpoint where an end has no
+residual of a stage run to its end, or where the secant point leaves the
+bracket.  A continuation stage also ends on a duality-gap bound (Fercoq,
+Gramfort & Salmon 2015): theta = c r_y, with c = min(1, lam / ||A^H
+r_y||_inf), is dual feasible, and the dual D(theta) = -||theta||^2 / 2 -
+Re <theta, b> is 1-strongly concave with maximizer r*, the residual of
+the stage minimizer, so ||r*|| >= ||theta|| - sqrt(2 G) for the gap
+G = F(u) - D(theta).  Once that bound exceeds eps, the stage goes on to
+the next penalty without reading its residual.
 
 Two certificates decide an exact-data problem without solving it to the
 end.  ``dual_certificate`` is the least-squares dual of a planted u0 with
@@ -84,41 +98,70 @@ def stack_rows(m: int, n: int) -> int:
 def _schedule(u, lam_max, eps: float, max_iterations: int):
     """Penalty schedule of one problem, as a generator.
 
-    Yields ``(start point, penalty)`` for each stage of monotone
-    accelerated proximal gradient steps at a fixed penalty, and is sent
-    back the stage's ``(u, r, steps)`` (see the module docstring for where
-    a stage ends).  Returns the final point and the total step count.
+    Yields ``(start point, penalty, probe)`` for each stage of monotone
+    accelerated proximal gradient steps at a fixed penalty, where
+    ``probe`` marks a continuation stage of an eps > 0 problem, which the
+    duality-gap bound may end early.  It is sent back the stage's
+    ``(u, r, steps, above)``, ``above`` set when the bound proved the
+    stage minimizer's residual above eps (see the module docstring for
+    where a stage ends).  Returns the final point and the total step
+    count.
     """
     lam = 0.5 * lam_max
     lam_floor = PENALTY_FLOOR_REL * lam_max
     total = 0
+    # log(||r|| / eps) of the last stage at the penalty ``tight_at``, when
+    # that stage ran to its end; None where no tight residual is known.
+    tight_at, f_tight = None, None
     while True:
-        u, r, used = yield u, lam
+        u, r, used, above = yield u, lam, eps > 0
         total += used
-        res = np.linalg.norm(r)
-        if eps > 0 and res <= eps:
-            break
+        if not above:
+            res = np.linalg.norm(r)
+            if eps > 0 and res <= eps:
+                break
+            tight_at, f_tight = lam, _log_ratio(res, eps)
         if lam <= lam_floor or total >= max_iterations:
             return u, total
         lam = max(lam * 0.25, lam_floor)
-    # Bisection on the penalty so the residual lands just inside the
-    # constraint; the penalized minimizer with residual eps is the
-    # constrained optimum.
+    # Illinois regula falsi on log(||r|| / eps) against log(penalty), so
+    # that the residual lands just inside the constraint; the penalized
+    # minimizer with residual eps is the constrained optimum.  The low end
+    # is feasible, the high end not.
     lo, hi = lam, lam * 4.0
+    f_lo = _log_ratio(res, eps)
+    f_hi = f_tight if tight_at == hi else None
+    side = 0  # the end the last stage moved: -1 low, 1 high
     for _ in range(30):
         if total >= max_iterations:
             break
         mid = 0.5 * (lo + hi)
-        u_mid, r_mid, used = yield u, mid
+        if f_lo is not None and f_hi is not None:
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            secant = math.exp(x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi))
+            if lo < secant < hi:
+                mid = secant
+        u_mid, r_mid, used, _ = yield u, mid, False
         total += used
-        if np.linalg.norm(r_mid) <= eps:
-            lo = mid
-            u = u_mid
+        res = np.linalg.norm(r_mid)
+        if res <= eps:
+            lo, f_lo, u = mid, _log_ratio(res, eps), u_mid
+            if side < 0 and f_hi is not None:
+                f_hi *= 0.5
+            side = -1
         else:
-            hi = mid
+            hi, f_hi = mid, _log_ratio(res, eps)
+            if side > 0 and f_lo is not None:
+                f_lo *= 0.5
+            side = 1
         if (hi - lo) / hi < 1e-3:
             break
     return u, total
+
+
+def _log_ratio(res, eps: float):
+    """log(res / eps), or None where it is undefined."""
+    return math.log(res / eps) if res > 0 and eps > 0 else None
 
 
 def _finish(a, b, u, bnorm, history, total, eps) -> SolverResult:
@@ -197,6 +240,9 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     restarts (k = 0) and y = u.  A step costs one stacked matrix-vector
     product for A^H r_y and one for A z; the residual r_y = A y - b is
     carried by linearity from those of z and u.
+    While any row is in a continuation stage of an eps > 0 stack, a step
+    also forms the duality-gap bound of every row from A^H r_y and r_y,
+    and ends the stages whose bound clears eps by ``CERTIFICATE_MARGIN``.
     Only rows whose stage just ended return to their schedule; the stack
     is gathered again when a row finishes.  A row with an l1 target (not
     NaN in ``targets``) first projects its point onto {A u = b}; if the
@@ -241,13 +287,15 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     tau = np.empty((rows, 1))
     start = np.zeros(rows, dtype=np.int64)  # step at which the stage began
     end = np.zeros(rows, dtype=np.int64)  # step at which its cap is hit
+    probe = np.zeros(rows, dtype=bool)  # the duality-gap bound may end it
+    cut = eps * (1 + CERTIFICATE_MARGIN)
     step = 0
 
-    def begin(p, u0, penalty):
+    def begin(p, u0, penalty, probe_p):
         rp = a[p] @ u0 - b[p]
         fp = float(penalty * np.sum(np.abs(u0)) + 0.5 * np.vdot(rp, rp).real)
         pts[:, p, :n], pts[:, p, n:], fu[p], k[p] = u0, rp, fp, 0
-        lam[p], tau[p] = penalty, penalty / lip[p, 0]
+        lam[p], tau[p], probe[p] = penalty, penalty / lip[p, 0], probe_p
         histories[p].append(fp)
         start[p], end[p] = step, step + cap
 
@@ -257,7 +305,17 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     while rows:
         y, ry = pts[0, :, :n], pts[0, :, n:]
         z, rz = zr[:, :n], zr[:, n:]
-        z[...] = soft_threshold(y - np.matvec(ah, ry), tau)
+        g = np.matvec(ah, ry)  # A^H r_y / L
+        z[...] = soft_threshold(y - g, tau)
+        gap = eps > 0 and probe.any()
+        if gap:
+            # The dual point theta = c r_y, scaled into ||A^H theta||_inf
+            # <= lam, its norm and its dual value D(theta) = -||theta||^2 / 2
+            # - Re <theta, b>.
+            c = np.minimum(1.0, tau[:, 0] / np.maximum(
+                np.abs(g).max(axis=1), _TINY))
+            theta = c * np.sqrt(np.vecdot(ry, ry).real)
+            dual = -0.5 * theta * theta - c * np.vecdot(b, ry).real
         np.matvec(a, z, out=rz)
         rz -= b
         fz = (lam * np.add.reduce(np.abs(z), axis=1)
@@ -275,6 +333,13 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
         np.copyto(fu, fz, where=accept)
         pts[0] *= beta[:, None]
         pts[0] += pts[1]
+        if gap:
+            # ||r*|| >= ||theta|| - sqrt(2 G) for the gap G = F(u) - D(theta)
+            # (D is 1-strongly concave with maximizer r*, and D(r*) = F(u*)
+            # <= F(u)); the stage ends once that bound exceeds eps.
+            bound = theta - np.sqrt(2.0 * np.maximum(fu - dual, 0.0))
+            above = probe & (bound > cut)
+            done |= above
         for history, value in zip(histories, fu.tolist()):
             history.append(value)
         step += 1
@@ -299,7 +364,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
             try:
                 begin(p, *schedules[p].send((pts[1, p, :n].copy(),
                                              pts[1, p, n:].copy(),
-                                             int(step - start[p]))))
+                                             int(step - start[p]),
+                                             bool(gap and above[p]))))
             except StopIteration as end_of_schedule:
                 u_p, total = end_of_schedule.value
                 results[i] = _finish(a[p], b[p], u_p, bnorm[i],
@@ -307,9 +373,9 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
                 finished.append(p)
         if finished:
             keep = [p for p in range(rows) if p not in finished]
-            ids, b, fu, k, lam, tau, lip, start, end, zr = (
+            ids, b, fu, k, lam, tau, lip, start, end, probe, zr = (
                 v[keep] for v in (ids, b, fu, k, lam, tau, lip, start, end,
-                                  zr))
+                                  probe, zr))
             pts, w = pts[:, keep], w[:, keep]
             a = ah = None  # freed before the smaller stacks are built
             a = a_in[ids]
@@ -342,6 +408,9 @@ def bpdn_synthesis_stack(a, b, eps: float = 0.0, targets=None) -> list:
     if a.ndim != 3 or b.shape != a.shape[:2]:
         raise ValueError("need a of shape (T, m, n) and b of shape (T, m)")
     if targets is not None:
+        if eps > 0:
+            # {A u = b} holds the minimizer only for exact data.
+            raise ValueError("targets need exact data (eps = 0)")
         targets = np.asarray(targets, dtype=float)
         if targets.shape != a.shape[:1]:
             raise ValueError("need targets of shape (T,)")

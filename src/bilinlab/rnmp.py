@@ -218,6 +218,25 @@ class DeterminantEstimate:
     seed: int
 
 
+@functools.cache
+def _pair_indices(k: int) -> tuple:
+    """``np.triu_indices(k)``, read-only and made once per k."""
+    pairs = np.triu_indices(k)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+@functools.cache
+def _diagonal_keys(n: int) -> np.ndarray:
+    """The read-only (n, n) grid n - 1 + i - j: entry (i, j)'s diagonal,
+    lag 0 at n - 1."""
+    i, j = np.indices((n, n))
+    keys = n - 1 + i - j
+    keys.flags.writeable = False
+    return keys
+
+
 def _lag_rows(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
     """The (R, 2n-1) autocorrelation lag rows (lag 0 at n-1) of each row
     c of ``coeffs``, normalized, on the same row of ``supports`` (or on one
@@ -227,7 +246,7 @@ def _lag_rows(n: int, supports, coeffs: np.ndarray) -> np.ndarray:
     is ``conj(b_d)``, so every row is exactly Hermitian."""
     r, k = coeffs.shape
     c = coeffs / row_norms(coeffs)[:, None]
-    a, b = np.triu_indices(k)
+    a, b = _pair_indices(k)
     s = np.asarray(supports)
     width = 2 * n - 1
     keys = n - 1 + s[..., b] - s[..., a] + width * np.arange(r)[:, None]
@@ -266,9 +285,8 @@ def _det_gradient(mats: np.ndarray, supports: np.ndarray, c: np.ndarray,
     r, k = c.shape
     n = mats.shape[-1]
     width = 2 * n - 1
-    i, j = np.indices((n, n))
     # diag[:, n - 1 + d] = S_d, added up top row first.
-    diag = keyed_sums(n - 1 + i - j + width * np.arange(r)[:, None, None],
+    diag = keyed_sums(_diagonal_keys(n) + width * np.arange(r)[:, None, None],
                       np.linalg.inv(mats), r * width).reshape(r, width)
     # pair[:, p, q] = S_{q-p} for support positions p, q of the row.
     pair = _toeplitz(diag, supports)

@@ -84,8 +84,9 @@ def test_negative_eps_rejected():
 
 # The per-problem solver, kept as the reference that bpdn_synthesis_stack
 # must match bit for bit: monotone FISTA with restart at each fixed penalty
-# (Beck & Teboulle 2009), inside the same continuation and bisection.  It
-# takes the step budget and the tolerance as arguments.
+# (Beck & Teboulle 2009), inside the same continuation, whose stages a
+# duality-gap bound may end, and the same Illinois regula falsi on the
+# penalty.  It takes the step budget and the tolerance as arguments.
 
 def _reference_soft_threshold(v, tau):
     mag = np.abs(v)
@@ -94,7 +95,9 @@ def _reference_soft_threshold(v, tau):
 
 
 def _reference_mfista(a, b, u0, lam, lipschitz, max_iters, tol, history,
-                      rejected):
+                      rejected, cut=None):
+    """One stage; with ``cut`` it also ends once the gap bound puts the
+    stage minimizer's residual above ``cut``, and says so."""
     u = u0
     ru = a @ u - b
     fu = float(lam * np.sum(np.abs(u)) + 0.5 * np.vdot(ru, ru).real)
@@ -102,13 +105,23 @@ def _reference_mfista(a, b, u0, lam, lipschitz, max_iters, tol, history,
     step = a.conj().T / lipschitz
     y, ry, t = u, ru, 1.0
     used = 0
+    certified = False
     for _ in range(max_iters):
         used += 1
-        z = _reference_soft_threshold(y - step @ ry, lam / lipschitz)
+        grad = step @ ry
+        z = _reference_soft_threshold(y - grad, lam / lipschitz)
         rz = a @ z - b
         fz = lam * np.sum(np.abs(z)) + 0.5 * np.vdot(rz, rz).real
         change = np.vdot(z - y, z - y).real
         stop = change < tol ** 2 * max(1.0, np.vdot(z, z).real)
+        if cut is not None:
+            # theta = c r_y is dual feasible: |A^H theta| <= lam entrywise.
+            largest = float(np.max(np.abs(grad)))
+            scale = 1.0 if largest == 0 else min(1.0,
+                                                 lam / lipschitz / largest)
+            theta_norm = scale * math.sqrt(np.vdot(ry, ry).real)
+            dual_value = (-0.5 * theta_norm ** 2
+                          - scale * np.vdot(ry, b).real)
         if fz <= fu:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
@@ -120,18 +133,26 @@ def _reference_mfista(a, b, u0, lam, lipschitz, max_iters, tol, history,
             rejected.append(used)
             y, ry, t = u, ru, 1.0
         history.append(fu)
-        if stop:
+        if cut is not None:
+            gap = max(fu - dual_value, 0.0)
+            certified = theta_norm - math.sqrt(2.0 * gap) > cut
+        if stop or certified:
             break
-    return u, ru, used
+    return u, ru, used, certified
 
 
 def _reference_bpdn_synthesis(amat, b, eps, max_iterations, tolerance,
-                              rejected):
+                              rejected, trace=None):
+    """``trace`` (a list) receives one tag per stage: "certified" or
+    "solved" for a continuation stage, "secant" or "midpoint" for a
+    penalty search stage, "halved" after an Illinois halving."""
     m, n = amat.shape
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return recovery.SolverResult(np.zeros(n, dtype=complex), True, 0.0,
                                      0.0, (0.0,), 0)
+    if trace is None:
+        trace = []
     lipschitz = np.linalg.norm(amat, 2) ** 2
     lam_max = np.max(np.abs(amat.conj().T @ b))
     history = []
@@ -140,34 +161,60 @@ def _reference_bpdn_synthesis(amat, b, eps, max_iterations, tolerance,
     lam = 0.5 * lam_max
     lam_floor = recovery.PENALTY_FLOOR_REL * lam_max
     stage_iters = max(50, max_iterations // 20)
-    res = bnorm
-    while total_iters < max_iterations:
-        u, r, used = _reference_mfista(amat, b, u, lam, lipschitz,
-                                       stage_iters, tolerance, history,
-                                       rejected)
+    cut = eps * (1 + recovery.CERTIFICATE_MARGIN) if eps > 0 else None
+
+    def log_ratio(res):
+        return math.log(res / eps) if res > 0 else None
+
+    solved = {}  # penalty -> log(||r|| / eps) of each continuation stage
+    feasible = False  # a continuation stage ended with ||r|| <= eps
+    while True:
+        u, r, used, certified = _reference_mfista(
+            amat, b, u, lam, lipschitz, stage_iters, tolerance, history,
+            rejected, cut)
         total_iters += used
-        res = np.linalg.norm(r)
-        if eps > 0 and res <= eps:
-            break
-        if lam <= lam_floor:
+        trace.append("certified" if certified else "solved")
+        if not certified:
+            res = np.linalg.norm(r)
+            if eps > 0 and res <= eps:
+                feasible = True
+                break
+            if eps > 0:
+                solved[lam] = log_ratio(res)
+        if lam <= lam_floor or total_iters >= max_iterations:
             break
         lam = max(lam * 0.25, lam_floor)
-    if eps > 0 and res <= eps:
-        lo, hi = lam, lam * 4.0
+    if feasible:
+        # bracket[0] is the feasible end, bracket[1] the infeasible one, as
+        # [penalty, log(||r|| / eps) or None].
+        bracket = [[lam, log_ratio(res)], [lam * 4.0, solved.get(lam * 4.0)]]
+        moved = None
         for _ in range(30):
             if total_iters >= max_iterations:
                 break
-            mid = 0.5 * (lo + hi)
-            u_mid, r_mid, used = _reference_mfista(
-                amat, b, u, mid, lipschitz, stage_iters, tolerance, history,
-                rejected)
+            (lo, f_lo), (hi, f_hi) = bracket
+            trial = 0.5 * (lo + hi)
+            tag = "midpoint"
+            if f_lo is not None and f_hi is not None:
+                x_lo, x_hi = math.log(lo), math.log(hi)
+                secant = math.exp(x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi))
+                if lo < secant < hi:
+                    trial, tag = secant, "secant"
+            trace.append(tag)
+            u_t, r_t, used, _ = _reference_mfista(
+                amat, b, u, trial, lipschitz, stage_iters, tolerance,
+                history, rejected)
             total_iters += used
-            if np.linalg.norm(r_mid) <= eps:
-                lo = mid
-                u, r = u_mid, r_mid
-            else:
-                hi = mid
-            if (hi - lo) / hi < 1e-3:
+            res = np.linalg.norm(r_t)
+            side = 0 if res <= eps else 1
+            if moved == side and bracket[1 - side][1] is not None:
+                bracket[1 - side][1] /= 2  # Illinois
+                trace.append("halved")
+            bracket[side] = [trial, log_ratio(res)]
+            moved = side
+            if side == 0:
+                u = u_t
+            if (bracket[1][0] - bracket[0][0]) / bracket[1][0] < 1e-3:
                 break
     if eps == 0.0:
         support = np.flatnonzero(np.abs(u) > 1e-6 * np.max(np.abs(u), initial=0))
@@ -197,18 +244,21 @@ def _planted_stack(t, m, n, s, noise, seed):
     return a, b
 
 
-def _assert_matches_reference(a, b, eps, rejected=None):
+def _assert_matches_reference(a, b, eps, rejected=None, traces=None):
     """Compare each row with the reference at the module's step budget and
     tolerance; ``rejected`` (a list) receives each row's list of rejected
-    steps."""
+    steps and ``traces`` each row's stage tags."""
     stacked = recovery.bpdn_synthesis_stack(a, b, eps)
     assert len(stacked) == len(a)
     for ai, bi, got in zip(a, b, stacked):
-        row_rejected = []
+        row_rejected, row_trace = [], []
         want = _reference_bpdn_synthesis(ai, bi, eps, recovery.MAX_ITERATIONS,
-                                         recovery.TOLERANCE, row_rejected)
+                                         recovery.TOLERANCE, row_rejected,
+                                         row_trace)
         if rejected is not None:
             rejected.append(row_rejected)
+        if traces is not None:
+            traces.append(row_trace)
         assert np.array_equal(got.solution, want.solution)
         assert got.iterations == want.iterations
         assert type(got.iterations) is int
@@ -232,12 +282,19 @@ def test_stack_matches_reference_exact(m, s, seed):
 
 
 @pytest.mark.parametrize("m,noise,eps,seed", [
-    (16, 1e-4, 1e-4, 4), (24, 0.05, 0.05, 5), (30, 0.01, 0.02, 6)])
+    (16, 1e-4, 1e-4, 4), (24, 0.05, 0.05, 5), (30, 0.01, 0.02, 6),
+    (32, 1e-4, 1e-4, 13)])
 def test_stack_matches_reference_noisy(m, noise, eps, seed):
     a, b = _planted_stack(6, m, 60, 3, noise, seed)
-    stacked = _assert_matches_reference(a, b, eps)
-    # the rows end their bisections at different rounds
+    traces = []
+    stacked = _assert_matches_reference(a, b, eps, traces=traces)
+    # the rows end their penalty searches at different rounds
     assert len({_stages(res) for res in stacked}) > 1
+    # every row ends a continuation stage on the gap bound and takes a
+    # secant step, and some row halves an end's value
+    assert all("certified" in trace and "secant" in trace
+               for trace in traces)
+    assert any("halved" in trace for trace in traces)
 
 
 def test_stack_matches_reference_zero_row():
@@ -252,7 +309,7 @@ def test_stack_matches_reference_zero_row():
 
 
 @pytest.mark.parametrize("max_iterations,eps", [(1, 0.0), (60, 0.0),
-                                                (120, 0.01), (500, 1e-3)])
+                                                (120, 0.01), (300, 1e-3)])
 def test_stack_matches_reference_iteration_cap(monkeypatch, max_iterations,
                                                eps):
     monkeypatch.setattr(recovery, "MAX_ITERATIONS", max_iterations)
@@ -287,6 +344,90 @@ def test_stack_matches_reference_through_restarts():
     _assert_matches_reference(a, b, 0.0, rejected)
     assert len({tuple(steps) for steps in rejected}) > 1
     assert all(rejected)
+
+
+def test_noisy_solve_unitary_oracle(monkeypatch):
+    """With A the unitary DFT the minimizer of lam ||u||_1 + ||A u - b||^2 / 2
+    is soft(A^H b, lam), whose residual norm is ||min(|A^H b|, lam)||.
+    Every stage that the gap bound ends has that residual above eps, and
+    the solve returns the minimizer at a feasible penalty within 1e-3
+    relative of the root of ||r(lam)|| = eps."""
+    n, eps = 64, 0.05
+    a = np.fft.fft(np.eye(n)) / np.sqrt(n)
+    rng = np.random.default_rng(14)
+    u0 = np.zeros(n, dtype=complex)
+    u0[rng.choice(n, size=4, replace=False)] = (
+        rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    e = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = a @ u0 + e * (0.5 * eps / np.linalg.norm(e))
+    v = a.conj().T @ b
+    mags = np.sort(np.abs(v))
+
+    def residual(lam):
+        return np.linalg.norm(np.minimum(mags, lam))
+
+    # Between consecutive magnitudes ||r||^2 = sum of the smaller ones
+    # squared plus lam^2 times the count of the others.
+    below = np.concatenate([[0.0], np.cumsum(mags ** 2)])
+    k = np.flatnonzero(below[:n] + (n - np.arange(n)) * mags ** 2
+                       >= eps ** 2)[0]
+    root = math.sqrt((eps ** 2 - below[k]) / (n - k))
+    assert residual(root) == pytest.approx(eps, rel=1e-12)
+
+    stages = []
+    schedule = recovery._schedule
+
+    def logged(*args):
+        gen = schedule(*args)
+        sent = None
+        while True:
+            try:
+                u, lam, probe = gen.send(sent)
+            except StopIteration as stop:
+                return stop.value
+            sent = yield u, lam, probe
+            stages.append((lam, probe, sent))
+
+    monkeypatch.setattr(recovery, "_schedule", logged)
+    res = recovery.bpdn_synthesis(a, b, eps)
+    ended = [lam for lam, probe, (_, _, _, above) in stages if above]
+    assert ended and all(residual(lam) > eps for lam in ended)
+    assert all(probe for lam, probe, _ in stages if lam in ended)
+    # the first stage that reached the returned point (a later stage may
+    # keep it, when its first step does not lower the objective)
+    lam = next(lam for lam, _, (u, _, _, _) in stages
+               if np.array_equal(u, res.solution))
+    assert res.converged and residual(lam) <= eps
+    assert abs(lam - root) <= 1e-3 * root
+    assert np.allclose(res.solution, recovery.soft_threshold(v, lam),
+                       rtol=0, atol=1e-12 * np.linalg.norm(v))
+    # Midpoints alone need 10 stages to narrow [lam, 4 lam] below 1e-3 of
+    # its high end: 3 lam / 2^k < 4e-3 lam.
+    searched = [lam for lam, probe, _ in stages if not probe]
+    assert len(searched) < math.log2(3 / 4e-3)
+
+
+@pytest.mark.parametrize("ended", [False, True])
+def test_schedule_searches_from_the_midpoint_without_a_tight_high_end(
+        ended):
+    """Continuation runs at lam_max / 2, / 8, / 32.  The first stage runs
+    to its end above eps and the last is feasible; when the gap bound ended
+    the middle stage, the bracket's high end has no residual of a stage run
+    to its end, so the search starts from the midpoint, not from a secant
+    through the first stage's residual."""
+    u = np.zeros(1, dtype=complex)
+    gen = recovery._schedule(u, 8.0, 1.0, 10 ** 6)
+    assert next(gen) == (u, 4.0, True)
+    assert gen.send((u, np.array([3.0]), 10, False)) == (u, 1.0, True)
+    assert gen.send((u, np.array([2.0]), 10, ended)) == (u, 0.25, True)
+    _, lam, probe = gen.send((u, np.array([0.5]), 10, False))
+    assert not probe
+    if ended:
+        assert lam == 0.5 * (0.25 + 1.0)
+    else:
+        x_lo, x_hi = math.log(0.25), math.log(1.0)
+        f_lo, f_hi = math.log(0.5), math.log(2.0)
+        assert lam == math.exp(x_lo + (x_hi - x_lo) * f_lo / (f_lo - f_hi))
 
 
 def _recovered(results, u0):
@@ -328,6 +469,8 @@ def test_stack_rejects_bad_shapes():
         recovery.bpdn_synthesis_stack(a, b[:, :5])
     with pytest.raises(ValueError):
         recovery.bpdn_synthesis_stack(a, b, eps=-1.0)
+    with pytest.raises(ValueError):  # targets decide exact data only
+        recovery.bpdn_synthesis_stack(a, b, eps=0.1, targets=[1.0, 1.0])
 
 
 # The exact-data certificates (see the recovery module docstring).
