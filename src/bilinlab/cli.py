@@ -10,16 +10,16 @@ before writing anything (a config error, exit 2, writes no file), then
 writes ``<command>.json`` and, under ``--format csv``, the CSV file.
 Reports are byte-identical for a fixed (config, seed).
 
-``recover-sweep`` counts a planted trial as recovered when the l1 solve
-lands within 1e-3 relative error of u0.  On exact data (noise 0) two
-certificates decide most trials (see ``_recovered``): a trial whose
-least-squares dual certificate proves u0 the unique l1 minimizer counts
-unsolved, and a solve stops as failed once it finds a feasible point of
-smaller l1 than u0.  So a rate differs from solving every trial to the
-end only where the solver contradicts a certificate.  Noisy trials are
-always solved.  The trial stacks share nothing and run in fork worker
-processes, one per usable CPU, and in this process when only one would
-run; the reports are identical either way.
+``recover-sweep`` counts a noisy planted trial as recovered when the l1
+solve lands within 1e-3 relative error of u0.  On exact data (noise 0) a
+trial is recovered when u0 is the unique l1 minimizer:
+``recovery.dual_certificate`` brackets the minimax dual certificate from
+both sides and decides the trial as recovered or failed without solving
+it, and only a trial it leaves undecided is solved and counted by the
+1e-3 rule (see ``_recovered``).  The trial stacks share nothing and run
+on one OpenBLAS thread, in fork worker processes, one per usable CPU, or
+in this process when only one would run; the reports are identical
+either way.
 
 Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
 error (including a value the library rejects and a config too large for
@@ -173,13 +173,11 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
     """Planted trials recovered, one per seed: a Gaussian (m, n) matrix, an
     s-sparse u0 and b = A u0 plus noise of norm ``noise``.
 
-    With noise, a trial is recovered when the solve of its stack lands
-    within 1e-3 relative error of u0.  The certificates apply to exact
-    data only: there a trial whose least-squares dual certificate proves u0
-    the unique l1 minimizer counts as recovered unsolved, and the others
-    are solved with the target ||u0||_1, so that a trial stops as failed
-    once the solver finds a feasible point of smaller l1; a solved trial
-    that did not stop counts when it lands within 1e-3 of u0.
+    A solved trial is recovered when the solve of its stack lands within
+    1e-3 relative error of u0.  On exact data ``dual_certificate`` decides
+    the trials first: one whose upper bound proves u0 the unique l1
+    minimizer counts as recovered, one whose lower bound proves u0 not a
+    minimizer as failed, and only the undecided ones are solved.
     """
     a = np.empty((len(seeds), m, n), dtype=complex)
     b = np.empty((len(seeds), m), dtype=complex)
@@ -194,17 +192,16 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
             e = complex_normals(rng, 1, m)[0]
             e *= noise / np.linalg.norm(e)
             b[i] += e
-    certified, targets = 0, None
+    certified = 0
     if noise == 0:
         margin = recovery.CERTIFICATE_MARGIN
-        decided = recovery.dual_certificate(a, u0) < 1 - margin
-        certified = int(np.count_nonzero(decided))
-        a, b, u0 = a[~decided], b[~decided], u0[~decided]
-        targets = np.sum(np.abs(u0), axis=1)
-    results = recovery.bpdn_synthesis_stack(a, b, noise, targets)
+        upper, lower, _ = recovery.dual_certificate(a, u0)
+        certified = int(np.count_nonzero(upper < 1 - margin))
+        undecided = (upper >= 1 - margin) & (lower <= 1 + margin)
+        a, b, u0 = a[undecided], b[undecided], u0[undecided]
+    results = recovery.bpdn_synthesis_stack(a, b, noise)
     return certified + sum(
-        int(not res.below_target
-            and np.linalg.norm(res.solution - u) / np.linalg.norm(u) <= 1e-3)
+        int(np.linalg.norm(res.solution - u) / np.linalg.norm(u) <= 1e-3)
         for res, u in zip(results, u0))
 
 
@@ -222,35 +219,43 @@ def _usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_thread_setter():
-    """``set_num_threads`` of numpy's bundled OpenBLAS, or None."""
+def _blas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or a
+    pair that does nothing where numpy bundles none."""
     import ctypes
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     paths = sorted(libs.glob("libscipy_openblas64_*.so"))
-    setter = getattr(ctypes.CDLL(str(paths[0])) if paths else None,
-                     "scipy_openblas_set_num_threads64_", None)
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter
+    lib = ctypes.CDLL(str(paths[0])) if paths else None
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return (lambda: 1), (lambda count: None)
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _map_recovered(tasks) -> list:
-    """``_recovered`` over the argument tuples ``tasks``, in order.  When
-    there is more than one task, more than one usable CPU and a fork start
+    """``_recovered`` over the argument tuples ``tasks``, in order, on one
+    OpenBLAS thread, the caller's count restored afterwards.  When there
+    is more than one task, more than one usable CPU and a fork start
     method, they run in fork worker processes, one per CPU at most, joined
-    before this returns, on one OpenBLAS thread each; a worker's exception
-    is raised here.  Otherwise they run in this process."""
+    before this returns, which inherit the thread count; a worker's
+    exception is raised here.  Otherwise they run in this process."""
     workers = min(len(tasks), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context,
-                                     initializer=_blas_thread_setter(),
-                                     initargs=(1,)) as pool:
-                return list(pool.map(_recovered_task, tasks))
-    return [_recovered_task(task) for task in tasks]
+    get, put = _blas_threads()
+    before = get()
+    put(1)
+    try:
+        if workers > 1:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                context = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(_recovered_task, tasks))
+        return [_recovered_task(task) for task in tasks]
+    finally:
+        put(before)
 
 
 def _run_recover_sweep(config: dict):

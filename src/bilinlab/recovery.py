@@ -32,15 +32,20 @@ the stage minimizer, so ||r*|| >= ||theta|| - sqrt(2 G) for the gap
 G = F(u) - D(theta).  Once that bound exceeds eps, the stage goes on to
 the next penalty without reading its residual.
 
-Two certificates decide an exact-data problem without solving it to the
-end.  ``dual_certificate`` is the least-squares dual of a planted u0 with
-support S: w = A_S (A_S^H A_S)^{-1} sgn(u0_S), and an off-support maximum
-of |(A^H w)_j| below 1 proves u0 the unique l1 minimizer (Fuchs 2004;
-Tropp 2005 for complex signals).  A stack row given an l1 target projects
-its point at each stage end onto {A u = b} by the least-squares
-correction u - A^+ r; once that feasible point's l1 is below the target,
-no point of l1 equal to the target is the minimizer, and the row stops.
-Both must clear their bound by ``CERTIFICATE_MARGIN`` relative.
+``dual_certificate`` decides an exact-data problem without solving it.
+For a planted u0 with support S, u0 is the unique l1 minimizer when
+V = min over w with A_S^H w = sgn(u0_S) of max_{j not in S} |(A^H w)_j|
+is below 1, and not a minimizer when V > 1 (Fuchs 2004; Tropp 2005 for
+complex signals).  With w = w_LS + N z, w_LS the least-squares solution
+and N a basis of null(A_S^H), that is the complex linear minimax problem
+min_z max |c + M z| off S, for c = A^H w_LS and M = A^H N.  Lawson's
+reweighted least squares (Rice & Usow 1968) brackets V from both sides:
+each round solves min_z ||W^{1/2} (c + M z)|| for weights W off S, the
+residual r = c + M z gives the upper bound max |r| off S, and y = W r,
+which M^H y = 0 makes dual feasible, the lower bound Re(y^H c) / ||y||_1;
+the weights then move to W |r| / sum W |r|.  Round 0 (z = 0) is the
+least-squares certificate.  A bound decides once it clears 1 by
+``CERTIFICATE_MARGIN`` relative.
 """
 
 from __future__ import annotations
@@ -61,8 +66,6 @@ class SolverResult:
     objective: float
     objective_history: tuple
     iterations: int
-    # The row stopped at a feasible solution whose l1 is below its target.
-    below_target: bool = False
 
 
 # Matrix entries (T * m * n) in one lockstep stack of bpdn_synthesis_stack:
@@ -77,8 +80,10 @@ PENALTY_FLOOR_REL = 1e-8
 MAX_ITERATIONS = 5000
 TOLERANCE = 1e-8
 # Relative margin by which a certificate clears its bound; the rounding in
-# the least-squares solves and projections is many orders below it.
+# the least-squares solves is many orders below it.
 CERTIFICATE_MARGIN = 1e-9
+# Lawson rounds of ``dual_certificate`` after the least-squares round.
+CERTIFICATE_ROUNDS = 1000
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
@@ -195,14 +200,18 @@ def _momentum_weights(count: int) -> np.ndarray:
     return out
 
 
-def dual_certificate(a, u0) -> np.ndarray:
-    """The least-squares dual certificate of each planted row.
+def dual_certificate(a, u0) -> tuple:
+    """Bounds on the minimax dual certificate V of each planted row.
 
     ``a`` has shape (T, m, n) and ``u0`` shape (T, n), with the same
-    number s of nonzeros in every row.  Returns, per row, the largest
-    |(A^H w)_j| off the support S of u0 for w = A_S (A_S^H A_S)^{-1}
-    sgn(u0_S), or inf where A_S lacks full column rank (numpy's
-    ``matrix_rank`` tolerance), which decides nothing.
+    number s of nonzeros in every row.  Returns ``(upper, lower, z)``: per
+    row the bracket lower <= V <= upper of the round at which a bound
+    cleared 1 by ``CERTIFICATE_MARGIN`` (lower is 0 after round 0), or of
+    the last round (``CERTIFICATE_ROUNDS``), and the z of the upper bound,
+    whose certificate is w = w_LS + N z with N the last m - s left
+    singular vectors of ``np.linalg.svd(A_S)``.  Rows where A_S lacks full
+    column rank (numpy's ``matrix_rank`` tolerance) decide nothing: upper
+    inf, lower 0 and z NaN.  With m > n only round 0 runs.
     """
     a = np.asarray(a, dtype=complex)
     u0 = np.asarray(u0, dtype=complex)
@@ -211,9 +220,10 @@ def dual_certificate(a, u0) -> np.ndarray:
     s = int(counts[0]) if t else 0
     if np.any(counts != s):
         raise ValueError("every row of u0 needs the same number of nonzeros")
-    out = np.full(t, np.inf)
+    upper, lower = np.full(t, np.inf), np.zeros(t)
+    z = np.full((t, max(m - s, 0)), np.nan, dtype=complex)
     if not 0 < s <= m:
-        return out
+        return upper, lower, z
     support = np.nonzero(u0)[1].reshape(t, s)
     a_s = np.take_along_axis(a, support[:, None, :], axis=2)
     left, sv, right = np.linalg.svd(a_s, full_matrices=False)
@@ -221,16 +231,45 @@ def dual_certificate(a, u0) -> np.ndarray:
     ids = np.flatnonzero(full)
     sgn = np.take_along_axis(u0, support, axis=1)[ids]
     sgn /= np.abs(sgn)
-    # w = A_S (A_S^H A_S)^{-1} sgn = U diag(1/sigma) V^H sgn
-    w = np.matvec(left[ids], np.matvec(right[ids], sgn) / sv[ids])
-    mag = np.abs(np.matvec(a[ids].conj().transpose(0, 2, 1), w))
-    np.put_along_axis(mag, support[ids], 0.0, axis=1)
-    out[ids] = mag.max(axis=1, initial=0.0)
-    return out
+    ah = a[ids].conj().transpose(0, 2, 1)
+    # Round 0: w_LS = A_S (A_S^H A_S)^{-1} sgn = U diag(1/sigma) V^H sgn
+    c = np.matvec(ah, np.matvec(left[ids], np.matvec(right[ids], sgn)
+                                / sv[ids]))
+    off = np.ones((ids.size, n))
+    np.put_along_axis(off, support[ids], 0.0, axis=1)
+    upper[ids] = (np.abs(c) * off).max(axis=1, initial=0.0)
+    z[ids] = 0.0
+    live = upper[ids] >= 1 - CERTIFICATE_MARGIN
+    if m > n or not live.any():  # with m > n, A^H N has rank < m - s
+        return upper, lower, z
+    ids, ah, c, off = (v[live] for v in (ids, ah, c, off))
+    mat = ah @ np.linalg.svd(a_s[ids])[0][:, :, s:]  # A^H N, 0 on S
+    weights = off / max(n - s, 1)
+    for _ in range(CERTIFICATE_ROUNDS):
+        root = np.sqrt(weights)
+        q, tri = np.linalg.qr(root[:, :, None] * mat)
+        rhs = np.matvec(q.conj().transpose(0, 2, 1), root * c)
+        z[ids] = -np.linalg.solve(tri, rhs[..., None])[..., 0]
+        r = c + np.matvec(mat, z[ids])
+        mag = np.abs(r) * off
+        upper[ids] = mag.max(axis=1, initial=0.0)
+        y = weights * r
+        lower[ids] = np.vecdot(y, c).real / np.maximum(
+            np.abs(y).sum(axis=1), _TINY)
+        live = ((upper[ids] >= 1 - CERTIFICATE_MARGIN)
+                & (lower[ids] <= 1 + CERTIFICATE_MARGIN))
+        if not live.any():
+            break
+        ids, c, mat, off, weights, mag = (
+            v[live] for v in (ids, c, mat, off, weights, mag))
+        weights *= mag
+        weights /= weights.sum(axis=1, keepdims=True)
+        # any weights give a valid lower bound; the floor keeps R regular
+        np.maximum(weights, np.finfo(float).tiny * off, out=weights)
+    return upper, lower, z
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
-                 targets) -> list:
+def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     """Run every row's ``_schedule`` in lockstep on the stack (a, b).
 
     Each step is one monotone FISTA step of every live row, each at its own
@@ -244,10 +283,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     also forms the duality-gap bound of every row from A^H r_y and r_y,
     and ends the stages whose bound clears eps by ``CERTIFICATE_MARGIN``.
     Only rows whose stage just ended return to their schedule; the stack
-    is gathered again when a row finishes.  A row with an l1 target (not
-    NaN in ``targets``) first projects its point onto {A u = b}; if the
-    projection's l1 is below the target by the margin, the row finishes
-    there with ``below_target`` set.
+    is gathered again when a row finishes.
     """
     t, m, n = a.shape
     bnorm = row_norms(b)
@@ -257,9 +293,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     if ids.size == 0:
         return results
     a_in = a
-    # Row i of the stack stops below l1 target[i] * (1 - margin).
-    stop = None if targets is None else targets * (1 - CERTIFICATE_MARGIN)
-    pinv = None if stop is None else np.linalg.pinv(a)
     if ids.size < t:
         a, b = a[ids], b[ids]
     ah = a.conj().transpose(0, 2, 1)
@@ -350,17 +383,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
         finished = []
         for p in np.flatnonzero(done):
             i = ids[p]
-            if stop is not None and not np.isnan(stop[i]):
-                x = pts[1, p, :n] - pinv[i] @ pts[1, p, n:]
-                l1 = float(np.sum(np.abs(x)))
-                if l1 < stop[i]:
-                    res = float(np.linalg.norm(a[p] @ x - b[p]))
-                    feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm[i]
-                    results[i] = SolverResult(
-                        x, bool(feasible), res, l1, tuple(histories[p]),
-                        step, below_target=True)
-                    finished.append(p)
-                    continue
             try:
                 begin(p, *schedules[p].send((pts[1, p, :n].copy(),
                                              pts[1, p, n:].copy(),
@@ -389,17 +411,12 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float,
     return results
 
 
-def bpdn_synthesis_stack(a, b, eps: float = 0.0, targets=None) -> list:
+def bpdn_synthesis_stack(a, b, eps: float = 0.0) -> list:
     """Basis pursuit denoising of a stack of problems, one per row.
 
     ``a`` has shape (T, m, n) and ``b`` shape (T, m); returns one
     ``SolverResult`` per row, each equal bit for bit to solving that row
     alone.  Rows run in lockstep, ``stack_rows(m, n)`` at a time.
-    ``targets``, of shape (T,), gives rows an l1 target (NaN for none): a
-    row stops at the first stage end where a feasible point of l1 below
-    its target by ``CERTIFICATE_MARGIN`` relative is found, and returns
-    that point with ``below_target`` set.  Rows that never stop are equal
-    bit for bit to solving without a target.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -407,19 +424,10 @@ def bpdn_synthesis_stack(a, b, eps: float = 0.0, targets=None) -> list:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 3 or b.shape != a.shape[:2]:
         raise ValueError("need a of shape (T, m, n) and b of shape (T, m)")
-    if targets is not None:
-        if eps > 0:
-            # {A u = b} holds the minimizer only for exact data.
-            raise ValueError("targets need exact data (eps = 0)")
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != a.shape[:1]:
-            raise ValueError("need targets of shape (T,)")
     rows = stack_rows(*a.shape[1:])
     results = []
     for lo in range(0, len(a), rows):
-        results += _solve_stack(
-            a[lo:lo + rows], b[lo:lo + rows], eps,
-            None if targets is None else targets[lo:lo + rows])
+        results += _solve_stack(a[lo:lo + rows], b[lo:lo + rows], eps)
     return results
 
 

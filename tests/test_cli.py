@@ -148,9 +148,9 @@ README_REPORT_SHA256 = {
         "2072512f6dca51d2eff2776f26e3beadc31daab237c0116e7ab18d2ae18c8e9c",
         "9876d5783e75332b16e4e3bc555c967c3b25d658f4fd17af3d15726539246da9",
     ),
-    "recover-sweep": (
+    "recover-sweep": (  # seed 1: m = 8 rate 0.1 -> 0.3, minimax certificate
         "014ac5eb6d7f3f2549459b8d22ecfbf9f71f2f1100f3aa4e7d9d9fbd750a58bb",
-        "5273fd109175a6266abe0a6d98d031de7b6d26267eb187afd68c29512621b2ab",
+        "5e7a2594936875613fc6b3446dfe426b9d7c13756df562dbe03f077dce5fe8be",
     ),
     "phase-stability": (  # stall rule relative to the value
         "a93ab17a4707a7bc7e5d1b68a7877fcb75ba9582554c0d0fb5bde65f06b4d5c0",
@@ -180,9 +180,9 @@ README_CSV_SHA256 = {
         "6ea4114ec9f0c09a4352aec84b9a182fdc2fa7304334a8502f3b69f8d55c35f5",
         "b52d9b7351aabe4f9cde9c25b0812c50270596a34c2ad38437a405bf6a386509",
     )),
-    "recover-sweep": ("recover-sweep.csv", (
+    "recover-sweep": ("recover-sweep.csv", (  # seed 1: m = 8 rate 0.3
         "464e4dccc9c1026eb213f0ec745ed3e2b60a7b96af1282422490917fbfbea5e2",
-        "0e8c472d6a0d9fd969c3ade4924d56be6c97282256948bb56f1e41376207ce2f",
+        "c7ccc16a3f374203b64e922ab94f257ab884db182a2e5623e10d751f24ce4118",
     )),
 }
 
@@ -569,6 +569,28 @@ def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
     assert err == "config error: Unable to allocate 14.9 GiB\n"
 
 
+@pytest.mark.parametrize("job", ["recover-exact", "recover-exact-s5"])
+@pytest.mark.parametrize("seed", [0, 1, 1000])
+def test_benchmark_exact_sweeps_solve_no_trial(tmp_path, monkeypatch, job,
+                                              seed):
+    # The minimax dual certificate decides every trial of the exact-data
+    # benchmark sweeps, so no row reaches the solver.
+    from bilinlab import recovery
+    solve = recovery.bpdn_synthesis_stack
+    rows = []
+
+    def counted(a, b, eps=0.0):
+        rows.append(len(a))
+        return solve(a, b, eps)
+
+    monkeypatch.setattr(recovery, "bpdn_synthesis_stack", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    body, _ = BENCHMARK_REPORT_SHA256[job]
+    cfg = _write_config(tmp_path, body + f"seed = {seed}\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert rows and sum(rows) == 0
+
+
 def test_recover_sweep_workers_use_one_blas_thread(monkeypatch):
     import ctypes
     import glob
@@ -582,16 +604,18 @@ def test_recover_sweep_workers_use_one_blas_thread(monkeypatch):
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get_threads is None or set_threads is None:
         pytest.skip("numpy bundles no OpenBLAS with a thread count call")
-    # The workers fork from a process with two BLAS threads; each reads
-    # its own count after the pool's initializer ran.
+    # The map starts in a process with two BLAS threads; each task, in
+    # this process or in a fork worker, reads one, and the caller's count
+    # is restored afterwards.
     monkeypatch.setattr(cli, "_recovered", lambda *args: get_threads())
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     before = get_threads()
     set_threads(2)
     try:
-        assert get_threads() == 2
-        assert cli._map_recovered([()] * 4) == [1] * 4
-        assert get_threads() == 2
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert get_threads() == 2
+            assert cli._map_recovered([()] * 4) == [1] * 4
+            assert get_threads() == 2
     finally:
         set_threads(before)
 

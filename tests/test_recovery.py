@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bilinlab import recovery
+from bilinlab.signals import complex_normals
 
 
 def _gaussian(m, n, rng):
@@ -469,14 +470,32 @@ def test_stack_rejects_bad_shapes():
         recovery.bpdn_synthesis_stack(a, b[:, :5])
     with pytest.raises(ValueError):
         recovery.bpdn_synthesis_stack(a, b, eps=-1.0)
-    with pytest.raises(ValueError):  # targets decide exact data only
-        recovery.bpdn_synthesis_stack(a, b, eps=0.1, targets=[1.0, 1.0])
 
 
-# The exact-data certificates (see the recovery module docstring).
+# The exact-data certificate (see the recovery module docstring).
+
+def _decided(a, u0):
+    """+1 where ``dual_certificate`` proves u0 the unique minimizer, -1
+    where it proves u0 not a minimizer, 0 where it decides nothing."""
+    upper, lower, _ = recovery.dual_certificate(a, u0)
+    margin = recovery.CERTIFICATE_MARGIN
+    return np.where(upper < 1 - margin, 1, np.where(lower > 1 + margin, -1, 0))
+
+
+def _witness(a, u0, z):
+    """The certificate w = w_LS + N z of one row, rebuilt: w_LS the
+    minimum-norm solution of A_S^H w = sgn(u0_S), N the last m - s left
+    singular vectors of A_S."""
+    support = np.flatnonzero(u0)
+    a_s = a[:, support]
+    sgn = u0[support] / np.abs(u0[support])
+    w_ls = np.linalg.lstsq(a_s.conj().T, sgn, rcond=None)[0]
+    return w_ls + np.linalg.svd(a_s)[0][:, support.size:] @ z
+
 
 def test_dual_certificate_unitary_oracle():
-    # A_S^H A_S = I, so w = A_S sgn(u0_S) and A^H w vanishes off S.
+    # A_S^H A_S = I, so w = A_S sgn(u0_S) and A^H w vanishes off S: the
+    # least-squares round certifies every support.
     n = 6
     a = np.fft.fft(np.eye(n)) / np.sqrt(n)
     for s in (1, 2, 3, n):
@@ -484,91 +503,133 @@ def test_dual_certificate_unitary_oracle():
         u0 = np.zeros((len(rows), n), dtype=complex)
         for row, sup in zip(u0, rows):
             row[list(sup)] = np.exp(1j * np.arange(1, s + 1))
-        off = recovery.dual_certificate(np.broadcast_to(a, (len(u0), n, n)),
-                                        u0)
-        assert np.all(off <= 1e-14)
+        upper, _, z = recovery.dual_certificate(
+            np.broadcast_to(a, (len(u0), n, n)), u0)
+        assert np.all(upper <= 1e-14)
+        assert np.all(z == 0)
+
+
+def test_dual_certificate_failure_oracle():
+    """With a_2 = (a_0 + a_1) / 1.5 and u0 = e_0 + e_1, every w with
+    A_S^H w = sgn(u0_S) has (A^H w)_2 = 4/3, so V >= 4/3, and 1.5 e_2 is
+    feasible with l1 1.5 < 2: u0 is not a minimizer."""
+    rng = np.random.default_rng(6)
+    a = _gaussian(8, 20, rng)
+    a[:, 2] = (a[:, 0] + a[:, 1]) / 1.5
+    u0 = np.zeros(20, dtype=complex)
+    u0[:2] = 1.0
+    assert np.allclose(a[:, 2] * 1.5, a @ u0, rtol=0, atol=1e-15)
+    upper, lower, _ = recovery.dual_certificate(a[None], u0[None])
+    assert _decided(a[None], u0[None]) == [-1]
+    assert 1 < lower[0] <= upper[0]
+    assert upper[0] >= 4 / 3 * (1 - 1e-12)
+
+
+def _sweep_draws(seed, m_index, m_count, m, n, s, trials):
+    """The exact-data trials of one m of a recover-sweep, drawn as
+    ``cli._recovered`` draws them."""
+    child = np.random.SeedSequence(seed).spawn(m_count)[m_index]
+    a = np.empty((trials, m, n), dtype=complex)
+    u0 = np.zeros((trials, n), dtype=complex)
+    for i, trial_seed in enumerate(child.spawn(trials)):
+        rng = np.random.default_rng(trial_seed)
+        a[i] = complex_normals(rng, 1, m * n).reshape(m, n) / np.sqrt(2 * m)
+        support = rng.choice(n, size=s, replace=False)
+        u0[i, support] = complex_normals(rng, 1, s)[0]
+    return a, u0
+
+
+def _planted_draws(seed, m, n, s, trials):
+    rng = np.random.default_rng(seed)
+    a = np.empty((trials, m, n), dtype=complex)
+    u0 = np.empty((trials, n), dtype=complex)
+    for i in range(trials):
+        a[i], u0[i], _ = _planted(m, n, s, rng)
+    return a, u0
+
+
+@pytest.mark.parametrize("draws,moved", [
+    # the README config at seed 1, m = 8, and the transition draws of
+    # test_default_solve_recovers_the_trials_a_long_solve_recovers at rng
+    # seeds 3 and 18: the default solve misses the moved trials
+    (lambda: _sweep_draws(1, 0, 4, 8, 100, 3, 20), [6, 7, 8, 11]),
+    (lambda: _planted_draws(3, 16, 100, 3, 10), [3]),
+    (lambda: _planted_draws(18, 16, 100, 3, 10), [4])],
+    ids=["readme-seed1-m8", "planted-3", "planted-18"])
+def test_dual_certificate_witness(draws, moved):
+    """Every certified row's w, rebuilt from z, meets A_S^H w = sgn(u0_S)
+    to 1e-12 with its off-support maximum below 1; the moved trials are
+    certified, and only by the Lawson rounds (z != 0)."""
+    a, u0 = draws()
+    upper, _, z = recovery.dual_certificate(a, u0)
+    certified = np.flatnonzero(_decided(a, u0) == 1)
+    assert set(moved) <= set(certified)
+    assert all(np.any(z[i] != 0) for i in moved)
+    for i in certified:
+        support = np.flatnonzero(u0[i])
+        w = _witness(a[i], u0[i], z[i])
+        sgn = u0[i, support] / np.abs(u0[i, support])
+        assert np.max(np.abs(a[i][:, support].conj().T @ w - sgn)) <= 1e-12
+        off = np.abs(a[i].conj().T @ w)
+        off[support] = 0.0
+        assert off.max() < 1
+        assert off.max() == pytest.approx(upper[i], rel=1e-9)
 
 
 def test_dual_certificate_rank_deficient_decides_nothing():
     rng = np.random.default_rng(5)
-    a, u0, b = _planted(2, 5, 3, rng)  # m < s
+    a, u0, _ = _planted(2, 5, 3, rng)  # m < s
     twin = _gaussian(4, 5, rng)
     twin[:, 1] = twin[:, 0]  # A_S with two equal columns
     u1 = np.zeros(5, dtype=complex)
     u1[[0, 1, 3]] = [1.0, 1j, -1.0]
+    full, u2, _ = _planted(4, 5, 3, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isinf(recovery.dual_certificate(a[None], u0[None]))
-        assert np.isinf(recovery.dual_certificate(twin[None], u1[None]))
-        recovery.bpdn_synthesis_stack(a[None], b[None],
-                                      targets=[np.abs(u0).sum()])
+        upper, lower, z = recovery.dual_certificate(a[None], u0[None])
+        assert np.isinf(upper).all() and (lower == 0).all() and z.size == 0
+        # a rank-deficient row next to a full-rank one
+        upper, lower, z = recovery.dual_certificate(np.stack([twin, full]),
+                                                    np.stack([u1, u2]))
+        assert np.isinf(upper[0]) and lower[0] == 0
+        assert np.isnan(z[0]).all() and not np.isnan(z[1]).any()
+        assert np.isfinite(upper[1])
     with pytest.raises(ValueError):
         recovery.dual_certificate(np.stack([twin, twin]),
                                   np.stack([u1, np.eye(5)[0]]))
 
 
-@pytest.mark.parametrize("m,s,successes", [(8, 3, 1), (16, 3, 4),
-                                            (12, 5, 0)])
-def test_certificates_agree_with_a_long_solve(monkeypatch, m, s, successes):
-    """Near the l1 transition a 40000-step, 1e-11 solve recovers every
-    certified success, and every certified failure stops at a point
-    feasible to 1e-9 ||b|| whose l1 is below ||u0||_1."""
-    rng = np.random.default_rng(2)
-    a = np.empty((12, m, 100), dtype=complex)
-    u0 = np.empty((12, 100), dtype=complex)
-    b = np.empty((12, m), dtype=complex)
-    for i in range(12):
-        a[i], u0[i], b[i] = _planted(m, 100, s, rng)
-    l1 = np.abs(u0).sum(axis=1)
-    results = recovery.bpdn_synthesis_stack(a, b, targets=l1)
-    stopped = np.array([res.below_target for res in results])
-    for res, ai, bi, target in zip(results, a, b, l1):
-        if res.below_target:
-            assert np.linalg.norm(ai @ res.solution - bi) <= (
-                1e-9 * np.linalg.norm(bi))
-            assert np.abs(res.solution).sum() < target
-    certified = (recovery.dual_certificate(a, u0)
-                 < 1 - recovery.CERTIFICATE_MARGIN)
-    assert not np.any(certified & stopped)
-    assert certified.sum() == successes and stopped.any()
+def test_dual_certificate_more_rows_than_columns_runs_round_zero_only():
+    # With m > n, M = A^H N has more columns than rows, so no Lawson round
+    # runs and the least-squares round alone decides.
+    rng = np.random.default_rng(8)
+    a, u0, _ = _planted(12, 10, 3, rng)
+    upper, lower, z = recovery.dual_certificate(a[None], u0[None])
+    assert np.isfinite(upper[0]) and lower[0] == 0 and np.all(z == 0)
+
+
+@pytest.mark.parametrize("m,s,least_squares", [(8, 3, 1), (16, 3, 4),
+                                                (12, 5, 0)])
+def test_certificates_agree_with_a_long_solve(monkeypatch, m, s,
+                                              least_squares):
+    """Near the l1 transition the least-squares round certifies
+    ``least_squares`` of 12 draws (z = 0) and the Lawson rounds decide the
+    rest.  A 40000-step, 1e-11 solve agrees with every decision: it
+    recovers each certified success, and on each certified failure its
+    point, projected onto {A u = b}, has l1 below ||u0||_1."""
+    a, u0 = _planted_draws(2, m, 100, s, 12)
+    b = np.matvec(a, u0)
+    decided = _decided(a, u0)
+    z = recovery.dual_certificate(a, u0)[2]
+    assert np.count_nonzero(np.all(z == 0, axis=1)) == least_squares
+    assert np.all(decided != 0)
+    assert 0 < np.count_nonzero(decided == 1) < 12
     monkeypatch.setattr(recovery, "MAX_ITERATIONS", 40000)
     monkeypatch.setattr(recovery, "TOLERANCE", 1e-11)
-    long = recovery.bpdn_synthesis_stack(a[certified], b[certified])
-    assert all(_recovered(long, u0[certified]))
-
-
-def test_target_stops_keep_the_other_rows_in_lockstep(monkeypatch):
-    """Rows that stop at their target, rows whose target never fires and
-    rows without one share stacks of 3 across chunk boundaries; every row
-    that runs to the end matches the reference bit for bit, and a stopped
-    row's history is a prefix of the reference's."""
-    monkeypatch.setattr(recovery, "STACK_ENTRIES", 3 * 9 * 50 + 1)
-    assert recovery.stack_rows(9, 50) == 3
-    rng = np.random.default_rng(7)
-    a = np.empty((8, 9, 50), dtype=complex)
-    u0 = np.empty((8, 50), dtype=complex)
-    b = np.empty((8, 9), dtype=complex)
-    for i in range(8):
-        a[i], u0[i], b[i] = _planted(9, 50, 3, rng)
-    targets = np.abs(u0).sum(axis=1)
-    targets[[2, 6]] = np.nan
-    stacked = recovery.bpdn_synthesis_stack(a, b, targets=targets)
-    # Rows 0 and 4 stop; rows 3 and 5 miss u0 with targets that never
-    # fire; rows 1 and 7 recover u0; rows 2 and 6 have no target.
-    assert [res.below_target for res in stacked] == [
-        True, False, False, False, True, False, False, False]
-    assert _recovered(stacked, u0) == [
-        False, True, False, False, False, False, True, True]
-    for ai, bi, got in zip(a, b, stacked):
-        want = _reference_bpdn_synthesis(ai, bi, 0.0, recovery.MAX_ITERATIONS,
-                                         recovery.TOLERANCE, [])
-        if got.below_target:
-            assert got.iterations < want.iterations
-            assert got.objective_history == want.objective_history[
-                :len(got.objective_history)]
-            continue
-        assert np.array_equal(got.solution, want.solution)
-        assert got.iterations == want.iterations
-        assert got.objective_history == want.objective_history
-        assert got.residual_norm == want.residual_norm
-        assert got.converged == want.converged
+    long = recovery.bpdn_synthesis_stack(a, b)
+    assert _recovered(long, u0) == list(decided == 1)
+    for res, ai, bi, ui, d in zip(long, a, b, u0, decided):
+        if d < 0:
+            x = res.solution - np.linalg.pinv(ai) @ (ai @ res.solution - bi)
+            assert np.linalg.norm(ai @ x - bi) <= 1e-12 * np.linalg.norm(bi)
+            assert np.abs(x).sum() < np.abs(ui).sum()
