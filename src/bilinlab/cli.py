@@ -10,16 +10,10 @@ before writing anything (a config error, exit 2, writes no file), then
 writes ``<command>.json`` and, under ``--format csv``, the CSV file.
 Reports are byte-identical for a fixed (config, seed).
 
-``recover-sweep`` counts a noisy planted trial as recovered when the l1
-solve lands within 1e-3 relative error of u0.  On exact data (noise 0) a
-trial is recovered when u0 is the unique l1 minimizer:
-``recovery.dual_certificate`` brackets the minimax dual certificate from
-both sides and decides the trial as recovered or failed without solving
-it, and only a trial it leaves undecided is solved and counted by the
-1e-3 rule (see ``_recovered``).  The trial stacks share nothing and run
-on one OpenBLAS thread, in fork worker processes, one per usable CPU, or
-in this process when only one would run; the reports are identical
-either way.
+``recover-sweep`` decides its planted trials by ``recovery.recovered``.
+The trial stacks share nothing and run on one OpenBLAS thread, in fork
+worker processes, one per usable CPU, or in this process when only one
+would run; the reports are identical either way.
 
 Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
 error (including a value the library rejects and a config too large for
@@ -171,14 +165,7 @@ def _run_embed_verify(config: dict):
 
 def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
     """Planted trials recovered, one per seed: a Gaussian (m, n) matrix, an
-    s-sparse u0 and b = A u0 plus noise of norm ``noise``.
-
-    A solved trial is recovered when the solve of its stack lands within
-    1e-3 relative error of u0.  On exact data ``dual_certificate`` decides
-    the trials first: one whose upper bound proves u0 the unique l1
-    minimizer counts as recovered, one whose lower bound proves u0 not a
-    minimizer as failed, and only the undecided ones are solved.
-    """
+    s-sparse u0 and b = A u0 plus noise of norm ``noise``."""
     a = np.empty((len(seeds), m, n), dtype=complex)
     b = np.empty((len(seeds), m), dtype=complex)
     u0 = np.zeros((len(seeds), n), dtype=complex)
@@ -192,17 +179,7 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
             e = complex_normals(rng, 1, m)[0]
             e *= noise / np.linalg.norm(e)
             b[i] += e
-    certified = 0
-    if noise == 0:
-        margin = recovery.CERTIFICATE_MARGIN
-        upper, lower, _ = recovery.dual_certificate(a, u0)
-        certified = int(np.count_nonzero(upper < 1 - margin))
-        undecided = (upper >= 1 - margin) & (lower <= 1 + margin)
-        a, b, u0 = a[undecided], b[undecided], u0[undecided]
-    results = recovery.bpdn_synthesis_stack(a, b, noise)
-    return certified + sum(
-        int(np.linalg.norm(res.solution - u) / np.linalg.norm(u) <= 1e-3)
-        for res, u in zip(results, u0))
+    return int(np.count_nonzero(recovery.recovered(a, b, u0, noise)))
 
 
 def _recovered_task(task) -> int:

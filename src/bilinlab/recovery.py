@@ -46,6 +46,12 @@ which M^H y = 0 makes dual feasible, the lower bound Re(y^H c) / ||y||_1;
 the weights then move to W |r| / sum W |r|.  Round 0 (z = 0) is the
 least-squares certificate.  A bound decides once it clears 1 by
 ``CERTIFICATE_MARGIN`` relative.
+
+``recovered`` decides planted trials, the rule behind ``recover-sweep``'s
+rates.  On exact data (eps = 0) a trial is recovered when u0 is the unique
+l1 minimizer, and ``dual_certificate`` decides it without a solve where a
+bound clears 1.  Every other trial is solved and counts as recovered when
+the solution lies within 1e-3 relative error of u0.
 """
 
 from __future__ import annotations
@@ -63,8 +69,6 @@ class SolverResult:
     solution: np.ndarray
     converged: bool  # feasible: the residual is within eps (plus rounding)
     residual_norm: float
-    objective: float
-    objective_history: tuple
     iterations: int
 
 
@@ -169,7 +173,7 @@ def _log_ratio(res, eps: float):
     return math.log(res / eps) if res > 0 and eps > 0 else None
 
 
-def _finish(a, b, u, bnorm, history, total, eps) -> SolverResult:
+def _finish(a, b, u, bnorm, total, eps) -> SolverResult:
     """Least-squares polish on the detected support, then the result."""
     m, n = a.shape
     if eps == 0.0:
@@ -183,9 +187,7 @@ def _finish(a, b, u, bnorm, history, total, eps) -> SolverResult:
                 u = u_db
     res = float(np.linalg.norm(a @ u - b))
     feasible = res <= eps * (1 + 1e-6) + 1e-8 * bnorm
-    objective = float(np.sum(np.abs(u)))
-    return SolverResult(u, bool(feasible), res, objective, tuple(history),
-                        total)
+    return SolverResult(u, bool(feasible), res, total)
 
 
 def _momentum_weights(count: int) -> np.ndarray:
@@ -287,8 +289,8 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     """
     t, m, n = a.shape
     bnorm = row_norms(b)
-    results = [SolverResult(np.zeros(n, dtype=complex), True, 0.0, 0.0,
-                            (0.0,), 0) for _ in range(t)]
+    results = [SolverResult(np.zeros(n, dtype=complex), True, 0.0, 0)
+               for _ in range(t)]
     ids = np.flatnonzero(bnorm != 0.0)
     if ids.size == 0:
         return results
@@ -305,7 +307,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
     tol_sq = TOLERANCE ** 2
     schedules = [_schedule(np.zeros(n, dtype=complex), lam_max[p], eps,
                            MAX_ITERATIONS) for p in range(rows)]
-    histories = [[] for _ in range(rows)]
     # A point and its residual share a row of n + m entries, so that one
     # call updates both: pts[0] is (y, r_y), pts[1] is (u, r_u) and zr is
     # (z, r_z).
@@ -329,7 +330,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
         fp = float(penalty * np.sum(np.abs(u0)) + 0.5 * np.vdot(rp, rp).real)
         pts[:, p, :n], pts[:, p, n:], fu[p], k[p] = u0, rp, fp, 0
         lam[p], tau[p], probe[p] = penalty, penalty / lip[p, 0], probe_p
-        histories[p].append(fp)
         start[p], end[p] = step, step + cap
 
     for p in range(rows):
@@ -373,8 +373,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
             bound = theta - np.sqrt(2.0 * np.maximum(fu - dual, 0.0))
             above = probe & (bound > cut)
             done |= above
-        for history, value in zip(histories, fu.tolist()):
-            history.append(value)
         step += 1
         if step >= next_end:
             done |= end <= step
@@ -390,8 +388,7 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
                                              bool(gap and above[p]))))
             except StopIteration as end_of_schedule:
                 u_p, total = end_of_schedule.value
-                results[i] = _finish(a[p], b[p], u_p, bnorm[i],
-                                     histories[p], total, eps)
+                results[i] = _finish(a[p], b[p], u_p, bnorm[i], total, eps)
                 finished.append(p)
         if finished:
             keep = [p for p in range(rows) if p not in finished]
@@ -404,7 +401,6 @@ def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
             ah = a.conj().transpose(0, 2, 1)
             ah /= lip[:, :, None]
             schedules = [schedules[p] for p in keep]
-            histories = [histories[p] for p in keep]
             rows = len(keep)
         if rows:
             next_end = int(end.min())
@@ -418,8 +414,8 @@ def bpdn_synthesis_stack(a, b, eps: float = 0.0) -> list:
     ``SolverResult`` per row, each equal bit for bit to solving that row
     alone.  Rows run in lockstep, ``stack_rows(m, n)`` at a time.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be a finite nonnegative number")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 3 or b.shape != a.shape[:2]:
@@ -436,3 +432,26 @@ def bpdn_synthesis(a, b, eps: float = 0.0) -> SolverResult:
     problem: the one-row case of ``bpdn_synthesis_stack``."""
     b = np.asarray(b, dtype=complex).ravel()
     return bpdn_synthesis_stack(np.asarray(a)[None], b[None], eps)[0]
+
+
+def recovered(a, b, u0, eps: float) -> np.ndarray:
+    """Whether each planted row of the stack (a, b) recovers its u0, in
+    row order, by the rule in the module docstring.
+
+    ``a`` has shape (T, m, n), ``b`` shape (T, m) and ``u0`` shape (T, n);
+    ``eps`` bounds the noise in b.  Only the rows that ``dual_certificate``
+    leaves undecided, or all rows for eps > 0, reach the solver.
+    """
+    a, b, u0 = np.asarray(a), np.asarray(b), np.asarray(u0)
+    won = np.zeros(len(u0), dtype=bool)
+    todo = slice(None)
+    if eps == 0:
+        upper, lower, _ = dual_certificate(a, u0)
+        won = upper < 1 - CERTIFICATE_MARGIN
+        todo = ~won & (lower <= 1 + CERTIFICATE_MARGIN)
+    a, b, u0 = a[todo], b[todo], u0[todo]
+    if len(u0):
+        solutions = np.array([res.solution
+                              for res in bpdn_synthesis_stack(a, b, eps)])
+        won[todo] = row_norms(solutions - u0) / row_norms(u0) <= 1e-3
+    return won

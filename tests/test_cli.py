@@ -574,21 +574,25 @@ def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
 def test_benchmark_exact_sweeps_solve_no_trial(tmp_path, monkeypatch, job,
                                               seed):
     # The minimax dual certificate decides every trial of the exact-data
-    # benchmark sweeps, so no row reaches the solver.
+    # benchmark sweeps, so the solver is never called.
     from bilinlab import recovery
-    solve = recovery.bpdn_synthesis_stack
-    rows = []
+    certify = recovery.dual_certificate
+    certified, solves = [], []
 
-    def counted(a, b, eps=0.0):
-        rows.append(len(a))
-        return solve(a, b, eps)
+    def counted(a, u0):
+        certified.append(len(a))
+        return certify(a, u0)
 
-    monkeypatch.setattr(recovery, "bpdn_synthesis_stack", counted)
+    monkeypatch.setattr(recovery, "dual_certificate", counted)
+    monkeypatch.setattr(recovery, "bpdn_synthesis_stack",
+                        lambda *args: solves.append(args))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     body, _ = BENCHMARK_REPORT_SHA256[job]
     cfg = _write_config(tmp_path, body + f"seed = {seed}\n")
+    config = cli.parse_config(cfg)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert rows and sum(rows) == 0
+    assert sum(certified) == len(config["m_values"]) * config["trials"]
+    assert solves == []
 
 
 def test_recover_sweep_workers_use_one_blas_thread(monkeypatch):
