@@ -32,7 +32,7 @@ the stage minimizer, so ||r*|| >= ||theta|| - sqrt(2 G) for the gap
 G = F(u) - D(theta).  Once that bound exceeds eps, the stage goes on to
 the next penalty without reading its residual.
 
-``dual_certificate`` decides an exact-data problem without solving it.
+``dual_certificate`` decides a planted problem without solving it.
 For a planted u0 with support S, u0 is the unique l1 minimizer when
 V = min over w with A_S^H w = sgn(u0_S) of max_{j not in S} |(A^H w)_j|
 is below 1, and not a minimizer when V > 1 (Fuchs 2004; Tropp 2005 for
@@ -44,14 +44,36 @@ each round solves min_z ||W^{1/2} (c + M z)|| for weights W off S, the
 residual r = c + M z gives the upper bound max |r| off S, and y = W r,
 which M^H y = 0 makes dual feasible, the lower bound Re(y^H c) / ||y||_1;
 the weights then move to W |r| / sum W |r|.  Round 0 (z = 0) is the
-least-squares certificate.  A bound decides once it clears 1 by
+least-squares certificate.  A bound on V decides once it clears 1 by
 ``CERTIFICATE_MARGIN`` relative.
 
+With noise, a witness w of a round, with V_w = max_{j not in S}
+|(A^H w)_j| < 1, bounds the error h = u - u0 of every minimizer u (Fuchs
+2005; Candes & Plan 2011).  Where ||A u0 - b|| <= eps, u0 is feasible, so
+||u||_1 <= ||u0||_1 and ||A h|| <= 2 eps; then ||h_Sc||_1 <= B_Sc = 2 eps
+||w|| / (1 - V_w) and ||h_S|| <= B_S = 2 eps / sigma_min(A_S) +
+max_{j not in S} ||A_S^+ a_j|| B_Sc, so ||h|| <= hypot(B_S, B_Sc) as
+||h_Sc|| <= ||h_Sc||_1.  N is orthonormal and orthogonal to w_LS, so
+||w||^2 = ||w_LS||^2 + ||z||^2.  A row is certified once its witness's
+bound is at most ``TRIAL_TOLERANCE`` ||u0||, so that every minimizer lies
+within that relative error of u0; at eps = 0 the bound is 0 wherever
+V_w < 1, which is the exact-data rule.  A row leaves undecided
+once the bound at (lower, ||w||) already exceeds that limit: every
+witness has V_w >= lower, so only a witness shorter than the round's
+could still certify it, and the rounds move towards the minimax witness,
+not a shorter one; the solver then decides the row.  At round 0 that is
+the bound at (0, ||w_LS||), and no witness is shorter than w_LS, so a row
+that stops there has no certificate at all.
+
 ``recovered`` decides planted trials, the rule behind ``recover-sweep``'s
-rates.  On exact data (eps = 0) a trial is recovered when u0 is the unique
-l1 minimizer, and ``dual_certificate`` decides it without a solve where a
-bound clears 1.  Every other trial is solved and counts as recovered when
-the solution lies within 1e-3 relative error of u0.
+rates.  A trial is recovered when every l1 minimizer lies within
+``TRIAL_TOLERANCE`` (1e-3) relative error of u0; on exact data (eps = 0)
+that is u0 being the unique minimizer.  ``dual_certificate`` decides the
+rows it can, the rows of each support size together, where u0 fits the
+data to ``CERTIFICATE_MARGIN`` (||A u0 - b|| <= eps (1 + margin)); on
+exact data it also proves failures.  Every other trial is solved and
+counts as recovered when the solution lies within ``TRIAL_TOLERANCE``
+relative error of u0.
 """
 
 from __future__ import annotations
@@ -88,6 +110,9 @@ TOLERANCE = 1e-8
 CERTIFICATE_MARGIN = 1e-9
 # Lawson rounds of ``dual_certificate`` after the least-squares round.
 CERTIFICATE_ROUNDS = 1000
+# A planted trial is recovered within this error relative to ||u0||: every
+# minimizer's, by the certificate, or the solution's, by a solve.
+TRIAL_TOLERANCE = 1e-3
 
 
 def soft_threshold(v: np.ndarray, tau) -> np.ndarray:
@@ -202,18 +227,22 @@ def _momentum_weights(count: int) -> np.ndarray:
     return out
 
 
-def dual_certificate(a, u0) -> tuple:
-    """Bounds on the minimax dual certificate V of each planted row.
+def dual_certificate(a, u0, eps: float = 0.0) -> tuple:
+    """Bounds on the minimax dual certificate V of each planted row, and
+    on the distance of every l1 minimizer from u0 at noise level ``eps``.
 
     ``a`` has shape (T, m, n) and ``u0`` shape (T, n), with the same
-    number s of nonzeros in every row.  Returns ``(upper, lower, z)``: per
-    row the bracket lower <= V <= upper of the round at which a bound
-    cleared 1 by ``CERTIFICATE_MARGIN`` (lower is 0 after round 0), or of
-    the last round (``CERTIFICATE_ROUNDS``), and the z of the upper bound,
-    whose certificate is w = w_LS + N z with N the last m - s left
-    singular vectors of ``np.linalg.svd(A_S)``.  Rows where A_S lacks full
-    column rank (numpy's ``matrix_rank`` tolerance) decide nothing: upper
-    inf, lower 0 and z NaN.  With m > n only round 0 runs.
+    number s of nonzeros in every row.  Returns ``(upper, lower, z,
+    bound)``: per row the bracket lower <= V <= upper of the round at which
+    the row left the rounds (see the module docstring), at the latest the
+    last (``CERTIFICATE_ROUNDS``), the z of the upper bound, whose witness
+    is w = w_LS + N z with N the last m - s left singular vectors of
+    ``np.linalg.svd(A_S)``, and that witness's bound hypot(B_S, B_Sc) /
+    ||u0|| on the relative error ||u - u0|| / ||u0|| of every minimizer u
+    (0 for eps = 0; inf where upper has not cleared 1).  Rows
+    where A_S lacks full column rank (numpy's ``matrix_rank`` tolerance)
+    decide nothing: upper and bound inf, lower 0 and z NaN.  With m > n
+    only round 0 runs.
     """
     a = np.asarray(a, dtype=complex)
     u0 = np.asarray(u0, dtype=complex)
@@ -222,10 +251,10 @@ def dual_certificate(a, u0) -> tuple:
     s = int(counts[0]) if t else 0
     if np.any(counts != s):
         raise ValueError("every row of u0 needs the same number of nonzeros")
-    upper, lower = np.full(t, np.inf), np.zeros(t)
+    upper, lower, bound = np.full(t, np.inf), np.zeros(t), np.full(t, np.inf)
     z = np.full((t, max(m - s, 0)), np.nan, dtype=complex)
     if not 0 < s <= m:
-        return upper, lower, z
+        return upper, lower, z, bound
     support = np.nonzero(u0)[1].reshape(t, s)
     a_s = np.take_along_axis(a, support[:, None, :], axis=2)
     left, sv, right = np.linalg.svd(a_s, full_matrices=False)
@@ -234,16 +263,45 @@ def dual_certificate(a, u0) -> tuple:
     sgn = np.take_along_axis(u0, support, axis=1)[ids]
     sgn /= np.abs(sgn)
     ah = a[ids].conj().transpose(0, 2, 1)
-    # Round 0: w_LS = A_S (A_S^H A_S)^{-1} sgn = U diag(1/sigma) V^H sgn
-    c = np.matvec(ah, np.matvec(left[ids], np.matvec(right[ids], sgn)
-                                / sv[ids]))
     off = np.ones((ids.size, n))
     np.put_along_axis(off, support[ids], 0.0, axis=1)
+    # Round 0: w_LS = A_S (A_S^H A_S)^{-1} sgn = U x for x = diag(1/sigma)
+    # V^H sgn, so that a witness w = U x + N z has ||w||^2 = ||x||^2 + ||z||^2
+    x = np.matvec(right[ids], sgn) / sv[ids]
+    c = np.matvec(ah, np.matvec(left[ids], x))
+    # Per row, over ||u0||: 2 eps and B_S's first term 2 eps /
+    # sigma_min(A_S); then ||w_LS|| and max ||A_S^+ a_j|| = ||diag(1/sigma)
+    # U^H a_j|| off S.  The bound is 0 on exact data, which reads none.
+    scale, on, w_ls, spill = np.zeros((4, t))
+    if eps > 0:
+        scale[ids] = 2 * eps / row_norms(u0[ids])
+        on[ids] = scale[ids] / sv[ids, -1]
+        w_ls[ids] = row_norms(x)
+        spill[ids] = (row_norms((ah @ left[ids]) / sv[ids][:, None, :])
+                      * off).max(axis=1, initial=0.0)
+
+    # Both read the live rows ids, which the rounds narrow.
+    def error_bound(v, z_live):
+        # hypot(B_S, B_Sc) / ||u0|| at off-support maximum v for the
+        # witness with z z_live; 1 - v is floored at the margin, which only
+        # lowers it
+        if eps == 0:
+            return 0.0
+        b_off = (scale[ids] * np.hypot(w_ls[ids], row_norms(z_live))
+                 / np.maximum(1 - v, CERTIFICATE_MARGIN))
+        return np.hypot(on[ids] + spill[ids] * b_off, b_off)
+
+    def witness_bound(v, z_live):
+        return np.where(v < 1 - CERTIFICATE_MARGIN, error_bound(v, z_live),
+                        np.inf)
+
     upper[ids] = (np.abs(c) * off).max(axis=1, initial=0.0)
     z[ids] = 0.0
-    live = upper[ids] >= 1 - CERTIFICATE_MARGIN
+    bound[ids] = witness_bound(upper[ids], z[ids])
+    live = ((bound[ids] > TRIAL_TOLERANCE)
+            & (error_bound(0.0, z[ids]) <= TRIAL_TOLERANCE))
     if m > n or not live.any():  # with m > n, A^H N has rank < m - s
-        return upper, lower, z
+        return upper, lower, z, bound
     ids, ah, c, off = (v[live] for v in (ids, ah, c, off))
     mat = ah @ np.linalg.svd(a_s[ids])[0][:, :, s:]  # A^H N, 0 on S
     weights = off / max(n - s, 1)
@@ -251,15 +309,17 @@ def dual_certificate(a, u0) -> tuple:
         root = np.sqrt(weights)
         q, tri = np.linalg.qr(root[:, :, None] * mat)
         rhs = np.matvec(q.conj().transpose(0, 2, 1), root * c)
-        z[ids] = -np.linalg.solve(tri, rhs[..., None])[..., 0]
-        r = c + np.matvec(mat, z[ids])
+        z_live = -np.linalg.solve(tri, rhs[..., None])[..., 0]
+        r = c + np.matvec(mat, z_live)
         mag = np.abs(r) * off
-        upper[ids] = mag.max(axis=1, initial=0.0)
+        up = mag.max(axis=1, initial=0.0)
         y = weights * r
-        lower[ids] = np.vecdot(y, c).real / np.maximum(
-            np.abs(y).sum(axis=1), _TINY)
-        live = ((upper[ids] >= 1 - CERTIFICATE_MARGIN)
-                & (lower[ids] <= 1 + CERTIFICATE_MARGIN))
+        lo = np.vecdot(y, c).real / np.maximum(np.abs(y).sum(axis=1), _TINY)
+        b = witness_bound(up, z_live)
+        upper[ids], lower[ids], z[ids], bound[ids] = up, lo, z_live, b
+        # a row leaves certified, proved no minimizer, or left undecided
+        live = ((b > TRIAL_TOLERANCE) & (lo <= 1 + CERTIFICATE_MARGIN)
+                & (error_bound(lo, z_live) <= TRIAL_TOLERANCE))
         if not live.any():
             break
         ids, c, mat, off, weights, mag = (
@@ -268,7 +328,7 @@ def dual_certificate(a, u0) -> tuple:
         weights /= weights.sum(axis=1, keepdims=True)
         # any weights give a valid lower bound; the floor keeps R regular
         np.maximum(weights, np.finfo(float).tiny * off, out=weights)
-    return upper, lower, z
+    return upper, lower, z, bound
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray, eps: float) -> list:
@@ -439,19 +499,29 @@ def recovered(a, b, u0, eps: float) -> np.ndarray:
     row order, by the rule in the module docstring.
 
     ``a`` has shape (T, m, n), ``b`` shape (T, m) and ``u0`` shape (T, n);
-    ``eps`` bounds the noise in b.  Only the rows that ``dual_certificate``
-    leaves undecided, or all rows for eps > 0, reach the solver.
+    ``eps`` bounds the noise in b.  ``dual_certificate`` decides the rows
+    of each support size apart, and only the rows it leaves open reach the
+    solver.
     """
     a, b, u0 = np.asarray(a), np.asarray(b), np.asarray(u0)
     won = np.zeros(len(u0), dtype=bool)
-    todo = slice(None)
-    if eps == 0:
-        upper, lower, _ = dual_certificate(a, u0)
-        won = upper < 1 - CERTIFICATE_MARGIN
-        todo = ~won & (lower <= 1 + CERTIFICATE_MARGIN)
-    a, b, u0 = a[todo], b[todo], u0[todo]
-    if len(u0):
-        solutions = np.array([res.solution
-                              for res in bpdn_synthesis_stack(a, b, eps)])
-        won[todo] = row_norms(solutions - u0) / row_norms(u0) <= 1e-3
+    todo = np.ones(len(u0), dtype=bool)
+    counts = np.count_nonzero(u0, axis=1)
+    # the bound needs u0 feasible, ||A u0 - b|| <= eps
+    fits = eps == 0 or (row_norms(np.matvec(a, u0) - b)
+                        <= eps * (1 + CERTIFICATE_MARGIN))
+    for s in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero((counts == s) & fits)
+        if rows.size == len(u0):  # no copy of the stack for a single group
+            rows = slice(None)
+        _, lower, _, bound = dual_certificate(a[rows], u0[rows], eps)
+        won[rows] = bound <= TRIAL_TOLERANCE
+        # on exact data, lower > 1 proves u0 not a minimizer
+        todo[rows] = ~won[rows] & ((eps > 0)
+                                   | (lower <= 1 + CERTIFICATE_MARGIN))
+    if todo.any():
+        solutions = np.array([res.solution for res in bpdn_synthesis_stack(
+            a[todo], b[todo], eps)])
+        won[todo] = (row_norms(solutions - u0[todo]) / row_norms(u0[todo])
+                     <= TRIAL_TOLERANCE)
     return won

@@ -569,19 +569,20 @@ def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
     assert err == "config error: Unable to allocate 14.9 GiB\n"
 
 
-@pytest.mark.parametrize("job", ["recover-exact", "recover-exact-s5"])
+@pytest.mark.parametrize("job", ["recover-exact", "recover-exact-s5",
+                                 "recover-noisy", "recover-noisy-s5"])
 @pytest.mark.parametrize("seed", [0, 1, 1000])
 def test_benchmark_exact_sweeps_solve_no_trial(tmp_path, monkeypatch, job,
                                               seed):
-    # The minimax dual certificate decides every trial of the exact-data
-    # benchmark sweeps, so the solver is never called.
+    # The minimax dual certificate decides every trial of the benchmark
+    # sweeps, exact and noisy, so the solver is never called.
     from bilinlab import recovery
     certify = recovery.dual_certificate
     certified, solves = [], []
 
-    def counted(a, u0):
+    def counted(a, u0, eps):
         certified.append(len(a))
-        return certify(a, u0)
+        return certify(a, u0, eps)
 
     monkeypatch.setattr(recovery, "dual_certificate", counted)
     monkeypatch.setattr(recovery, "bpdn_synthesis_stack",

@@ -435,7 +435,8 @@ def test_schedule_searches_from_the_midpoint_without_a_tight_high_end(
 
 
 def _recovered(results, u0):
-    return [bool(np.linalg.norm(res.solution - u) <= 1e-3 * np.linalg.norm(u))
+    limit = recovery.TRIAL_TOLERANCE
+    return [bool(np.linalg.norm(res.solution - u) <= limit * np.linalg.norm(u))
             for res, u in zip(results, u0)]
 
 
@@ -480,7 +481,7 @@ def test_stack_rejects_bad_shapes():
 def _decided(a, u0):
     """+1 where ``dual_certificate`` proves u0 the unique minimizer, -1
     where it proves u0 not a minimizer, 0 where it decides nothing."""
-    upper, lower, _ = recovery.dual_certificate(a, u0)
+    upper, lower, *_ = recovery.dual_certificate(a, u0)
     margin = recovery.CERTIFICATE_MARGIN
     return np.where(upper < 1 - margin, 1, np.where(lower > 1 + margin, -1, 0))
 
@@ -506,7 +507,7 @@ def test_dual_certificate_unitary_oracle():
         u0 = np.zeros((len(rows), n), dtype=complex)
         for row, sup in zip(u0, rows):
             row[list(sup)] = np.exp(1j * np.arange(1, s + 1))
-        upper, _, z = recovery.dual_certificate(
+        upper, _, z, _ = recovery.dual_certificate(
             np.broadcast_to(a, (len(u0), n, n)), u0)
         assert np.all(upper <= 1e-14)
         assert np.all(z == 0)
@@ -522,7 +523,7 @@ def test_dual_certificate_failure_oracle():
     u0 = np.zeros(20, dtype=complex)
     u0[:2] = 1.0
     assert np.allclose(a[:, 2] * 1.5, a @ u0, rtol=0, atol=1e-15)
-    upper, lower, _ = recovery.dual_certificate(a[None], u0[None])
+    upper, lower, *_ = recovery.dual_certificate(a[None], u0[None])
     assert _decided(a[None], u0[None]) == [-1]
     assert 1 < lower[0] <= upper[0]
     assert upper[0] >= 4 / 3 * (1 - 1e-12)
@@ -564,7 +565,7 @@ def test_dual_certificate_witness(draws, moved):
     to 1e-12 with its off-support maximum below 1; the moved trials are
     certified, and only by the Lawson rounds (z != 0)."""
     a, u0 = draws()
-    upper, _, z = recovery.dual_certificate(a, u0)
+    upper, _, z, _ = recovery.dual_certificate(a, u0)
     certified = np.flatnonzero(_decided(a, u0) == 1)
     assert set(moved) <= set(certified)
     assert all(np.any(z[i] != 0) for i in moved)
@@ -589,12 +590,14 @@ def test_dual_certificate_rank_deficient_decides_nothing():
     full, u2, _ = _planted(4, 5, 3, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        upper, lower, z = recovery.dual_certificate(a[None], u0[None])
+        upper, lower, z, bound = recovery.dual_certificate(a[None],
+                                                           u0[None])
         assert np.isinf(upper).all() and (lower == 0).all() and z.size == 0
+        assert np.isinf(bound).all()
         # a rank-deficient row next to a full-rank one
-        upper, lower, z = recovery.dual_certificate(np.stack([twin, full]),
-                                                    np.stack([u1, u2]))
-        assert np.isinf(upper[0]) and lower[0] == 0
+        upper, lower, z, bound = recovery.dual_certificate(
+            np.stack([twin, full]), np.stack([u1, u2]), 1e-4)
+        assert np.isinf(upper[0]) and lower[0] == 0 and np.isinf(bound[0])
         assert np.isnan(z[0]).all() and not np.isnan(z[1]).any()
         assert np.isfinite(upper[1])
     with pytest.raises(ValueError):
@@ -607,7 +610,7 @@ def test_dual_certificate_more_rows_than_columns_runs_round_zero_only():
     # runs and the least-squares round alone decides.
     rng = np.random.default_rng(8)
     a, u0, _ = _planted(12, 10, 3, rng)
-    upper, lower, z = recovery.dual_certificate(a[None], u0[None])
+    upper, lower, z, _ = recovery.dual_certificate(a[None], u0[None])
     assert np.isfinite(upper[0]) and lower[0] == 0 and np.all(z == 0)
 
 
@@ -671,18 +674,141 @@ def test_recovered_is_the_certificate_then_the_solve(monkeypatch):
     b = np.matvec(a, u0)
     assert (list(recovery.recovered(a, b, u0, 0.0))
             == _recovered(solve(a, b), u0))
-    # Noisy: every row is solved, and only some recover.
-    rng = np.random.default_rng(1)
-    a, u0, b = (np.empty((6,) + shape, dtype=complex)
-                for shape in ((8, 24), (24,), (8,)))
-    for i in range(6):
-        a[i], u0[i], b[i] = _planted(8, 24, 2, rng)
-        e = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        b[i] += e * (1e-3 / np.linalg.norm(e))
-    want = _recovered(solve(a, b, 1e-3), u0)
-    assert 0 < sum(want) < 6
-    assert list(recovery.recovered(a, b, u0, 1e-3)) == want
-    assert solved == [1, 3, 6]
+    # Noisy: the certificate proves rows 0-3 recovered, and rows 4 and 5,
+    # of which only row 4 recovers, alone reach the solver.
+    a, u0, b = _noisy_draws(1, 8, 24, 2, 6, 1e-4)
+    certified = _certified(a, u0, 1e-4)
+    assert list(certified) == [True] * 4 + [False] * 2
+    want = list(certified)
+    want[4:] = _recovered(solve(a[4:], b[4:], 1e-4), u0[4:])
+    assert want[4:] == [True, False]
+    assert list(recovery.recovered(a, b, u0, 1e-4)) == want
+    assert solved == [1, 3, 2]
+    # every certified row is also a success of the solve
+    assert _recovered(solve(a[:4], b[:4], 1e-4), u0[:4]) == [True] * 4
+
+
+def _noisy_draws(seed, m, n, s, trials, eps):
+    """``_planted`` draws with noise of norm ``eps`` added to b."""
+    rng = np.random.default_rng(seed)
+    a, u0, b = (np.empty((trials,) + shape, dtype=complex)
+                for shape in ((m, n), (n,), (m,)))
+    for i in range(trials):
+        a[i], u0[i], b[i] = _planted(m, n, s, rng)
+        e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        b[i] += e * (eps / np.linalg.norm(e))
+    return a, u0, b
+
+
+def _certified(a, u0, eps):
+    """Where ``dual_certificate``'s bound puts every minimizer within the
+    trial tolerance of u0."""
+    return recovery.dual_certificate(a, u0, eps)[3] <= recovery.TRIAL_TOLERANCE
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_recovered_groups_ragged_supports(eps):
+    """A stack whose rows have different numbers of nonzeros gets, in row
+    order, the decisions its rows of each support size get alone."""
+    sizes = [3, 1, 5, 3, 5, 1, 2, 2, 5, 3, 4]
+    rng = np.random.default_rng(4)
+    a = np.empty((len(sizes), 10, 30), dtype=complex)
+    u0 = np.empty((len(sizes), 30), dtype=complex)
+    b = np.empty((len(sizes), 10), dtype=complex)
+    for i, s in enumerate(sizes):
+        a[i], u0[i], b[i] = _planted(10, 30, s, rng)
+        e = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        b[i] += e * (eps / np.linalg.norm(e))
+    got = recovery.recovered(a, b, u0, eps)
+    assert 0 < np.count_nonzero(got) < len(sizes)
+    for s in set(sizes):
+        rows = [i for i, size in enumerate(sizes) if size == s]
+        alone = recovery.recovered(a[rows], b[rows], u0[rows], eps)
+        assert list(got[rows]) == list(alone), s
+
+
+def test_noisy_certificate_orthonormal_oracle(monkeypatch):
+    """With orthonormal columns (m = n) the least-squares witness has V = 0,
+    sigma_min(A_S) = 1 and A_S^+ a_j = 0 off S, so the bound is exactly
+    2 eps sqrt(1 + s) / ||u0||: a row is certified just below the eps at
+    which that reaches the trial tolerance, and solved just above it, or
+    where the noise exceeds eps."""
+    solve = recovery.bpdn_synthesis_stack
+    solved = []
+
+    def counted(a, b, eps=0.0):
+        solved.append(len(a))
+        return solve(a, b, eps)
+
+    monkeypatch.setattr(recovery, "bpdn_synthesis_stack", counted)
+    n = 8
+    a = np.fft.fft(np.eye(n))[None] / np.sqrt(n)
+    u0 = np.zeros((1, n), dtype=complex)
+    u0[0, [1, 4, 6]] = [2.0, 1j, -1.0 + 1j]
+    oracle = 2 * math.sqrt(1 + 3) / np.linalg.norm(u0)
+    edge = recovery.TRIAL_TOLERANCE / oracle
+    e = np.exp(0.5j * np.arange(n)) / math.sqrt(n)  # unit noise
+    for eps, inside in ((edge * (1 - 1e-6), True), (edge * (1 + 1e-6), False)):
+        upper, _, z, bound = recovery.dual_certificate(a, u0, eps)
+        assert upper[0] <= 1e-14 and np.all(z == 0)
+        assert bound[0] == pytest.approx(oracle * eps, rel=1e-12)
+        solved.clear()
+        recovery.recovered(a, np.matvec(a, u0) + eps * e, u0, eps)
+        assert solved == ([] if inside else [1])
+    # noise above eps: the bound does not hold, so the row is solved
+    eps = edge * (1 - 1e-6)
+    solved.clear()
+    recovery.recovered(a, np.matvec(a, u0) + eps * (1 + 1e-6) * e, u0, eps)
+    assert solved == [1]
+
+
+@pytest.mark.parametrize("m", [12, 16, 24])
+def test_noisy_certificate_bounds_a_long_solve(monkeypatch, m):
+    """Near the l1 transition at n = 40, s = 3, every row the certificate
+    decides has a witness w with A_S^H w = sgn(u0_S) and V_w < 1 whose
+    bound, rebuilt from its definition, is the one returned; and a
+    40000-step, 1e-11 solve lies within that bound and within the trial
+    tolerance of u0.  At eps = 1e-3 the bound's first term 2 eps /
+    sigma_min(A_S) alone exceeds the limit, so no row is certified, and
+    every row leaves after the least-squares round (lower is still 0).  At
+    eps = 1e-4 the rows left open stop within a few Lawson rounds, not at
+    ``CERTIFICATE_ROUNDS``."""
+    monkeypatch.setattr(recovery, "MAX_ITERATIONS", 40000)
+    monkeypatch.setattr(recovery, "TOLERANCE", 1e-11)
+    qr, rounds = np.linalg.qr, []
+
+    def counted_qr(mat):
+        rounds.append(len(mat))
+        return qr(mat)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for eps in (1e-4, 1e-3):
+        a, u0, b = _noisy_draws(m, m, 40, 3, 8, eps)
+        rounds.clear()
+        _, lower, z, bound = recovery.dual_certificate(a, u0, eps)
+        assert len(rounds) <= 5
+        certified = np.flatnonzero(_certified(a, u0, eps))
+        assert (certified.size > 0) == (eps == 1e-4)
+        assert (eps == 1e-4) or not lower.any()
+        long = recovery.bpdn_synthesis_stack(a[certified], b[certified], eps)
+        for i, res in zip(certified, long):
+            support = np.flatnonzero(u0[i])
+            a_s = a[i][:, support]
+            w = _witness(a[i], u0[i], z[i])
+            sgn = u0[i, support] / np.abs(u0[i, support])
+            assert np.max(np.abs(a_s.conj().T @ w - sgn)) <= 1e-12
+            off = np.abs(a[i].conj().T @ w)
+            off[support] = 0.0
+            assert off.max() < 1
+            spill = np.linalg.norm(np.linalg.pinv(a_s) @ a[i], axis=0)
+            spill[support] = 0.0
+            b_off = 2 * eps * np.linalg.norm(w) / (1 - off.max())
+            b_on = (2 * eps / np.linalg.svd(a_s, compute_uv=False)[-1]
+                    + spill.max() * b_off)
+            err = np.linalg.norm(res.solution - u0[i]) / np.linalg.norm(u0[i])
+            assert bound[i] == pytest.approx(
+                math.hypot(b_on, b_off) / np.linalg.norm(u0[i]), rel=1e-9)
+            assert err <= bound[i] <= recovery.TRIAL_TOLERANCE
 
 
 def test_only_recovery_names_the_trial_rule():
@@ -691,6 +817,6 @@ def test_only_recovery_names_the_trial_rule():
     src = Path(recovery.__file__).parent
     texts = {p.name: p.read_text() for p in src.glob("*.py")}
     for name in ("dual_certificate", "CERTIFICATE_MARGIN",
-                 "bpdn_synthesis_stack"):
+                 "TRIAL_TOLERANCE", "bpdn_synthesis_stack"):
         assert [module for module, text in texts.items()
                 if name in text] == ["recovery.py"], name
