@@ -12,12 +12,14 @@ Reports are byte-identical for a fixed (config, seed).
 
 ``recover-sweep`` decides its planted trials by ``recovery.recovered``.
 The trial stacks share nothing and run on one OpenBLAS thread, in fork
-worker processes, one per usable CPU, or in this process when only one
-would run; the reports are identical either way.
+worker processes, one per usable CPU, which pull stacks from a shared
+counter and are joined before the sweep returns, or in this process when
+only one would run; the reports are identical either way.
 
 Exit codes: 0 success, 1 when a demod-selftest check fails, 2 config
 error (including a value the library rejects and a config too large for
-memory), 3 I/O error.
+memory), 3 I/O error (including a worker process that ended without a
+result).
 
 Commands
 --------
@@ -183,8 +185,8 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
 
 
 def _recovered_task(task) -> int:
-    # Pickled by name and ``_recovered`` looked up when called, so a
-    # worker runs whatever this module binds to it.
+    # ``_recovered`` is looked up when called, so a fork worker runs
+    # whatever this module binds to it.
     return _recovered(*task)
 
 
@@ -211,13 +213,73 @@ def _blas_threads():
     return get, put
 
 
+def _pull_tasks(tasks, counter, send) -> None:
+    """A fork worker: run the tasks whose indices it takes from the shared
+    ``counter``, then send their (index, count) pairs, or its exception,
+    in one message."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value += 1
+            if index >= len(tasks):
+                break
+            done.append((index, _recovered_task(tasks[index])))
+    except Exception as exc:
+        done = exc
+    send.send(done)
+
+
+def _fork_map(tasks, workers: int, context) -> list:
+    """``_recovered_task`` over ``tasks`` in ``workers`` fork children,
+    which inherit ``tasks`` and run ``_pull_tasks``.  A child's exception,
+    or a ``ChildProcessError`` when one ends without a result, is raised
+    here after the busy children are killed; every child is joined before
+    this returns or raises."""
+    from multiprocessing.connection import wait
+    counter = context.Value("i", 0)
+    pending = {}
+    try:
+        for _ in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_pull_tasks,
+                                    args=(tasks, counter, send))
+            child.start()
+            send.close()  # before the next fork: the child's exit is EOF
+            pending[receive] = child
+        results = [None] * len(tasks)
+        while pending:
+            for receive in wait(list(pending)):
+                child = pending.pop(receive)
+                try:
+                    done = receive.recv()
+                except EOFError:
+                    done = None
+                child.join()
+                if done is None:
+                    raise ChildProcessError(
+                        f"recover-sweep worker exited with code "
+                        f"{child.exitcode} before sending its results")
+                if isinstance(done, BaseException):
+                    raise done
+                for index, count in done:
+                    results[index] = count
+        return results
+    finally:
+        for child in pending.values():
+            child.kill()
+            child.join()
+
+
 def _map_recovered(tasks) -> list:
     """``_recovered`` over the argument tuples ``tasks``, in order, on one
     OpenBLAS thread, the caller's count restored afterwards.  When there
     is more than one task, more than one usable CPU and a fork start
-    method, they run in fork worker processes, one per CPU at most, joined
-    before this returns, which inherit the thread count; a worker's
-    exception is raised here.  Otherwise they run in this process."""
+    method, they run in fork worker processes, one per CPU at most, which
+    inherit the thread count and pull tasks from a shared counter; they are
+    joined before this returns (``_fork_map``).  Otherwise they run in this
+    process."""
     workers = min(len(tasks), _usable_cpus())
     get, put = _blas_threads()
     before = get()
@@ -226,10 +288,8 @@ def _map_recovered(tasks) -> list:
         if workers > 1:
             import multiprocessing
             if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(_recovered_task, tasks))
+                return _fork_map(tasks, workers,
+                                 multiprocessing.get_context("fork"))
         return [_recovered_task(task) for task in tasks]
     finally:
         put(before)

@@ -556,6 +556,8 @@ def test_recover_sweep_matches_per_trial_solves(tmp_path, monkeypatch, noise,
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
                                                cpus):
+    import multiprocessing
+
     def exhausted(*args):
         raise MemoryError("Unable to allocate 14.9 GiB")
 
@@ -565,8 +567,96 @@ def test_recover_sweep_out_of_memory_exit_code(tmp_path, monkeypatch, capsys,
                         "sparsity = 2\nm_values = 4, 6\ntrials = 2\n")
     assert cli.main(["--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
+    assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert err == "config error: Unable to allocate 14.9 GiB\n"
+
+
+def test_recover_sweep_worker_error_kills_busy_worker(monkeypatch):
+    import multiprocessing
+    import time
+
+    # One worker raises at once while the other sleeps in its task; the
+    # map kills the sleeper instead of waiting for it.
+    def recovered(delay):
+        time.sleep(delay)
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr(cli, "_recovered", recovered)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match="14.9 GiB"):
+        cli._map_recovered([(30.0,), (0.0,)])
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_recover_sweep_dead_worker_exit_code(tmp_path, monkeypatch, capfd):
+    import multiprocessing
+    import os
+
+    # A worker that ends without a result is an I/O error, reported on one
+    # line; stderr is captured at the descriptor, which children share.
+    monkeypatch.setattr(cli, "_recovered", lambda *args: os._exit(7))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = _write_config(tmp_path, "command = recover-sweep\nn = 10\n"
+                        "sparsity = 2\nm_values = 4, 6\ntrials = 2\n")
+    assert cli.main(["--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 3
+    assert multiprocessing.active_children() == []
+    err = capfd.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "exited with code 7" in err
+
+
+def test_recover_sweep_workers_pull_tasks(tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+    import time
+
+    # Task 0 holds one worker; a static split would give it tasks 2 and 4
+    # as well, while workers that pull run tasks 1-5 in the other one.
+    log = tmp_path / "runs"
+
+    def echo(index):
+        with open(log, "a") as runs:
+            runs.write(f"{index}\n")
+        if index == 0:
+            time.sleep(0.5)
+        return index, os.getpid()
+
+    monkeypatch.setattr(cli, "_recovered", echo)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    results = cli._map_recovered([(index,) for index in range(6)])
+    assert multiprocessing.active_children() == []
+    assert [index for index, _ in results] == list(range(6))
+    assert sorted(int(line) for line in log.read_text().split()) == list(
+        range(6))
+    pids = [pid for _, pid in results]
+    assert os.getpid() not in pids
+    assert pids[0] not in pids[1:] and len(set(pids[1:])) == 1
+
+
+def test_recover_sweep_workers_share_the_counter(tmp_path, monkeypatch):
+    import multiprocessing
+    import os
+
+    # Four workers pulling many tiny tasks: a lost update of the shared
+    # counter runs some task twice, which the log shows.
+    log = tmp_path / "runs"
+
+    def echo(index):
+        with open(log, "a") as runs:
+            runs.write(f"{index}\n")
+        return index
+
+    monkeypatch.setattr(cli, "_recovered", echo)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    tasks = [(index,) for index in range(300)]
+    assert cli._map_recovered(tasks) == list(range(300))
+    assert multiprocessing.active_children() == []
+    assert sorted(int(line) for line in log.read_text().split()) == list(
+        range(300))
 
 
 @pytest.mark.parametrize("job", ["recover-exact", "recover-exact-s5",
