@@ -184,12 +184,6 @@ def _recovered(seeds, m: int, n: int, s: int, noise: float) -> int:
     return int(np.count_nonzero(recovery.recovered(a, b, u0, noise)))
 
 
-def _recovered_task(task) -> int:
-    # ``_recovered`` is looked up when called, so a fork worker runs
-    # whatever this module binds to it.
-    return _recovered(*task)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -225,14 +219,14 @@ def _pull_tasks(tasks, counter, send) -> None:
                 counter.value += 1
             if index >= len(tasks):
                 break
-            done.append((index, _recovered_task(tasks[index])))
+            done.append((index, _recovered(*tasks[index])))
     except Exception as exc:
         done = exc
     send.send(done)
 
 
 def _fork_map(tasks, workers: int, context) -> list:
-    """``_recovered_task`` over ``tasks`` in ``workers`` fork children,
+    """``_recovered`` over ``tasks`` in ``workers`` fork children,
     which inherit ``tasks`` and run ``_pull_tasks``.  A child's exception,
     or a ``ChildProcessError`` when one ends without a result, is raised
     here after the busy children are killed; every child is joined before
@@ -290,7 +284,7 @@ def _map_recovered(tasks) -> list:
             if "fork" in multiprocessing.get_all_start_methods():
                 return _fork_map(tasks, workers,
                                  multiprocessing.get_context("fork"))
-        return [_recovered_task(task) for task in tasks]
+        return [_recovered(*task) for task in tasks]
     finally:
         put(before)
 

@@ -4,7 +4,7 @@ Provides :class:`LinearOperator` (apply/adjoint pairs with a descriptor for
 deterministic reconstruction) for the Gaussian ensemble, random sign
 diagonal, partial circulant demodulator and their composition (the
 universal random demodulator), plus :class:`BilinearMap` and the
-convolution as one.
+circular convolution as one (``convolution_lift``).
 
 Randomness is drawn from ``np.random.default_rng(seed)`` (PCG64); the
 descriptor of every operator records the ensemble name, dimensions and
@@ -189,15 +189,10 @@ class BilinearMap:
                                np.asarray(y, dtype=complex))
 
 
-def convolution_lift(n: int, zero_padded: bool = False) -> BilinearMap:
-    """Convolution as a bilinear map on C^n x C^n.
-
-    Circular by default (output dimension n); with ``zero_padded`` the
-    output lives in C^{2n-1} and circular equals ordinary convolution.
-    """
-    n_out = 2 * n - 1 if zero_padded else n
+def convolution_lift(n: int) -> BilinearMap:
+    """Circular convolution as a bilinear map C^n x C^n -> C^n."""
 
     def pair(x, y):
-        return np.fft.ifft(np.fft.fft(x, n_out) * np.fft.fft(y, n_out))
+        return np.fft.ifft(np.fft.fft(x, n) * np.fft.fft(y, n))
 
-    return BilinearMap(n, n, n_out, pair)
+    return BilinearMap(n, n, n, pair)

@@ -257,7 +257,10 @@ def dual_certificate(a, u0, eps: float = 0.0) -> tuple:
         return upper, lower, z, bound
     support = np.nonzero(u0)[1].reshape(t, s)
     a_s = np.take_along_axis(a, support[:, None, :], axis=2)
-    left, sv, right = np.linalg.svd(a_s, full_matrices=False)
+    # One full SVD: its first s left singular vectors U serve round 0, and
+    # the last m - s are the null basis N of the Lawson rounds.
+    left, sv, right = np.linalg.svd(a_s)
+    left, null = left[..., :s], left[..., s:]
     full = sv[:, -1] > sv[:, 0] * max(m, s) * np.finfo(float).eps
     ids = np.flatnonzero(full)
     sgn = np.take_along_axis(u0, support, axis=1)[ids]
@@ -303,7 +306,7 @@ def dual_certificate(a, u0, eps: float = 0.0) -> tuple:
     if m > n or not live.any():  # with m > n, A^H N has rank < m - s
         return upper, lower, z, bound
     ids, ah, c, off = (v[live] for v in (ids, ah, c, off))
-    mat = ah @ np.linalg.svd(a_s[ids])[0][:, :, s:]  # A^H N, 0 on S
+    mat = ah @ null[ids]  # A^H N, 0 on S
     weights = off / max(n - s, 1)
     for _ in range(CERTIFICATE_ROUNDS):
         root = np.sqrt(weights)

@@ -12,16 +12,11 @@ def _random_hermitian(n, rng):
     return (a + a.conj().T) / 2
 
 
-def test_eigvalsh_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigh.eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_eigvalsh_rejects_non_square():
     with pytest.raises(ValueError):
         eigh.eigvalsh(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         eigh.eigvalsh(np.zeros(3))
-    # One non-Hermitian matrix in a stack rejects the stack.
-    with pytest.raises(ValueError):
-        eigh.eigvalsh(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def test_eigvalsh_stack_matches_single_calls():

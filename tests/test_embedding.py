@@ -170,9 +170,6 @@ OPERATORS = {
     "demodulator": lambda n: (
         operators.universal_random_demodulator(n - 3, n, 5, 7, omega=6),
         operators.convolution_lift(n)),
-    "zero_padded_lift": lambda n: (
-        operators.gaussian_operator(n + 1, 2 * n - 1, 8),
-        operators.convolution_lift(n, zero_padded=True)),
 }
 
 

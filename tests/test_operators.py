@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bilinlab import operators, signals
+from bilinlab import operators
 
 
 def _adjoint_error(op, rng):
@@ -153,31 +153,18 @@ def test_universal_demodulator_matches_dense():
         assert np.linalg.norm(dense @ x - op.apply(x)) <= 1e-10 * np.linalg.norm(x)
 
 
-def test_zero_padded_lift_equals_linear_convolution():
-    rng = np.random.default_rng(14)
-    n = 5
-    b = operators.convolution_lift(n, zero_padded=True)
-    assert b.n == 2 * n - 1
-    x = signals.random_sparse_vector(n, 3, rng)
-    y = signals.random_sparse_vector(n, 2, rng)
-    got = b.apply_pair(x.dense(), y.dense())
-    want = np.convolve(x.dense(), y.dense())
-    assert np.allclose(got, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("zero_padded", [False, True])
-def test_lifted_convolution_is_index_scatter(zero_padded):
-    """The convolution of basis vectors e_i and e_j is e_{(i+j) mod n_out}.
+def test_lifted_convolution_is_index_scatter():
+    """The circular convolution of basis vectors e_i and e_j is
+    e_{(i+j) mod n}.
 
     The lift goes through the FFT, so entries carry rounding of a few
     ulp; the 0/1 pattern itself must be exact.
     """
     for n in range(1, 7):
-        b = operators.convolution_lift(n, zero_padded=zero_padded)
-        n_out = 2 * n - 1 if zero_padded else n
+        b = operators.convolution_lift(n)
         i, j = np.divmod(np.arange(n * n), n)
-        want = np.zeros((n * n, n_out))
-        want[np.arange(n * n), (i + j) % n_out] = 1.0
+        want = np.zeros((n * n, n))
+        want[np.arange(n * n), (i + j) % n] = 1.0
         basis = np.eye(n, dtype=complex)
         got = b.pair_apply(basis[i], basis[j])
         assert got.shape == want.shape
@@ -217,9 +204,9 @@ def test_stacked_apply_and_adjoint_equal_row_by_row(factory):
         assert np.array_equal(action(stack[0]), rows[0])
 
 
-@pytest.mark.parametrize("n, zero_padded", [(4, False), (3, True)])
-def test_stacked_pair_apply_equals_row_by_row(n, zero_padded):
-    b = operators.convolution_lift(n, zero_padded=zero_padded)
+@pytest.mark.parametrize("n", [4, 3])
+def test_stacked_pair_apply_equals_row_by_row(n):
+    b = operators.convolution_lift(n)
     rng = np.random.default_rng(11)
     x, y = (rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
             for _ in range(2))

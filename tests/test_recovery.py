@@ -811,6 +811,26 @@ def test_noisy_certificate_bounds_a_long_solve(monkeypatch, m):
             assert err <= bound[i] <= recovery.TRIAL_TOLERANCE
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_dual_certificate_takes_one_svd(monkeypatch, eps):
+    """One full SVD of the stack's A_S gives both round 0 and the null
+    basis of the Lawson rounds, which these rows reach."""
+    svd, qr, calls = np.linalg.svd, np.linalg.qr, []
+
+    def counted(name, call):
+        return lambda *args, **kwargs: (calls.append(name)
+                                        or call(*args, **kwargs))
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
+    if eps == 0:
+        a, u0 = _sweep_draws(1, 0, 4, 8, 100, 3, 20)
+    else:
+        a, u0, _ = _noisy_draws(16, 16, 40, 3, 8, eps)
+    recovery.dual_certificate(a, u0, eps)
+    assert calls.count("svd") == 1 and calls.count("qr") > 0
+
+
 def test_only_recovery_names_the_trial_rule():
     # Every planted trial is decided by recovery.recovered; no other module
     # reaches the certificate, its margin or the stacked solver.

@@ -277,6 +277,39 @@ def test_restricted_min_eigenvalue_exhaustive_is_all_subsets_minimum(
             np.linalg.eigvalsh(subs)[:, 0].min())
         assert scored >= {m.tobytes() for m in subs}
 
+
+@pytest.mark.parametrize("kind", ["autocorr", "random_lags"])
+def test_eigvalsh_receives_exactly_hermitian_stacks(monkeypatch, kind):
+    # eigh.eigvalsh does not check symmetry (LAPACK reads the lower
+    # triangle), so every caller must hand it exactly Hermitian stacks:
+    # gathers of a mirrored lag row with a real b_0 are.
+    rng = np.random.default_rng(34)
+    eigvalsh = rnmp.eigh.eigvalsh
+    received = []
+
+    def spy(a):
+        assert np.array_equal(a, a.conj().swapaxes(-1, -2))
+        received.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(rnmp.eigh, "eigvalsh", spy)
+    # (16, 5) takes the exhaustive path, (22, 7) the greedy one.
+    for n, s in ((16, 5), (22, 7)):
+        if kind == "autocorr":
+            t = rnmp.autocorrelation_toeplitz(
+                signals.random_sparse_vector(n, 3, rng), n)
+        else:
+            lags = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            t = HermitianToeplitz(n, (float(lags[0].real),) + tuple(lags[1:]))
+        assert t.first_row[0].imag == 0.0
+        received.clear()
+        rnmp.min_eigenvalue(t)
+        assert received == [(n, n)]
+        received.clear()
+        rnmp.restricted_min_eigenvalue(t, s, restarts=2)
+        assert received and all(shape[1:] == (s, s) for shape in received)
+
+
 def test_restricted_eigenvalue_monotonicity():
     rng = np.random.default_rng(3)
     t = rnmp.autocorrelation_toeplitz(
